@@ -16,11 +16,19 @@ reported as a falsification with witnesses.
 
 Coefficient values are read from per-(a, b) cached tables built with the
 sparse method and spot-audited against the recurrence method.
+
+Each case is one ``_CASES`` record (summary, parameter conditions, arity)
+whose rule builder gives the identity at concrete parameters as a
+``_Rule``: the ``form`` p = fa*x^2 + fb*y^2, the ``tables`` read, each
+with its index as an affine rule (u*p + v)/8 + w, the ordered
+``hypotheses`` with their reasons, and the ``sign`` rule on (x, y) or the
+runner (``run``) for the left side.  Table sizes for a range follow from
+the index rules at p_max, so adding a case means adding one record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .arith import is_prime, sieve_primes
@@ -92,8 +100,9 @@ class ConstructionCase:
             raise ValueError(f"case {self.case_id} needs a positive parameter a")
         if spec.arity == 2 and (self.b is None or self.b < 1):
             raise ValueError(f"case {self.case_id} needs a positive parameter b")
-        if spec.validate is not None:
-            spec.validate(self.a, self.b)
+        for fails, message in spec.conditions:
+            if fails(self.a, self.b):
+                raise ValueError(message)
 
     def params(self) -> tuple[int, ...]:
         return tuple(v for v in (self.a, self.b) if v is not None)
@@ -142,21 +151,8 @@ class RangeReport:
         return not self.falsified
 
 
-def _require_odd_prime(p: int) -> None:
-    if p < 3 or p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"need an odd prime, got {p}")
-
-
 def _sign(e: int) -> int:
     return 1 if e % 2 == 0 else -1
-
-
-def _rep_pairs(fa: int, fb: int, p: int) -> tuple[tuple[int, int], ...]:
-    return representations(QuadForm(fa, 0, fb), p).pairs
-
-
-def _witness_of(reps) -> tuple[int, int]:
-    return min(reps, key=lambda r: (abs(r[0]), abs(r[1]), r[0] < 0, r[1] < 0))
 
 
 def _na(case, p, reason) -> Verdict:
@@ -164,7 +160,7 @@ def _na(case, p, reason) -> Verdict:
 
 
 def _decide(case, p, reps, index, lhs_values: set[int], rhs: int) -> Verdict:
-    witness = _witness_of(reps)
+    witness = min(reps, key=lambda r: (abs(r[0]), abs(r[1]), r[0] < 0, r[1] < 0))
     if len(lhs_values) > 1:
         return Verdict(
             FALSIFIED,
@@ -187,79 +183,6 @@ def _exact_div8(num: int, what: str) -> int:
     return num // 8
 
 
-# ---------------------------------------------------------------------------
-# single-square construction families (sign-adjusted 4ax^2 - 2p)
-
-
-def _run_t31(case, p, cache, a, b, residue=None):
-    if residue is not None:
-        mod, allowed, label = residue
-        if p % mod not in allowed:
-            return _na(case, p, f"p is not {label}")
-    if p == a:
-        return _na(case, p, "p equals a")
-    if p == b:
-        return _na(case, p, "p equals b")
-    if (a * b + 1) % p == 0:
-        return _na(case, p, "p divides a*b + 1")
-    reps = _rep_pairs(a, b, p)
-    if not reps:
-        return _na(case, p, f"p has no representation p = {a}*x^2 + {b}*y^2")
-    index = _exact_div8((a * b + 1) * p - a - b, "(ab+1)p - a - b") + 1
-    rhs = cache.value(a, b, index)
-    ea, eb = (a + b) // 2, (b + 1) // 2
-    lhs_values = {_sign(ea * x + eb) * (4 * a * x * x - 2 * p) for x, y in reps}
-    return _decide(case, p, reps, index, lhs_values, rhs)
-
-
-def _run_t32(case, p, cache, a, b, variant, residue=None):
-    if residue is not None:
-        mod, allowed, label = residue
-        if p % mod not in allowed:
-            return _na(case, p, f"p is not {label}")
-    ab = a * b
-    if variant == "ii" and p % 8 != 1:
-        return _na(case, p, "p is not 1 (mod 8)")
-    if p == ab:
-        return _na(case, p, "p equals a*b")
-    if p == ab + 1:
-        return _na(case, p, "p equals a*b + 1")
-    reps = _rep_pairs(1, ab, p)
-    if not reps:
-        return _na(case, p, f"p has no representation p = x^2 + {ab}*y^2")
-    index = _exact_div8((a + b) * (p - 1), "(a+b)(p-1)") + 1
-    rhs = cache.value(a, b, index)
-    if variant == "i":
-        e = (ab + 1) // 2
-        lhs_values = {_sign(e * y) * (4 * x * x - 2 * p) for x, y in reps}
-    else:
-        _require_even_y(reps, case, p)
-        lhs_values = {_sign(y // 2) * (4 * x * x - 2 * p) for x, y in reps}
-    return _decide(case, p, reps, index, lhs_values, rhs)
-
-
-def _run_t33(case, p, cache, a, b, residue=None):
-    if residue is not None:
-        mod, allowed, label = residue
-        if p % mod not in allowed:
-            return _na(case, p, f"p is not {label}")
-    if p % 8 != a % 8:
-        return _na(case, p, "p is not a (mod 8)")
-    if p == a:
-        return _na(case, p, "p equals a")
-    if (a * b + 1) % p == 0:
-        return _na(case, p, "p divides a*b + 1")
-    reps = _rep_pairs(a, b, p)
-    if not reps:
-        return _na(case, p, f"p has no representation p = {a}*x^2 + {b}*y^2")
-    index = _exact_div8((a * b + 1) * p - a - b, "(ab+1)p - a - b") + 1
-    rhs = cache.value(a, b, index)
-    _require_even_y(reps, case, p)
-    e0 = (a - 1) // 2
-    lhs_values = {_sign(e0 + y // 2) * (4 * a * x * x - 2 * p) for x, y in reps}
-    return _decide(case, p, reps, index, lhs_values, rhs)
-
-
 def _require_even_y(reps, case, p) -> None:
     # provable from the hypotheses; an odd y here is a bug, not bad input
     for _, y in reps:
@@ -269,356 +192,58 @@ def _require_even_y(reps, case, p) -> None:
             )
 
 
-def _run_c34(case, p, cache, a, _b):
-    reps = _rep_pairs(1, 16 * a, p)
-    if not reps:
-        return _na(case, p, f"p has no representation p = x^2 + {16 * a}*y^2")
-    index = _exact_div8((a + 4) * p - a + 4, "(a+4)p - a + 4")
-    rhs = cache.value(a, 4, index)
-    lhs_values = {_sign(y) * (4 * x * x - 2 * p) for x, y in reps}
-    return _decide(case, p, reps, index, lhs_values, rhs)
+# ---------------------------------------------------------------------------
+# identity records and the runners that evaluate them
 
 
-def _run_plain(case, p, cache, fb, index_fn, residue, odd_x=False):
-    """Cases with unsigned 4x^2 - 2p over representations p = x^2 + fb*y^2;
-    odd_x restricts to the odd-x solutions when that is a hypothesis."""
-    mod, allowed, label = residue
-    if p % mod not in allowed:
-        return _na(case, p, f"p is not {label}")
-    reps = _rep_pairs(1, fb, p)
-    if odd_x:
+def _run_square(case, p, cache, rule):
+    """Sign-adjusted 4*fa*x^2 - 2p over every representation p = fa*x^2 + fb*y^2,
+    or, with two tables, the equality of the two coefficients."""
+    fa, fb = rule.form
+    reps = representations(QuadForm(fa, 0, fb), p).pairs
+    if rule.odd_x:
         reps = tuple(r for r in reps if r[0] % 2 == 1)
     if not reps:
-        suffix = " with odd x" if odd_x else ""
-        return _na(case, p, f"p has no representation p = x^2 + {fb}*y^2{suffix}")
-    index = index_fn(p)
-    rhs = cache.value(1, fb, index)
-    lhs_values = {4 * x * x - 2 * p for x, y in reps}
-    return _decide(case, p, reps, index, lhs_values, rhs)
+        shown = f"{fa}*x^2" if rule.show_a else "x^2"
+        suffix = " with odd x" if rule.odd_x else ""
+        return _na(case, p, f"p has no representation p = {shown} + {fb}*y^2{suffix}")
+    indices = [_index(affine, p) for _, _, affine in rule.tables]
+    values = [cache.value(ta, tb, i) for (ta, tb, _), i in zip(rule.tables, indices)]
+    if len(values) == 2:
+        return _decide(case, p, reps, indices[0], {values[0]}, values[1])
+    if rule.even_y:
+        _require_even_y(reps, case, p)
+    lhs_values = {_sign(rule.sign(x, y)) * (4 * fa * x * x - 2 * p) for x, y in reps}
+    return _decide(case, p, reps, indices[0], lhs_values, values[0])
 
 
-def _run_c33(case, p, cache, a, b, require_1mod8=False):
-    ab = a * b
-    if require_1mod8 and p % 8 != 1:
-        return _na(case, p, "p is not 1 (mod 8)")
-    if p == ab:
-        return _na(case, p, "p equals a*b")
-    if p == ab + 1:
-        return _na(case, p, "p equals a*b + 1")
-    reps = _rep_pairs(1, ab, p)
-    if not reps:
-        return _na(case, p, f"p has no representation p = x^2 + {ab}*y^2")
-    i1 = _exact_div8((a + b) * (p - 1), "(a+b)(p-1)") + 1
-    i2 = _exact_div8((ab + 1) * (p - 1), "(ab+1)(p-1)") + 1
-    lhs = cache.value(a, b, i1)
-    rhs = cache.value(1, ab, i2)
-    status = HOLDS if lhs == rhs else FALSIFIED
-    return Verdict(status, case, p, witness=_witness_of(reps), index=i1, lhs=lhs, rhs=rhs)
-
-
-# ---------------------------------------------------------------------------
-# product construction (x*y equals the coefficient; quadratic recovery)
-
-
-def _run_t41(case, p, cache, a, b):
-    if p < a + b or (p - a - b) % 8:
-        return _na(case, p, "p is not a+b (mod 8) with p >= a+b")
-    n = (p - a - b) // 8
-    return _product_core(case, p, cache, a, b, target=p, index=n + 1, kind=1)
-
-
-def _run_t42(case, p, cache, a, b):
-    if 2 * p < a + b or (2 * p - a - b) % 8:
-        return _na(case, p, "2p is not a+b (mod 8) with 2p >= a+b")
-    n = (2 * p - a - b) // 8
-    return _product_core(case, p, cache, a, b, target=2 * p, index=n + 1, kind=2)
-
-
-def _run_t43(case, p, cache, a, b):
-    if a * b % p == 0:
-        return _na(case, p, "p divides a*b")
-    n = _exact_div8(4 * p - a - b, "4p - a - b")
-    return _product_core(case, p, cache, a, b, target=4 * p, index=n + 1, kind=3)
-
-
-def _product_core(case, p, cache, a, b, target, index, kind):
-    norm = normalized_reps(QuadForm(a, 0, b), target)
+def _run_product(case, p, cache, rule):
+    """x*y equals the coefficient at the unique normalized representation of
+    t = m*p, and (2a*x^2 - t)^2 = t^2 - 4ab*L^2 recovers the square."""
+    a, b = rule.form
+    ta, tb, affine = rule.tables[0]
+    index = _index(affine, p)
+    t = 8 * (index - 1) + a + b  # t = 8n + a + b, read at n + 1
+    norm = normalized_reps(QuadForm(a, 0, b), t)
     if not norm:
-        return _na(case, p, f"{target} has no representation with x = y = 1 (mod 4)")
+        return _na(case, p, f"{t} has no representation with x = y = 1 (mod 4)")
     if len(norm) > 1:
         raise InternalInconsistencyError(
-            f"normalized representation of {target} by [{a}, 0, {b}] is not unique: {norm}"
+            f"normalized representation of {t} by [{a}, 0, {b}] is not unique: {norm}"
         )
     x, y = norm[0]
-    lam = cache.value(a, b, index)
+    lam = cache.value(ta, tb, index)
     lhs = x * y
-    if kind == 1:
-        quad_ok = (2 * a * x * x - p) ** 2 == p * p - 4 * a * b * lam * lam
-    elif kind == 2:
-        quad_ok = (a * x * x - p) ** 2 == p * p - a * b * lam * lam
-    else:
-        quad_ok = (a * x * x - 2 * p) ** 2 == 4 * p * p - a * b * lam * lam
+    quad_ok = (2 * a * x * x - t) ** 2 == t * t - 4 * a * b * lam * lam
     if lhs == lam and quad_ok:
         return Verdict(HOLDS, case, p, witness=(x, y), index=index, lhs=lhs, rhs=lam)
     reason = None if lhs != lam else "square recovery identity failed"
     return Verdict(FALSIFIED, case, p, witness=(x, y), index=index, lhs=lhs, rhs=lam, reason=reason)
 
 
-# ---------------------------------------------------------------------------
-# case registry
-
-
-@dataclass(frozen=True)
-class _CaseSpec:
-    arity: int
-    kind: str  # "construction", "product", or "multi"
-    summary: str
-    run: object
-    validate: object = None
-
-
-def _odd_pair(a, b):
-    if a % 2 == 0 or b % 2 == 0:
-        raise ValueError("requires odd a and b")
-
-
-def _odd_coprime(a, b):
-    _odd_pair(a, b)
-    if gcd(a, b) != 1:
-        raise ValueError("requires coprime a and b")
-
-
-def _odd_even(a, b):
-    if a % 2 == 0:
-        raise ValueError("requires odd a")
-    if b % 2 or b % 8 == 0:
-        raise ValueError("requires even b not divisible by 8")
-
-
-def _odd_even_coprime(a, b):
-    _odd_even(a, b)
-    if gcd(a, b) != 1:
-        raise ValueError("requires coprime a and b")
-
-
-def _odd_a(a, _b):
-    if a % 2 == 0:
-        raise ValueError("requires odd a")
-
-
-def _t41_params(a, b):
-    if a % 8 == 0 or b % 8 == 0:
-        raise ValueError("requires a and b not divisible by 8")
-
-
-def _t42_params(a, b):
-    if gcd(a, b) != 1:
-        raise ValueError("requires coprime a and b")
-    if (a * b) % 4 != 1:
-        raise ValueError("requires a*b = 1 (mod 4)")
-    if a * b == 1:
-        # with a = b = 1 the normalized solution is never unique (the
-        # discriminant -4 has four units) and the product identity fails;
-        # same degeneracy the ab != 3 hypothesis excludes in T4.3
-        raise ValueError("requires a*b > 1")
-
-
-def _t43_params(a, b):
-    if a % 2 == 0 or b % 2 == 0:
-        raise ValueError("requires odd a and b")
-    if a * b == 3:
-        raise ValueError("requires a*b != 3")
-    if (a + b) % 8 != 4:
-        raise ValueError("requires a + b = 4 (mod 8)")
-
-
-_CASES: dict[str, _CaseSpec] = {
-    "T3.1": _CaseSpec(
-        2,
-        "construction",
-        "odd a,b; p = a*x^2 + b*y^2; signed 4a*x^2 - 2p at ((ab+1)p-a-b)/8 + 1",
-        lambda c, p, t: _run_t31(c, p, t, c.a, c.b),
-        _odd_pair,
-    ),
-    "C3.1": _CaseSpec(
-        0,
-        "construction",
-        "p = 1 (mod 4) = x^2 + y^2, odd x; 4x^2 - 2p at (p+3)/4",
-        lambda c, p, t: _run_plain(
-            c, p, t, 1, lambda q: (q + 3) // 4, (4, (1,), "1 (mod 4)"), odd_x=True
-        ),
-    ),
-    "C3.2": _CaseSpec(
-        0,
-        "construction",
-        "p = 1,9 (mod 20) = x^2 + 5y^2; signed 4x^2 - 2p at (3p+1)/4",
-        lambda c, p, t: _run_t31(c, p, t, 1, 5, (20, (1, 9), "1 or 9 (mod 20)")),
-    ),
-    "T3.2i": _CaseSpec(
-        2,
-        "construction",
-        "odd coprime a,b; p = x^2 + ab*y^2; signed 4x^2 - 2p at (a+b)(p-1)/8 + 1",
-        lambda c, p, t: _run_t32(c, p, t, c.a, c.b, "i"),
-        _odd_coprime,
-    ),
-    "T3.2ii": _CaseSpec(
-        2,
-        "construction",
-        "odd a, even b (8 exc.), coprime; p = 1 (mod 8) = x^2 + ab*y^2",
-        lambda c, p, t: _run_t32(c, p, t, c.a, c.b, "ii"),
-        _odd_even_coprime,
-    ),
-    "C3.3": _CaseSpec(
-        2,
-        "construction",
-        "coefficient equality between the (a,b) and (1,ab) tables, odd coprime a,b",
-        lambda c, p, t: _run_c33(c, p, t, c.a, c.b),
-        _odd_coprime,
-    ),
-    "C3.4": _CaseSpec(
-        1,
-        "construction",
-        "odd a; p = x^2 + 16a*y^2; (-1)^y (4x^2 - 2p) at ((a+4)p - a + 4)/8",
-        lambda c, p, t: _run_c34(c, p, t, c.a, c.b),
-        _odd_a,
-    ),
-    "C3.5": _CaseSpec(
-        2,
-        "construction",
-        "table equality as C3.3 for odd a, even b (8 exc.), coprime, p = 1 (mod 8)",
-        lambda c, p, t: _run_c33(c, p, t, c.a, c.b, require_1mod8=True),
-        _odd_even_coprime,
-    ),
-    "T3.3": _CaseSpec(
-        2,
-        "construction",
-        "odd a, even b (8 exc.); p = a (mod 8) = a*x^2 + b*y^2; signed 4a*x^2 - 2p",
-        lambda c, p, t: _run_t33(c, p, t, c.a, c.b),
-        _odd_even,
-    ),
-    "E1.6": _CaseSpec(
-        0,
-        "construction",
-        "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p",
-        lambda c, p, t: _run_plain(c, p, t, 7, lambda q: q, (7, (1, 2, 4), "1, 2 or 4 (mod 7)")),
-    ),
-    "E1.7": _CaseSpec(
-        0,
-        "construction",
-        "alias of C3.1: 4x^2 - 2p at (p+3)/4 in the (1,1) table",
-        lambda c, p, t: _run_plain(
-            c, p, t, 1, lambda q: (q + 3) // 4, (4, (1,), "1 (mod 4)"), odd_x=True
-        ),
-    ),
-    "E1.8": _CaseSpec(
-        0,
-        "construction",
-        "p = 1 (mod 3) = x^2 + 3y^2; 4x^2 - 2p at (p+1)/2 in the (1,3) table",
-        lambda c, p, t: _run_plain(c, p, t, 3, lambda q: (q + 1) // 2, (3, (1,), "1 (mod 3)")),
-    ),
-    "E3.1": _CaseSpec(
-        0,
-        "construction",
-        "p = 1 (mod 8) = x^2 + 2y^2; signed value at (3p+5)/8 in the (1,2) table",
-        lambda c, p, t: _run_t32(c, p, t, 1, 2, "ii", (8, (1,), "1 (mod 8)")),
-    ),
-    "E3.2": _CaseSpec(
-        0,
-        "construction",
-        "p = 1 (mod 24) = x^2 + 6y^2; signed value at (7p+1)/8 in the (1,6) table",
-        lambda c, p, t: _run_t32(c, p, t, 1, 6, "ii", (24, (1,), "1 (mod 24)")),
-    ),
-    "E3.3": _CaseSpec(
-        0,
-        "construction",
-        "p = 1,9 (mod 40) = x^2 + 10y^2; signed value at (11p-3)/8 in the (1,10) table",
-        lambda c, p, t: _run_t32(c, p, t, 1, 10, "ii", (40, (1, 9), "1 or 9 (mod 40)")),
-    ),
-    "E3.4": _CaseSpec(
-        0,
-        "construction",
-        "p = 1 (mod 24) = x^2 + 12y^2; signed value at (13p-5)/8 in the (1,12) table",
-        lambda c, p, t: _run_t32(c, p, t, 1, 12, "ii", (24, (1,), "1 (mod 24)")),
-    ),
-    "E3.5": _CaseSpec(
-        0,
-        "construction",
-        "p = 11 (mod 24) = 3x^2 + 2y^2; signed value at (7p+3)/8 in the (2,3) table",
-        lambda c, p, t: _run_t33(c, p, t, 3, 2, (24, (11,), "11 (mod 24)")),
-    ),
-    "E3.6": _CaseSpec(
-        0,
-        "construction",
-        "p = 13,37 (mod 40) = 5x^2 + 2y^2; signed value at (11p+1)/8 in the (2,5) table",
-        lambda c, p, t: _run_t33(c, p, t, 5, 2, (40, (13, 37), "13 or 37 (mod 40)")),
-    ),
-    "T4.1": _CaseSpec(
-        2,
-        "product",
-        "p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
-        lambda c, p, t: _run_t41(c, p, t, c.a, c.b),
-        _t41_params,
-    ),
-    "T4.2": _CaseSpec(
-        2,
-        "product",
-        "2p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
-        lambda c, p, t: _run_t42(c, p, t, c.a, c.b),
-        _t42_params,
-    ),
-    "T4.3": _CaseSpec(
-        2,
-        "product",
-        "4p = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at (4p-a-b)/8 + 1 plus square recovery",
-        lambda c, p, t: _run_t43(c, p, t, c.a, c.b),
-        _t43_params,
-    ),
-    "T5.3": _CaseSpec(
-        0,
-        "multi",
-        "(3,5) table values at p, 2p, 3p, 5p against the residue-class case split",
-        lambda c, p, t: _run_thm53(c, p, t),
-    ),
-}
-
-
-def case_ids() -> list[str]:
-    return sorted(_CASES)
-
-
-def case_summary(case_id: str) -> str:
-    return _CASES[case_id].summary
-
-
-def case_arity(case_id: str) -> int:
-    """Number of parameters the case takes (0, 1, or 2)."""
-    return _CASES[case_id].arity
-
-
-def make_case(case_id: str, a: int | None = None, b: int | None = None) -> ConstructionCase:
-    return ConstructionCase(case_id, a, b)
-
-
-def verify_construction(case: ConstructionCase, p: int, cache: TableCache | None = None) -> Verdict:
-    """Check one single-prime construction identity; see the case registry."""
-    spec = _CASES[case.case_id]
-    if spec.kind != "construction":
-        raise ValueError(f"case {case.case_id} is not a construction case")
-    _require_odd_prime(p)
-    return spec.run(case, p, cache or _SHARED_CACHE)
-
-
-def verify_product(case: ConstructionCase, p: int, cache: TableCache | None = None) -> Verdict:
-    """Check one x*y product identity (cases T4.1, T4.2, T4.3)."""
-    spec = _CASES[case.case_id]
-    if spec.kind != "product":
-        raise ValueError(f"case {case.case_id} is not a product case")
-    _require_odd_prime(p)
-    return spec.run(case, p, cache or _SHARED_CACHE)
-
-
-def _run_thm53(case, p, cache):
-    table = cache.get(3, 5, 5 * p)
+def _run_thm53(case, p, cache, rule):
+    ta, tb, affine = rule.tables[0]
+    table = cache.get(ta, tb, _index(affine, p))
     r = p % 30
     details = []
     witness = None
@@ -652,6 +277,293 @@ def _run_thm53(case, p, cache):
     return Verdict(status, case, p, witness=witness, index=p, details=tuple(details))
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """One identity at concrete parameters; see the module docstring."""
+
+    form: tuple[int, int]
+    tables: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    hypotheses: tuple[tuple[object, str], ...] = ()
+    sign: object = lambda x, y: 0  # the exponent e in (-1)^e (4*fa*x^2 - 2p)
+    even_y: bool = False  # every y is even (asserted, not a hypothesis)
+    odd_x: bool = False  # only the representations with odd x count
+    show_a: bool = False  # reasons write the form as a*x^2 even for a = 1
+    run: object = _run_square
+
+
+def _index(affine: tuple[int, int, int], p: int) -> int:
+    u, v, w = affine
+    return _exact_div8(u * p + v, f"{u}p{v:+d}") + w
+
+
+def _residue(mod, allowed, label):
+    return (lambda p: p % mod not in allowed, f"p is not {label}")
+
+
+def _equals(value, name):
+    return (lambda p: p == value, f"p equals {name}")
+
+
+def _divides(value, name):
+    return (lambda p: value % p == 0, f"p divides {name}")
+
+
+_ONE_MOD_8 = _residue(8, (1,), "1 (mod 8)")
+
+
+def _t31(a, b, *residue):
+    """p = a*x^2 + b*y^2: (-1)^((a+b)/2*x + (b+1)/2) (4a*x^2 - 2p)."""
+    return _Rule(
+        form=(a, b),
+        tables=((a, b, (a * b + 1, -a - b, 1)),),
+        hypotheses=(*residue, _equals(a, "a"), _equals(b, "b"), _divides(a * b + 1, "a*b + 1")),
+        sign=lambda x, y: (a + b) // 2 * x + (b + 1) // 2,
+        show_a=True,
+    )
+
+
+def _t33(a, b, *residue):
+    """T3.1's form and index for even b: (-1)^((a-1)/2 + y/2) (4a*x^2 - 2p)."""
+    return replace(
+        _t31(a, b),
+        hypotheses=(
+            *residue,
+            _residue(8, (a % 8,), "a (mod 8)"),
+            _equals(a, "a"),
+            _divides(a * b + 1, "a*b + 1"),
+        ),
+        sign=lambda x, y: (a - 1) // 2 + y // 2,
+        even_y=True,
+    )
+
+
+def _over_ab(a, b, *first):
+    """p = x^2 + ab*y^2, read from the (a, b) table (T3.2, C3.3 and C3.5)."""
+    ab = a * b
+    return _Rule(
+        form=(1, ab),
+        tables=((a, b, (a + b, -a - b, 1)),),
+        hypotheses=(*first, _equals(ab, "a*b"), _equals(ab + 1, "a*b + 1")),
+    )
+
+
+def _t32ii(a, b, *residue):
+    return replace(_over_ab(a, b, *residue, _ONE_MOD_8), sign=lambda x, y: y // 2, even_y=True)
+
+
+def _c33(a, b, *first):
+    """The (a, b) value equals the (1, ab) value at (ab+1)(p-1)/8 + 1."""
+    rule = _over_ab(a, b, *first)
+    ab = a * b
+    return replace(rule, tables=rule.tables + ((1, ab, (ab + 1, -ab - 1, 1)),))
+
+
+def _plain(fb, index, residue, odd_x=False):
+    """Unsigned 4x^2 - 2p over p = x^2 + fb*y^2, read from the (1, fb) table."""
+    return _Rule(form=(1, fb), tables=((1, fb, index),), hypotheses=(residue,), odd_x=odd_x)
+
+
+def _product(a, b, m, *hypotheses):
+    """m*p = a*x^2 + b*y^2 with x = y = 1 (mod 4): x*y at (m*p - a - b)/8 + 1."""
+    return _Rule(
+        form=(a, b), tables=((a, b, (m, -a - b, 1)),), hypotheses=hypotheses, run=_run_product
+    )
+
+
+def _congruent(m, a, b):
+    """T4.1 (m = 1) and T4.2 (m = 2): m*p = a + b (mod 8) with m*p >= a + b."""
+    t = "p" if m == 1 else f"{m}p"
+    reason = f"{t} is not a+b (mod 8) with {t} >= a+b"
+    return (lambda p: m * p < a + b or (m * p - a - b) % 8, reason)
+
+
+def _evaluate(case: ConstructionCase, rule: _Rule, p: int, cache: TableCache) -> Verdict:
+    for fails, reason in rule.hypotheses:
+        if fails(p):
+            return _na(case, p, reason)
+    return rule.run(case, p, cache, rule)
+
+
+# ---------------------------------------------------------------------------
+# case registry
+
+
+@dataclass(frozen=True)
+class _CaseSpec:
+    summary: str
+    rule: object  # the case's parameters -> its _Rule
+    conditions: tuple[tuple[object, str], ...] = ()  # (fails(a, b), message), in order
+    arity: int = 0
+
+
+_ODD_A = ((lambda a, b: a % 2 == 0, "requires odd a"),)
+_ODD_PAIR = ((lambda a, b: a % 2 == 0 or b % 2 == 0, "requires odd a and b"),)
+_COPRIME = ((lambda a, b: gcd(a, b) != 1, "requires coprime a and b"),)
+_ODD_EVEN = _ODD_A + ((lambda a, b: b % 2 or b % 8 == 0, "requires even b not divisible by 8"),)
+
+_CASES: dict[str, _CaseSpec] = {
+    "T3.1": _CaseSpec(
+        "odd a,b; p = a*x^2 + b*y^2; signed 4a*x^2 - 2p at ((ab+1)p-a-b)/8 + 1",
+        _t31,
+        _ODD_PAIR,
+        arity=2,
+    ),
+    "C3.1": _CaseSpec(
+        "p = 1 (mod 4) = x^2 + y^2, odd x; 4x^2 - 2p at (p+3)/4",
+        lambda: _plain(1, (2, 6, 0), _residue(4, (1,), "1 (mod 4)"), odd_x=True),
+    ),
+    "C3.2": _CaseSpec(
+        "p = 1,9 (mod 20) = x^2 + 5y^2; signed 4x^2 - 2p at (3p+1)/4",
+        lambda: _t31(1, 5, _residue(20, (1, 9), "1 or 9 (mod 20)")),
+    ),
+    "T3.2i": _CaseSpec(
+        "odd coprime a,b; p = x^2 + ab*y^2; signed 4x^2 - 2p at (a+b)(p-1)/8 + 1",
+        lambda a, b: replace(_over_ab(a, b), sign=lambda x, y: (a * b + 1) // 2 * y),
+        _ODD_PAIR + _COPRIME,
+        arity=2,
+    ),
+    "T3.2ii": _CaseSpec(
+        "odd a, even b (8 exc.), coprime; p = 1 (mod 8) = x^2 + ab*y^2",
+        _t32ii,
+        _ODD_EVEN + _COPRIME,
+        arity=2,
+    ),
+    "C3.3": _CaseSpec(
+        "coefficient equality between the (a,b) and (1,ab) tables, odd coprime a,b",
+        _c33,
+        _ODD_PAIR + _COPRIME,
+        arity=2,
+    ),
+    "C3.4": _CaseSpec(
+        "odd a; p = x^2 + 16a*y^2; (-1)^y (4x^2 - 2p) at ((a+4)p - a + 4)/8",
+        lambda a: _Rule(form=(1, 16 * a), tables=((a, 4, (a + 4, 4 - a, 0)),), sign=lambda x, y: y),
+        _ODD_A,
+        arity=1,
+    ),
+    "C3.5": _CaseSpec(
+        "table equality as C3.3 for odd a, even b (8 exc.), coprime, p = 1 (mod 8)",
+        lambda a, b: _c33(a, b, _ONE_MOD_8),
+        _ODD_EVEN + _COPRIME,
+        arity=2,
+    ),
+    "T3.3": _CaseSpec(
+        "odd a, even b (8 exc.); p = a (mod 8) = a*x^2 + b*y^2; signed 4a*x^2 - 2p",
+        _t33,
+        _ODD_EVEN,
+        arity=2,
+    ),
+    "E1.6": _CaseSpec(
+        "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p",
+        lambda: _plain(7, (8, 0, 0), _residue(7, (1, 2, 4), "1, 2 or 4 (mod 7)")),
+    ),
+    "E1.8": _CaseSpec(
+        "p = 1 (mod 3) = x^2 + 3y^2; 4x^2 - 2p at (p+1)/2 in the (1,3) table",
+        lambda: _plain(3, (4, 4, 0), _residue(3, (1,), "1 (mod 3)")),
+    ),
+    "E3.1": _CaseSpec(
+        "p = 1 (mod 8) = x^2 + 2y^2; signed value at (3p+5)/8 in the (1,2) table",
+        lambda: _t32ii(1, 2, _ONE_MOD_8),
+    ),
+    "E3.2": _CaseSpec(
+        "p = 1 (mod 24) = x^2 + 6y^2; signed value at (7p+1)/8 in the (1,6) table",
+        lambda: _t32ii(1, 6, _residue(24, (1,), "1 (mod 24)")),
+    ),
+    "E3.3": _CaseSpec(
+        "p = 1,9 (mod 40) = x^2 + 10y^2; signed value at (11p-3)/8 in the (1,10) table",
+        lambda: _t32ii(1, 10, _residue(40, (1, 9), "1 or 9 (mod 40)")),
+    ),
+    "E3.4": _CaseSpec(
+        "p = 1 (mod 24) = x^2 + 12y^2; signed value at (13p-5)/8 in the (1,12) table",
+        lambda: _t32ii(1, 12, _residue(24, (1,), "1 (mod 24)")),
+    ),
+    "E3.5": _CaseSpec(
+        "p = 11 (mod 24) = 3x^2 + 2y^2; signed value at (7p+3)/8 in the (2,3) table",
+        lambda: _t33(3, 2, _residue(24, (11,), "11 (mod 24)")),
+    ),
+    "E3.6": _CaseSpec(
+        "p = 13,37 (mod 40) = 5x^2 + 2y^2; signed value at (11p+1)/8 in the (2,5) table",
+        lambda: _t33(5, 2, _residue(40, (13, 37), "13 or 37 (mod 40)")),
+    ),
+    "T4.1": _CaseSpec(
+        "p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
+        lambda a, b: _product(a, b, 1, _congruent(1, a, b)),
+        ((lambda a, b: a % 8 == 0 or b % 8 == 0, "requires a and b not divisible by 8"),),
+        arity=2,
+    ),
+    "T4.2": _CaseSpec(
+        "2p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
+        lambda a, b: _product(a, b, 2, _congruent(2, a, b)),
+        (
+            *_COPRIME,
+            (lambda a, b: (a * b) % 4 != 1, "requires a*b = 1 (mod 4)"),
+            # with a = b = 1 the normalized solution is never unique (the
+            # discriminant -4 has four units) and the product identity fails;
+            # same degeneracy the ab != 3 hypothesis excludes in T4.3
+            (lambda a, b: a * b == 1, "requires a*b > 1"),
+        ),
+        arity=2,
+    ),
+    "T4.3": _CaseSpec(
+        "4p = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at (4p-a-b)/8 + 1 plus square recovery",
+        lambda a, b: _product(a, b, 4, _divides(a * b, "a*b")),
+        (
+            *_ODD_PAIR,
+            (lambda a, b: a * b == 3, "requires a*b != 3"),
+            (lambda a, b: (a + b) % 8 != 4, "requires a + b = 4 (mod 8)"),
+        ),
+        arity=2,
+    ),
+    "T5.3": _CaseSpec(
+        "(3,5) table values at p, 2p, 3p, 5p against the residue-class case split",
+        lambda: _Rule(
+            form=(3, 5),
+            tables=((3, 5, (40, 0, 0)),),  # up to the largest read, 5p
+            hypotheses=((lambda p: p <= 5, "p <= 5"),),
+            run=_run_thm53,
+        ),
+    ),
+}
+_CASES["E1.7"] = replace(
+    _CASES["C3.1"], summary="alias of C3.1: 4x^2 - 2p at (p+3)/4 in the (1,1) table"
+)
+
+
+def case_ids() -> list[str]:
+    return sorted(_CASES)
+
+
+def case_summary(case_id: str) -> str:
+    return _CASES[case_id].summary
+
+
+def case_arity(case_id: str) -> int:
+    """Number of parameters the case takes (0, 1, or 2)."""
+    return _CASES[case_id].arity
+
+
+def make_case(case_id: str, a: int | None = None, b: int | None = None) -> ConstructionCase:
+    return ConstructionCase(case_id, a, b)
+
+
+def _verify_kind(run, kind: str, case: ConstructionCase, p: int, cache: TableCache | None):
+    rule = _CASES[case.case_id].rule(*case.params())
+    if rule.run is not run:
+        raise ValueError(f"case {case.case_id} is not a {kind} case")
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"need an odd prime, got {p}")
+    return _evaluate(case, rule, p, cache or _SHARED_CACHE)
+
+
+def verify_construction(case: ConstructionCase, p: int, cache: TableCache | None = None) -> Verdict:
+    """Check one single-prime construction identity; see the case registry."""
+    return _verify_kind(_run_square, "construction", case, p, cache)
+
+
+def verify_product(case: ConstructionCase, p: int, cache: TableCache | None = None) -> Verdict:
+    """Check one x*y product identity (cases T4.1, T4.2, T4.3)."""
+    return _verify_kind(_run_product, "product", case, p, cache)
+
+
 def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
     """Check the four (3,5)-table values at p, 2p, 3p and 5p at once.
 
@@ -660,7 +572,7 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
     """
     if p <= 5 or not is_prime(p):
         raise ValueError(f"need a prime p > 5, got {p}")
-    return _run_thm53(ConstructionCase("T5.3"), p, cache or _SHARED_CACHE)
+    return _evaluate(ConstructionCase("T5.3"), _CASES["T5.3"].rule(), p, cache or _SHARED_CACHE)
 
 
 # ---------------------------------------------------------------------------
@@ -719,62 +631,9 @@ def _half_sum(d: int, m: int) -> int:
     return total // 2
 
 
+
 # ---------------------------------------------------------------------------
 # range aggregation
-
-
-def _table_needs(case: ConstructionCase, p_max: int) -> list[tuple[int, int, int]]:
-    """Largest coefficient index each (a, b) table needs for primes <= p_max."""
-    cid, a, b = case.case_id, case.a, case.b
-    if cid == "T3.1":
-        return [(a, b, ((a * b + 1) * p_max - a - b) // 8 + 1)]
-    if cid == "C3.1" or cid == "E1.7":
-        return [(1, 1, (p_max + 3) // 4)]
-    if cid == "C3.2":
-        return [(1, 5, (3 * p_max + 1) // 4)]
-    if cid in ("T3.2i", "T3.2ii"):
-        return [(a, b, (a + b) * (p_max - 1) // 8 + 1)]
-    if cid in ("C3.3", "C3.5"):
-        return [
-            (a, b, (a + b) * (p_max - 1) // 8 + 1),
-            (1, a * b, (a * b + 1) * (p_max - 1) // 8 + 1),
-        ]
-    if cid == "C3.4":
-        return [(a, 4, ((a + 4) * p_max - a + 4) // 8)]
-    if cid == "T3.3":
-        return [(a, b, ((a * b + 1) * p_max - a - b) // 8 + 1)]
-    if cid == "E1.6":
-        return [(1, 7, p_max)]
-    if cid == "E1.8":
-        return [(1, 3, (p_max + 1) // 2)]
-    if cid == "E3.1":
-        return [(1, 2, (3 * p_max + 5) // 8)]
-    if cid == "E3.2":
-        return [(1, 6, (7 * p_max + 1) // 8)]
-    if cid == "E3.3":
-        return [(1, 10, (11 * p_max - 3) // 8)]
-    if cid == "E3.4":
-        return [(1, 12, (13 * p_max - 5) // 8)]
-    if cid == "E3.5":
-        return [(2, 3, (7 * p_max + 3) // 8)]
-    if cid == "E3.6":
-        return [(2, 5, (11 * p_max + 1) // 8)]
-    if cid == "T4.1":
-        return [(a, b, max((p_max - a - b) // 8 + 1, 1))]
-    if cid == "T4.2":
-        return [(a, b, max((2 * p_max - a - b) // 8 + 1, 1))]
-    if cid == "T4.3":
-        return [(a, b, max((4 * p_max - a - b) // 8 + 1, 1))]
-    if cid == "T5.3":
-        return [(3, 5, 5 * p_max)]
-    raise ValueError(f"unknown case {cid!r}")
-
-
-def _verify_any(case: ConstructionCase, p: int, cache: TableCache) -> Verdict:
-    spec = _CASES[case.case_id]
-    if spec.kind == "multi" and p <= 5:
-        return _na(case, p, "p <= 5")
-    return spec.run(case, p, cache)
 
 
 def range_report(
@@ -811,17 +670,19 @@ def range_report(
         instances = [
             ConstructionCase(case_id, *combo) for combo in sorted(combos)
         ]
+    rules = [spec.rule(*inst.params()) for inst in instances]
     cache = cache or _SHARED_CACHE
     primes = [p for p in sieve_primes(p_max).primes() if p >= 3] if p_max >= 3 else []
     if primes:
-        for inst in instances:
-            for ta, tb, limit in _table_needs(inst, p_max):
-                cache.get(ta, tb, limit)
+        # every index rule is increasing in p, so p_max sizes each table once
+        for rule in rules:
+            for ta, tb, (u, v, w) in rule.tables:
+                cache.get(ta, tb, max((u * p_max + v) // 8 + w, 1))
     checked = skipped = 0
     falsified: list[Verdict] = []
     for p in primes:
-        for inst in instances:
-            verdict = _verify_any(inst, p, cache)
+        for inst, rule in zip(instances, rules):
+            verdict = _evaluate(inst, rule, p, cache)
             if verdict.status == NOT_APPLICABLE:
                 skipped += 1
             else:
