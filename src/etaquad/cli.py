@@ -5,8 +5,9 @@ reports), ``reps`` (representation listing), ``classgroup`` (reduced
 form classes), ``closed`` (closed-form evaluators).
 
 Exit codes: 0 success, 1 an identity was falsified, 2 usage error,
-3 coefficient overflow.  Output is deterministic: identical flags give
-byte-identical output regardless of the --threads hint.
+3 coefficient overflow, 4 a resource budget would be exceeded, 5 an
+internal inconsistency (a bug).  Output is deterministic: identical flags
+give byte-identical output regardless of the --threads hint.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import json
 import sys
 
+from .errors import InternalInconsistencyError, ResourceLimitError
 from .etaseries import METHODS, LambdaParams, lambda_multinomial, lambda_table
 from .quadform import QuadForm, class_group, representations
 from .theorems import CLOSED_FAMILIES, case_arity, case_ids, closed_form, range_report
@@ -206,6 +208,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"etaquad: error: {exc}", file=sys.stderr)
         return 2
+    except ResourceLimitError as exc:
+        print(f"etaquad: resource limit: {exc}", file=sys.stderr)
+        return 4
+    except InternalInconsistencyError as exc:
+        print(f"etaquad: internal inconsistency: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

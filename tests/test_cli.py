@@ -206,3 +206,25 @@ def test_overflow_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "lambda_table", boom)
     assert main(["lambda", "--a", "1", "--b", "1", "--n-max", "4"]) == 3
     capsys.readouterr()
+
+
+def test_resource_limit_exit_4(capsys):
+    # the sieve checks its byte budget before allocating anything
+    assert main(["verify", "--case", "E1.6", "--p-max", "300000000"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("etaquad: resource limit: sieve to 300000000 needs")
+    assert err.count("\n") == 1
+
+
+def test_internal_inconsistency_exit_5(capsys, monkeypatch):
+    import etaquad.cli as cli_mod
+    from etaquad import InternalInconsistencyError
+
+    def boom(*args, **kwargs):
+        raise InternalInconsistencyError("sparse/recurrence mismatch at index 3")
+
+    monkeypatch.setattr(cli_mod, "range_report", boom)
+    assert main(["verify", "--case", "E1.6", "--p-max", "20"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "etaquad: internal inconsistency: sparse/recurrence mismatch at index 3\n"
