@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, isqrt
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -61,15 +61,16 @@ class JacobiTerm(NamedTuple):
     coefficient: int
 
 
+def _jacobi_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents k(k+1)/2 <= limit and coefficients (-1)^k (2k+1), k = 0, 1, ..."""
+    k = np.arange((isqrt(8 * limit + 1) + 1) // 2 if limit >= 0 else 0, dtype=np.int64)
+    return k * (k + 1) // 2, np.where(k % 2 == 0, 2 * k + 1, -(2 * k + 1))
+
+
 def jacobi_cube(limit: int) -> list[JacobiTerm]:
     """All cube-collapse terms with exponent <= limit, in exponent order."""
-    terms = []
-    k = 0
-    while k * (k + 1) // 2 <= limit:
-        coeff = 2 * k + 1 if k % 2 == 0 else -(2 * k + 1)
-        terms.append(JacobiTerm(k, k * (k + 1) // 2, coeff))
-        k += 1
-    return terms
+    exponents, coefficients = (v.tolist() for v in _jacobi_arrays(limit))
+    return [JacobiTerm(k, e, c) for k, (e, c) in enumerate(zip(exponents, coefficients))]
 
 
 class CoeffTable:
@@ -114,64 +115,39 @@ def _ensure_int128(vals) -> None:
             raise OverflowError(f"coefficient {v} exceeds the signed 128-bit range")
 
 
-def _triangulars_upto(limit: int, step: int) -> list[int]:
-    """Triangular numbers T with step*T <= limit."""
-    out = []
-    k = 0
-    while step * (k * (k + 1) // 2) <= limit:
-        out.append(k * (k + 1) // 2)
-        k += 1
-    return out
-
-
 def _sparse_numpy(a: int, b: int, limit: int) -> np.ndarray:
     vals = np.zeros(limit, dtype=np.int64)
-    tri_b = _triangulars_upto(limit - 1, b)
-    btri = b * np.array(tri_b, dtype=np.int64)
-    coef = np.array(
-        [(2 * m + 1) if m % 2 == 0 else -(2 * m + 1) for m in range(len(tri_b))],
-        dtype=np.int64,
-    )
-    m_hi = len(tri_b)
-    k = 0
-    while True:
-        base = a * (k * (k + 1) // 2)
-        if base > limit - 1:
-            break
+    tri_b, coef = _jacobi_arrays((limit - 1) // b)
+    btri = b * tri_b
+    m_hi = len(btri)
+    tri_a, coef_a = _jacobi_arrays((limit - 1) // a)
+    for base, ck in zip((a * tri_a).tolist(), coef_a.tolist()):
         rem = limit - 1 - base
         while m_hi > 0 and btri[m_hi - 1] > rem:
             m_hi -= 1
-        ck = 2 * k + 1 if k % 2 == 0 else -(2 * k + 1)
         # indices within one k are distinct, so fancy += is well defined
         vals[base + btri[:m_hi]] += ck * coef[:m_hi]
-        k += 1
     return vals
 
 
 def _sparse_bigint(a: int, b: int, limit: int) -> list[int]:
     vals = [0] * limit
-    tri_b = _triangulars_upto(limit - 1, b)
-    k = 0
-    while True:
-        base = a * (k * (k + 1) // 2)
-        if base > limit - 1:
-            break
-        ck = 2 * k + 1 if k % 2 == 0 else -(2 * k + 1)
-        for m, t in enumerate(tri_b):
-            idx = base + b * t
+    terms_b = jacobi_cube((limit - 1) // b)
+    for term in jacobi_cube((limit - 1) // a):
+        base = a * term.exponent
+        for other in terms_b:
+            idx = base + b * other.exponent
             if idx > limit - 1:
                 break
-            cm = 2 * m + 1 if m % 2 == 0 else -(2 * m + 1)
-            vals[idx] += ck * cm
-        k += 1
+            vals[idx] += term.coefficient * other.coefficient
     return vals
 
 
 def _sparse_partial_sum_bound(a: int, b: int, limit: int) -> int:
     """Upper bound for |any partial sum| in the sparse accumulation:
     the rectangle product (sum of |coeffs| on each axis)."""
-    ka = len(_triangulars_upto(limit - 1, a))
-    kb = len(_triangulars_upto(limit - 1, b))
+    ka = len(_jacobi_arrays((limit - 1) // a)[0])
+    kb = len(_jacobi_arrays((limit - 1) // b)[0])
     return ka * ka * kb * kb  # (sum of first k odd numbers) squared per axis
 
 
