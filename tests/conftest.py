@@ -5,9 +5,16 @@ straight-line enumeration only, no shared helpers, so they stay valid
 as ground truth for the paths they check.
 """
 
+import os
 from math import gcd, isqrt
+from pathlib import Path
 
 import pytest
+
+# tests that start `python -m etaquad` or `python -c` children need the
+# source tree on their path too when the package is not installed
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def oracle_primes(limit: int) -> list[int]:
