@@ -293,7 +293,7 @@ class _Rule:
 
 def _index(affine: tuple[int, int, int], p: int) -> int:
     u, v, w = affine
-    return _exact_div8(u * p + v, f"{u}p{v:+d}") + w
+    return _exact_div8(u * p + v, "index numerator u*p + v") + w
 
 
 def _residue(mod, allowed, label):
