@@ -5,9 +5,9 @@ reports), ``reps`` (representation listing), ``classgroup`` (reduced
 form classes), ``closed`` (closed-form evaluators).
 
 Exit codes: 0 success, 1 an identity was falsified, 2 usage error,
-3 coefficient overflow, 4 a resource budget would be exceeded, 5 an
-internal inconsistency (a bug).  Output is deterministic: identical flags
-give byte-identical output regardless of the --threads hint.
+3 coefficient overflow, 4 a resource budget would be exceeded or memory
+ran out, 5 an internal inconsistency (a bug).  Output is deterministic:
+identical flags give byte-identical output regardless of the --threads hint.
 """
 
 from __future__ import annotations
@@ -75,12 +75,10 @@ def _run_lambda(args) -> int:
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     if args.method == "multinomial":
-        rows = [(n, lambda_multinomial(params, n - 1)) for n in range(1, args.n_max + 1)]
+        values = [lambda_multinomial(params, n) for n in range(args.n_max)]
     else:
-        table = lambda_table(params, args.n_max, args.method)
-        rows = [(n, table.value(n)) for n in range(1, args.n_max + 1)]
-    for n, value in rows:
-        print(f"{n}\t{value}")
+        values = lambda_table(params, args.n_max, args.method).values()
+    sys.stdout.write("".join(f"{n}\t{v}\n" for n, v in enumerate(values, 1)))
     return 0
 
 
@@ -210,6 +208,9 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         print(f"etaquad: resource limit: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print("etaquad: resource limit: out of memory", file=sys.stderr)
         return 4
     except InternalInconsistencyError as exc:
         print(f"etaquad: internal inconsistency: {exc}", file=sys.stderr)

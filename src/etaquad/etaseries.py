@@ -13,10 +13,11 @@ Four independent routes to the same table:
   partitions of n; a verification target, not a production path.
 
 Coefficients are exact integers confined to the signed 128-bit range;
-anything beyond raises OverflowError instead of wrapping.  The numpy
-int64 fast paths are entered only when a rigorous a-priori bound on
-every partial sum fits in 63 bits, and fall back to big-int arithmetic
-otherwise.
+anything beyond raises OverflowError instead of wrapping.  Every table
+must fit TABLE_BUDGET_BYTES (8 bytes per entry), checked before it is
+allocated, and within it the sparse route's a-priori bound on every
+partial sum fits in int64; the newton route checks its own bound step
+by step and continues in big-int arithmetic when it fails.
 """
 
 from __future__ import annotations
@@ -29,11 +30,14 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arith import SigmaTable, weighted_sigma
-from .errors import InternalInconsistencyError, PartitionCapError
+from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError
 from .quadform import QuadForm, normalized_reps
 
 INT128_MAX = (1 << 127) - 1
 _INT64_SAFE = (1 << 62) - 1
+
+# Table memory budget: eight bytes per coefficient up to `limit`.
+TABLE_BUDGET_BYTES = 1 << 31
 
 METHODS = ("sparse", "newton", "naive")
 
@@ -115,7 +119,21 @@ def _ensure_int128(vals) -> None:
             raise OverflowError(f"coefficient {v} exceeds the signed 128-bit range")
 
 
-def _sparse_numpy(a: int, b: int, limit: int) -> np.ndarray:
+def _sparse_partial_sum_bound(a: int, b: int, limit: int) -> int:
+    """Upper bound for |any partial sum| in the sparse accumulation:
+    the rectangle product (sum of |coeffs| on each axis)."""
+    ka = len(_jacobi_arrays((limit - 1) // a)[0])
+    kb = len(_jacobi_arrays((limit - 1) // b)[0])
+    return ka * ka * kb * kb  # (sum of first k odd numbers) squared per axis
+
+
+def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
+    a, b = params.a, params.b
+    # the table budget keeps this bound below 2^62 for every (a, b)
+    if _sparse_partial_sum_bound(a, b, limit) > _INT64_SAFE:
+        raise InternalInconsistencyError(
+            f"sparse partial sums to {limit} for {params} may leave int64"
+        )
     vals = np.zeros(limit, dtype=np.int64)
     tri_b, coef = _jacobi_arrays((limit - 1) // b)
     btri = b * tri_b
@@ -127,36 +145,6 @@ def _sparse_numpy(a: int, b: int, limit: int) -> np.ndarray:
             m_hi -= 1
         # indices within one k are distinct, so fancy += is well defined
         vals[base + btri[:m_hi]] += ck * coef[:m_hi]
-    return vals
-
-
-def _sparse_bigint(a: int, b: int, limit: int) -> list[int]:
-    vals = [0] * limit
-    terms_b = jacobi_cube((limit - 1) // b)
-    for term in jacobi_cube((limit - 1) // a):
-        base = a * term.exponent
-        for other in terms_b:
-            idx = base + b * other.exponent
-            if idx > limit - 1:
-                break
-            vals[idx] += term.coefficient * other.coefficient
-    return vals
-
-
-def _sparse_partial_sum_bound(a: int, b: int, limit: int) -> int:
-    """Upper bound for |any partial sum| in the sparse accumulation:
-    the rectangle product (sum of |coeffs| on each axis)."""
-    ka = len(_jacobi_arrays((limit - 1) // a)[0])
-    kb = len(_jacobi_arrays((limit - 1) // b)[0])
-    return ka * ka * kb * kb  # (sum of first k odd numbers) squared per axis
-
-
-def _table_sparse(params: LambdaParams, limit: int):
-    a, b = params.a, params.b
-    if _sparse_partial_sum_bound(a, b, limit) <= _INT64_SAFE:
-        return _sparse_numpy(a, b, limit)
-    vals = _sparse_bigint(a, b, limit)
-    _ensure_int128(vals)
     return vals
 
 
@@ -245,6 +233,10 @@ def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> Co
     """
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
+    if 8 * limit > TABLE_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"table to {limit} needs {8 * limit} bytes, budget is {TABLE_BUDGET_BYTES}"
+        )
     if method == "sparse":
         vals = _table_sparse(params, limit)
     elif method == "newton":

@@ -28,12 +28,12 @@ the index rules at p_max, so adding a case means adding one record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from math import gcd
 
 from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
-from .etaseries import LambdaParams, lambda_table
+from .etaseries import TABLE_BUDGET_BYTES, LambdaParams, lambda_table
 from .quadform import QuadForm, find_rep, normalized_reps, representations
 
 HOLDS = "holds"
@@ -44,8 +44,8 @@ FALSIFIED = "falsified"
 class TableCache:
     """Shared read-only coefficient tables, one per (a, b).
 
-    Tables grow geometrically on demand; every build is spot-audited
-    against the recurrence method on a prefix.
+    Tables grow geometrically on demand, up to the table budget; every
+    build is spot-audited against the recurrence method on a prefix.
     """
 
     def __init__(self, audit_prefix: int = 128):
@@ -56,8 +56,8 @@ class TableCache:
         key = (a, b) if a <= b else (b, a)
         cur = self._tables.get(key)
         if cur is None or cur.limit < min_limit:
-            new_limit = max(min_limit, 2 * cur.limit if cur is not None else 1)
-            table = lambda_table(LambdaParams(*key), new_limit, "sparse")
+            grown = min(2 * cur.limit if cur is not None else 1, TABLE_BUDGET_BYTES // 8)
+            table = lambda_table(LambdaParams(*key), max(min_limit, grown), "sparse")
             self._audit(table)
             self._tables[key] = table
             cur = table
@@ -86,6 +86,7 @@ class ConstructionCase:
     case_id: str
     a: int | None = None
     b: int | None = None
+    _rule: _Rule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = _CASES.get(self.case_id)
@@ -103,6 +104,11 @@ class ConstructionCase:
         for fails, message in spec.conditions:
             if fails(self.a, self.b):
                 raise ValueError(message)
+        object.__setattr__(self, "_rule", spec.rule(*self.params()))
+
+    def __reduce__(self):
+        # the rule holds closures, which do not pickle; rebuild it instead
+        return (ConstructionCase, (self.case_id, self.a, self.b))
 
     def params(self) -> tuple[int, ...]:
         return tuple(v for v in (self.a, self.b) if v is not None)
@@ -377,7 +383,8 @@ def _congruent(m, a, b):
     return (lambda p: m * p < a + b or (m * p - a - b) % 8, reason)
 
 
-def _evaluate(case: ConstructionCase, rule: _Rule, p: int, cache: TableCache) -> Verdict:
+def _evaluate(case: ConstructionCase, p: int, cache: TableCache) -> Verdict:
+    rule = case._rule
     for fails, reason in rule.hypotheses:
         if fails(p):
             return _na(case, p, reason)
@@ -546,12 +553,11 @@ def make_case(case_id: str, a: int | None = None, b: int | None = None) -> Const
 
 
 def _verify_kind(run, kind: str, case: ConstructionCase, p: int, cache: TableCache | None):
-    rule = _CASES[case.case_id].rule(*case.params())
-    if rule.run is not run:
+    if case._rule.run is not run:
         raise ValueError(f"case {case.case_id} is not a {kind} case")
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    return _evaluate(case, rule, p, cache or _SHARED_CACHE)
+    return _evaluate(case, p, cache or _SHARED_CACHE)
 
 
 def verify_construction(case: ConstructionCase, p: int, cache: TableCache | None = None) -> Verdict:
@@ -572,7 +578,7 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
     """
     if p <= 5 or not is_prime(p):
         raise ValueError(f"need a prime p > 5, got {p}")
-    return _evaluate(ConstructionCase("T5.3"), _CASES["T5.3"].rule(), p, cache or _SHARED_CACHE)
+    return _evaluate(ConstructionCase("T5.3"), p, cache or _SHARED_CACHE)
 
 
 # ---------------------------------------------------------------------------
@@ -670,19 +676,18 @@ def range_report(
         instances = [
             ConstructionCase(case_id, *combo) for combo in sorted(combos)
         ]
-    rules = [spec.rule(*inst.params()) for inst in instances]
     cache = cache or _SHARED_CACHE
     primes = [p for p in sieve_primes(p_max).primes() if p >= 3] if p_max >= 3 else []
     if primes:
         # every index rule is increasing in p, so p_max sizes each table once
-        for rule in rules:
-            for ta, tb, (u, v, w) in rule.tables:
+        for inst in instances:
+            for ta, tb, (u, v, w) in inst._rule.tables:
                 cache.get(ta, tb, max((u * p_max + v) // 8 + w, 1))
     checked = skipped = 0
     falsified: list[Verdict] = []
     for p in primes:
-        for inst, rule in zip(instances, rules):
-            verdict = _evaluate(inst, rule, p, cache)
+        for inst in instances:
+            verdict = _evaluate(inst, p, cache)
             if verdict.status == NOT_APPLICABLE:
                 skipped += 1
             else:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 
@@ -209,11 +210,35 @@ def test_overflow_exit_3(capsys, monkeypatch):
 
 
 def test_resource_limit_exit_4(capsys):
-    # the sieve checks its byte budget before allocating anything
-    assert main(["verify", "--case", "E1.6", "--p-max", "300000000"]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("etaquad: resource limit: sieve to 300000000 needs")
-    assert err.count("\n") == 1
+    # the sieve and the table check their byte budgets before allocating anything
+    for argv, message in (
+        (["verify", "--case", "E1.6", "--p-max", "300000000"], "sieve to 300000000 needs"),
+        (["lambda", "--a", "1", "--b", "1", "--n-max", str(10**10)], "table to 10000000000 needs"),
+    ):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"etaquad: resource limit: {message}")
+        assert captured.err.count("\n") == 1
+
+
+def test_memory_error_exit_4(capsys, monkeypatch):
+    import etaquad.cli as cli_mod
+
+    def boom(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "lambda_table", boom)
+    assert main(["lambda", "--a", "1", "--b", "1", "--n-max", "4"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "etaquad: resource limit: out of memory\n"
 
 
 def test_internal_inconsistency_exit_5(capsys, monkeypatch):

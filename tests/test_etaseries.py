@@ -7,15 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaquad import (
+    InternalInconsistencyError,
     LambdaParams,
     PartitionCapError,
+    ResourceLimitError,
     jacobi_cube,
     lambda_from_reps,
     lambda_multinomial,
     lambda_table,
     partition_terms,
 )
-from etaquad.etaseries import _ensure_int128, _sparse_bigint
+from etaquad.etaseries import (
+    _INT64_SAFE,
+    METHODS,
+    TABLE_BUDGET_BYTES,
+    _ensure_int128,
+    _sparse_partial_sum_bound,
+)
 
 
 def test_jacobi_cube_examples():
@@ -91,9 +99,18 @@ def test_methods_agree(a, b):
         assert lambda_from_reps(params, n) == want[n]
 
 
-def test_sparse_bigint_fallback_agrees():
-    for a, b in ((1, 1), (2, 3)):
-        assert _sparse_bigint(a, b, 200) == lambda_table(LambdaParams(a, b), 200).values()
+def test_table_budget_checked_before_any_method():
+    over = TABLE_BUDGET_BYTES // 8 + 1
+    for method in METHODS:
+        with pytest.raises(ResourceLimitError, match=f"^table to {over} needs {8 * over} bytes"):
+            lambda_table(LambdaParams(1, 1), over, method)
+
+
+def test_sparse_bound_fits_int64_within_budget():
+    # the bound shrinks as a and b grow, so (1, 1) at the largest table
+    # the budget allows is the worst case; this is why sparse has no
+    # big-int route
+    assert _sparse_partial_sum_bound(1, 1, TABLE_BUDGET_BYTES // 8) <= _INT64_SAFE
 
 
 def test_int128_guard():
@@ -209,15 +226,15 @@ def test_from_reps_matches_table_random(a, b, n):
 
 
 def test_big_int_fallbacks_forced(monkeypatch):
-    # shrink the partial-sum safety bound so both fast paths bail out to
-    # the big-int routes, which must agree with the oracle exactly
+    # shrink the partial-sum safety bound: newton bails out to its big-int
+    # route, which must agree with the oracle exactly; sparse has no such
+    # route, so a failed bound there is reported as a bug
     import etaquad.etaseries as es
 
     want = oracle_product_table(1, 3, 150)
     monkeypatch.setattr(es, "_INT64_SAFE", 10)
-    sparse = lambda_table(LambdaParams(1, 3), 150, "sparse")
+    with pytest.raises(InternalInconsistencyError, match="may leave int64"):
+        lambda_table(LambdaParams(1, 3), 150, "sparse")
     newton = lambda_table(LambdaParams(1, 3), 150, "newton")
-    assert isinstance(sparse._vals, list)
     assert isinstance(newton._vals, list)
-    assert sparse.values() == want
     assert newton.values() == want

@@ -1,5 +1,7 @@
 """Verdict machinery: single-prime checks, closed forms, range reports."""
 
+import pickle
+
 import pytest
 from conftest import oracle_primes
 
@@ -8,6 +10,7 @@ from etaquad import (
     HOLDS,
     NOT_APPLICABLE,
     LambdaParams,
+    ResourceLimitError,
     TableCache,
     case_ids,
     closed_form,
@@ -50,6 +53,7 @@ def test_verify_construction_examples():
     v = verify_construction(make_case("T3.1", 1, 3), 7)
     assert v.status == HOLDS and v.index == 4 and v.lhs == v.rhs == 2
     assert v.witness == (2, 1)
+    assert pickle.loads(pickle.dumps(v)) == v
 
     v = verify_construction(make_case("E1.6"), 11)
     assert v.status == HOLDS and v.index == 11 and v.lhs == v.rhs == -6
@@ -306,3 +310,17 @@ def test_table_cache_growth_and_reuse():
     t3 = cache.get(1, 7, 200)
     assert t3.limit >= 200
     assert cache.get(1, 7, 100) is t3
+
+
+def test_table_cache_growth_capped_at_budget(monkeypatch):
+    import etaquad.etaseries as es
+    import etaquad.theorems as th
+
+    monkeypatch.setattr(es, "TABLE_BUDGET_BYTES", 8 * 100)
+    monkeypatch.setattr(th, "TABLE_BUDGET_BYTES", 8 * 100)
+    cache = TableCache()
+    assert cache.get(1, 7, 60).limit == 60
+    # doubling to 120 would exceed the budget, but 70 fits: grow to the cap
+    assert cache.get(1, 7, 70).limit == 100
+    with pytest.raises(ResourceLimitError, match="^table to 101 needs 808 bytes"):
+        cache.get(1, 7, 101)
