@@ -70,15 +70,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# rows per write of the lambda dump, so a dump never holds all its rows as text
+_DUMP_ROWS = 1 << 16
+
+
 def _run_lambda(args) -> int:
     params = LambdaParams(args.a, args.b)
     if args.n_max < 1:
         raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     if args.method == "multinomial":
-        values = [lambda_multinomial(params, n) for n in range(args.n_max)]
+        def rows(first, last):
+            return [lambda_multinomial(params, n - 1) for n in range(first, last + 1)]
     else:
-        values = lambda_table(params, args.n_max, args.method).values()
-    sys.stdout.write("".join(f"{n}\t{v}\n" for n, v in enumerate(values, 1)))
+        rows = lambda_table(params, args.n_max, args.method).values
+    for first in range(1, args.n_max + 1, _DUMP_ROWS):
+        last = min(first + _DUMP_ROWS - 1, args.n_max)
+        sys.stdout.write("".join(f"{n}\t{v}\n" for n, v in enumerate(rows(first, last), first)))
     return 0
 
 

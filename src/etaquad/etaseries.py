@@ -12,12 +12,13 @@ Four independent routes to the same table:
 * the partition (multinomial) formula -- exact rationals over all
   partitions of n; a verification target, not a production path.
 
-Coefficients are exact integers confined to the signed 128-bit range;
-anything beyond raises OverflowError instead of wrapping.  Every table
+Every table is one read-only int64 array of exact integers; a value
+outside int64 raises OverflowError instead of wrapping.  Every table
 must fit TABLE_BUDGET_BYTES (8 bytes per entry), checked before it is
 allocated, and within it the sparse route's a-priori bound on every
-partial sum fits in int64; the newton route checks its own bound step
-by step and continues in big-int arithmetic when it fails.
+partial sum, and so on every coefficient, fits in int64.  The newton
+route checks its own bound on the inner sums step by step and continues
+them in big-int arithmetic when it fails.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
+from operator import mul
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -33,13 +35,10 @@ from .arith import SigmaTable, weighted_sigma
 from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError
 from .quadform import QuadForm, normalized_reps
 
-INT128_MAX = (1 << 127) - 1
 _INT64_SAFE = (1 << 62) - 1
 
 # Table memory budget: eight bytes per coefficient up to `limit`.
 TABLE_BUDGET_BYTES = 1 << 31
-
-METHODS = ("sparse", "newton", "naive")
 
 DEFAULT_PARTITION_CAP = 40
 
@@ -80,8 +79,8 @@ def jacobi_cube(limit: int) -> list[JacobiTerm]:
 class CoeffTable:
     """Exact coefficient table, 1-based: entry n is the coefficient of q^n.
 
-    Immutable after construction; the semantic index n is the only
-    index ever exposed.
+    Held as one read-only int64 array whatever the method; the semantic
+    index n is the only index ever exposed.
     """
 
     __slots__ = ("params", "limit", "method", "_vals")
@@ -90,17 +89,21 @@ class CoeffTable:
         self.params = params
         self.limit = limit
         self.method = method
-        if isinstance(vals, np.ndarray):
-            vals.setflags(write=False)
-        self._vals = vals
+        # numpy raises OverflowError on a Python int outside int64
+        self._vals = np.asarray(vals, dtype=np.int64)
+        self._vals.setflags(write=False)
 
     def value(self, n: int) -> int:
         if not 1 <= n <= self.limit:
             raise IndexError(f"table covers 1..{self.limit}, got index {n}")
         return int(self._vals[n - 1])
 
-    def values(self) -> list[int]:
-        return [int(v) for v in self._vals]
+    def values(self, first: int = 1, last: int | None = None) -> list[int]:
+        """Entries first..last (1-based, inclusive), by default all of them."""
+        last = self.limit if last is None else last
+        if first < 1 or last > self.limit:
+            raise IndexError(f"table covers 1..{self.limit}, got range {first}..{last}")
+        return self._vals[first - 1 : last].tolist()
 
     def __len__(self) -> int:
         return self.limit
@@ -110,13 +113,6 @@ class CoeffTable:
             f"CoeffTable(a={self.params.a}, b={self.params.b}, "
             f"limit={self.limit}, method={self.method!r})"
         )
-
-
-def _ensure_int128(vals) -> None:
-    """Reject any entry outside the signed 128-bit range."""
-    for v in vals:
-        if not -INT128_MAX - 1 <= v <= INT128_MAX:
-            raise OverflowError(f"coefficient {v} exceeds the signed 128-bit range")
 
 
 def _sparse_partial_sum_bound(a: int, b: int, limit: int) -> int:
@@ -148,55 +144,37 @@ def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
     return vals
 
 
-def _table_newton(params: LambdaParams, limit: int):
+def _table_newton(params: LambdaParams, limit: int) -> list[int]:
     """Recurrence: n*L[n] = -3 * (c_n + sum_{k<n} c_k L[n-k]), L[0] = 1,
     where c_k = a*sigma(k/a) + b*sigma(k/b) and L[i] is the coefficient
     of q^(i+1).  The division by n must be exact at every step."""
     a, b = params.a, params.b
     sig = SigmaTable(limit)
-    c = np.zeros(limit, dtype=np.int64)
-    csum = 0
-    for k in range(1, limit):
-        ck = sig.weighted(a, b, k)
-        c[k] = ck
-        csum += ck
-    vals = np.zeros(limit, dtype=np.int64)
-    vals[0] = 1
+    c = [0] + [sig.weighted(a, b, k) for k in range(1, limit)]
+    c64 = np.array(c, dtype=np.int64)
+    csum = sum(c)
+    vals = [1] + [0] * (limit - 1)
+    vals64 = np.zeros(limit, dtype=np.int64)
+    vals64[0] = 1
     max_abs = 1
     for n in range(1, limit):
-        if csum * max_abs > _INT64_SAFE:
-            return _newton_bigint_resume(a, b, limit, sig, [int(v) for v in vals[:n]], n)
-        inner = int(np.dot(c[1:n], vals[n - 1 : 0 : -1])) if n > 1 else 0
-        num = -3 * (int(c[n]) + inner)
-        q, r = divmod(num, n)
-        if r:
-            raise InternalInconsistencyError(
-                f"recurrence division inexact at n={n} for (a, b)=({a}, {b})"
-            )
-        if abs(q) > _INT64_SAFE:
-            return _newton_bigint_resume(a, b, limit, sig, [int(v) for v in vals[:n]], n)
-        vals[n] = q
-        if abs(q) > max_abs:
-            max_abs = abs(q)
-    return vals
-
-
-def _newton_bigint_resume(a, b, limit, sig, head: list[int], start: int) -> list[int]:
-    """Continue the recurrence in big-int arithmetic from step `start`."""
-    c = [0] * limit
-    for k in range(1, limit):
-        c[k] = sig.weighted(a, b, k)
-    vals = head + [0] * (limit - start)
-    for n in range(max(start, 1), limit):
-        inner = sum(c[k] * vals[n - k] for k in range(1, n))
-        num = -3 * (c[n] + inner)
-        q, r = divmod(num, n)
+        # while csum * max|L| fits int64, so does every partial sum of the
+        # inner sum, and so does q: |q| <= 3 * csum * max|L| / n for n >= 2
+        # and q = -3 * c_1 at n = 1, so q needs no check of its own
+        fast = csum * max_abs <= _INT64_SAFE
+        if fast:
+            inner = int(np.dot(c64[1:n], vals64[n - 1 : 0 : -1]))
+        else:
+            inner = sum(map(mul, c[1:n], vals[n - 1 : 0 : -1]))
+        q, r = divmod(-3 * (c[n] + inner), n)
         if r:
             raise InternalInconsistencyError(
                 f"recurrence division inexact at n={n} for (a, b)=({a}, {b})"
             )
         vals[n] = q
-    _ensure_int128(vals)
+        if fast:
+            vals64[n] = q
+        max_abs = max(max_abs, abs(q))
     return vals
 
 
@@ -221,8 +199,11 @@ def _table_naive(params: LambdaParams, limit: int) -> list[int]:
                     if i >= s3:
                         acc -= vals[i - s3]
                 vals[i] = acc
-    _ensure_int128(vals)
     return vals
+
+
+_BUILDERS = {"sparse": _table_sparse, "newton": _table_newton, "naive": _table_naive}
+METHODS = tuple(_BUILDERS)
 
 
 def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> CoeffTable:
@@ -231,20 +212,15 @@ def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> Co
     All methods produce identical tables; pick by cost profile (see the
     module docstring).
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
     if 8 * limit > TABLE_BUDGET_BYTES:
         raise ResourceLimitError(
             f"table to {limit} needs {8 * limit} bytes, budget is {TABLE_BUDGET_BYTES}"
         )
-    if method == "sparse":
-        vals = _table_sparse(params, limit)
-    elif method == "newton":
-        vals = _table_newton(params, limit)
-    elif method == "naive":
-        vals = _table_naive(params, limit)
-    else:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    vals = _BUILDERS[method](params, limit)
     if int(vals[0]) != 1:
         raise InternalInconsistencyError("leading coefficient of q is not 1")
     return CoeffTable(params, limit, method, vals)

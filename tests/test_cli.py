@@ -1,9 +1,12 @@
 """CLI contract: output shapes, exit codes, determinism, JSON schema."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 
@@ -72,6 +75,44 @@ def test_lambda_newton(capsys):
 def test_lambda_multinomial(capsys):
     assert main(["lambda", "--a", "1", "--b", "1", "--n-max", "3", "--method", "multinomial"]) == 0
     assert capsys.readouterr().out == "1\t1\n2\t-6\n3\t9\n"
+
+
+def test_lambda_dump_streams_in_chunks(monkeypatch):
+    # rows are written a chunk at a time, so the dump's peak memory is the
+    # 8 MB table plus one chunk, not every row as Python ints and text
+    import etaquad.cli as cli_mod
+
+    class Sink:
+        # keeps only the size of each write, so the output itself takes
+        # no traced memory
+        def __init__(self):
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+
+    n_max = 10**6
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["lambda", "--a", "1", "--b", "1", "--n-max", str(n_max)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    assert len(sink.sizes) == -(-n_max // cli_mod._DUMP_ROWS)
+
+
+def test_lambda_dump_chunk_boundaries(capsys, monkeypatch):
+    import etaquad.cli as cli_mod
+
+    want = "".join(f"{n}\t{v}\n" for n, v in enumerate([1, -6, 9, 10, -30, 0, 11, 42], 1))
+    for rows in (1, 3, 8, 100):
+        monkeypatch.setattr(cli_mod, "_DUMP_ROWS", rows)
+        for method in ("sparse", "newton", "naive", "multinomial"):
+            assert main(["lambda", "--a", "1", "--b", "1", "--n-max", "8", "--method", method]) == 0
+            assert capsys.readouterr().out == want
 
 
 def test_lambda_flag_errors(capsys):
@@ -202,7 +243,8 @@ def test_overflow_exit_3(capsys, monkeypatch):
     import etaquad.cli as cli_mod
 
     def boom(*args, **kwargs):
-        raise OverflowError("coefficient exceeds the signed 128-bit range")
+        # what numpy raises when a table value does not fit int64
+        raise OverflowError("Python int too large to convert to C long")
 
     monkeypatch.setattr(cli_mod, "lambda_table", boom)
     assert main(["lambda", "--a", "1", "--b", "1", "--n-max", "4"]) == 3
@@ -253,3 +295,24 @@ def test_internal_inconsistency_exit_5(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "etaquad: internal inconsistency: sparse/recurrence mismatch at index 3\n"
+
+
+def test_readme_command_line_examples(capsys):
+    # every command of README's "Command line" block runs, and the JSON
+    # example shows what its --json command really prints
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    commands = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    lines = [shlex.split(line, comments=True) for line in commands.splitlines()]
+    assert lines and all(line[0] == "etaquad" for line in lines)
+    json_runs = 0
+    for _, *argv in lines:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if "--json" in argv:
+            json_runs += 1
+            doc = json.loads(out)
+            for key in ("case", "params", "p_max", "checked", "skipped", "falsified"):
+                assert doc[key] == example[key], key
+    assert json_runs == 1

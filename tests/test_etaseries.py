@@ -21,7 +21,7 @@ from etaquad.etaseries import (
     _INT64_SAFE,
     METHODS,
     TABLE_BUDGET_BYTES,
-    _ensure_int128,
+    CoeffTable,
     _sparse_partial_sum_bound,
 )
 
@@ -71,6 +71,9 @@ def test_table_validation():
         lambda_table(LambdaParams(1, 1), 0)
     with pytest.raises(ValueError):
         lambda_table(LambdaParams(1, 1), 4, "fft")
+    # an unknown method is a usage error even where no table would fit
+    with pytest.raises(ValueError, match="unknown method"):
+        lambda_table(LambdaParams(1, 1), 2**40, "fft")
 
 
 def test_table_value_indexing():
@@ -84,9 +87,22 @@ def test_table_value_indexing():
 
 
 def test_table_is_immutable():
-    table = lambda_table(LambdaParams(1, 1), 16)
-    with pytest.raises(ValueError):
-        table._vals[0] = 99
+    for method in METHODS:
+        table = lambda_table(LambdaParams(1, 1), 16, method)
+        assert isinstance(table._vals, np.ndarray) and table._vals.dtype == np.int64
+        with pytest.raises(ValueError):
+            table._vals[0] = 99
+
+
+def test_table_value_ranges():
+    table = lambda_table(LambdaParams(1, 1), 8)
+    assert table.values(3, 5) == [9, 10, -30]
+    assert table.values(8) == [42]
+    assert table.values(1, 8) == table.values()
+    with pytest.raises(IndexError):
+        table.values(0, 2)
+    with pytest.raises(IndexError):
+        table.values(1, 9)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 5), (4, 6), (5, 5)])
@@ -113,12 +129,15 @@ def test_sparse_bound_fits_int64_within_budget():
     assert _sparse_partial_sum_bound(1, 1, TABLE_BUDGET_BYTES // 8) <= _INT64_SAFE
 
 
-def test_int128_guard():
-    _ensure_int128([(1 << 127) - 1, -(1 << 127)])
+def test_int64_guard():
+    # the one conversion point keeps every value in int64, never wrapping
+    params = LambdaParams(1, 1)
+    table = CoeffTable(params, 2, "naive", [(1 << 63) - 1, -(1 << 63)])
+    assert table.values() == [(1 << 63) - 1, -(1 << 63)]
     with pytest.raises(OverflowError):
-        _ensure_int128([1 << 127])
+        CoeffTable(params, 1, "naive", [1 << 63])
     with pytest.raises(OverflowError):
-        _ensure_int128([2, -(1 << 127) - 1])
+        CoeffTable(params, 2, "naive", [2, -(1 << 63) - 1])
 
 
 def test_partition_terms_counts():
@@ -199,19 +218,33 @@ def test_newton_table_dtype_paths():
     sparse = lambda_table(LambdaParams(2, 6), 400, "sparse")
     newton = lambda_table(LambdaParams(2, 6), 400, "newton")
     assert sparse.values() == newton.values()
-    assert isinstance(newton._vals, (np.ndarray, list))
+    assert isinstance(newton._vals, np.ndarray) and newton._vals.dtype == np.int64
 
 
-def test_newton_resume_midstream():
-    # the big-int continuation must agree no matter where it takes over
-    from etaquad.arith import SigmaTable
-    from etaquad.etaseries import _newton_bigint_resume
+def test_newton_resume_midstream(monkeypatch):
+    # the big-int inner sums must agree no matter where they take over:
+    # step n switches when sum(c) * max|L[0..n-1]| first exceeds the
+    # safety bound, so a switch can only happen where |L[n-1]| is a new
+    # running maximum
+    import etaquad.etaseries as es
+    from etaquad.arith import weighted_sigma
 
     want = oracle_product_table(2, 3, 120)
-    sig = SigmaTable(120)
-    for start in (1, 2, 57, 119):
-        got = _newton_bigint_resume(2, 3, 120, sig, list(want[:start]), start)
-        assert got == want
+    csum = sum(weighted_sigma(2, 3, k) for k in range(1, 120))
+
+    def peak(n):
+        return max(abs(v) for v in want[:n])
+
+    records = [1] + [n for n in range(2, 120) if peak(n) > peak(n - 1)]
+    # the first step, one mid-table, and the last step of a table cut
+    # right after the last record (L[114]; the entries above stay smaller)
+    mid, last = records[len(records) // 2], records[-1]
+    for start, limit in ((1, 120), (mid, 120), (last, last + 1)):
+        monkeypatch.setattr(es, "_INT64_SAFE", csum * peak(start) - 1)
+        assert start == 1 or csum * peak(start - 1) <= es._INT64_SAFE
+        table = lambda_table(LambdaParams(2, 3), limit, "newton")
+        assert table.values() == want[:limit]
+        assert table._vals.dtype == np.int64 and not table._vals.flags.writeable
 
 
 @given(
@@ -236,5 +269,4 @@ def test_big_int_fallbacks_forced(monkeypatch):
     with pytest.raises(InternalInconsistencyError, match="may leave int64"):
         lambda_table(LambdaParams(1, 3), 150, "sparse")
     newton = lambda_table(LambdaParams(1, 3), 150, "newton")
-    assert isinstance(newton._vals, list)
     assert newton.values() == want

@@ -4,6 +4,8 @@ import pickle
 
 import pytest
 from conftest import oracle_primes
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etaquad import (
     FALSIFIED,
@@ -12,6 +14,7 @@ from etaquad import (
     LambdaParams,
     ResourceLimitError,
     TableCache,
+    case_arity,
     case_ids,
     closed_form,
     find_rep,
@@ -310,6 +313,30 @@ def test_table_cache_growth_and_reuse():
     t3 = cache.get(1, 7, 200)
     assert t3.limit >= 200
     assert cache.get(1, 7, 100) is t3
+
+
+_FIXED_CASES = [c for c in case_ids() if case_arity(c) == 0]
+_PRIMES_4000 = [p for p in oracle_primes(4000) if p > 5]
+
+
+@given(
+    st.sampled_from(_FIXED_CASES),
+    st.integers(min_value=0, max_value=2000),
+    st.lists(st.tuples(st.sampled_from(_FIXED_CASES), st.sampled_from(_PRIMES_4000)), max_size=6),
+)
+@settings(max_examples=40, deadline=None)
+def test_range_report_cold_equals_warm_cache(case_id, p_max, queries):
+    # tables grown by earlier single queries, to limits below or above what
+    # the range needs, must not change the report
+    warm = TableCache()
+    for query_case, p in queries:
+        if query_case == "T5.3":
+            verify_thm53(p, cache=warm)
+        else:
+            verify_construction(make_case(query_case), p, cache=warm)
+    assert range_report(case_id, p_max, cache=warm) == range_report(
+        case_id, p_max, cache=TableCache()
+    )
 
 
 def test_table_cache_growth_capped_at_budget(monkeypatch):
