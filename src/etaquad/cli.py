@@ -2,7 +2,10 @@
 
 Subcommands: ``lambda`` (coefficient tables), ``verify`` (identity range
 reports), ``reps`` (representation listing), ``classgroup`` (reduced
-form classes), ``closed`` (closed-form evaluators).
+form classes), ``closed`` (closed-form evaluators).  Each one parses its
+flags, calls the library function that owns the input, and prints; every
+check on the input lives in that function, and ``main`` maps its
+exceptions to exit codes.
 
 Exit codes: 0 success, 1 an identity was falsified, 2 usage error,
 3 coefficient overflow, 4 a resource budget would be exceeded or memory
@@ -17,9 +20,9 @@ import json
 import sys
 
 from .errors import InternalInconsistencyError, ResourceLimitError
-from .etaseries import METHODS, LambdaParams, lambda_multinomial, lambda_table
+from .etaseries import METHODS, LambdaParams, lambda_table
 from .quadform import QuadForm, class_group, representations
-from .theorems import CLOSED_FAMILIES, case_arity, case_ids, closed_form, range_report
+from .theorems import CLOSED_FAMILIES, case_ids, closed_form, make_case, range_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lambda.add_argument("--n-max", type=int, required=True, dest="n_max")
     p_lambda.add_argument(
         "--method",
-        choices=list(METHODS) + ["multinomial"],
+        choices=list(METHODS),
         default="sparse",
         help="computation route (default sparse)",
     )
@@ -75,44 +78,18 @@ _DUMP_ROWS = 1 << 16
 
 
 def _run_lambda(args) -> int:
-    params = LambdaParams(args.a, args.b)
-    if args.n_max < 1:
-        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
-    if args.method == "multinomial":
-        def rows(first, last):
-            return [lambda_multinomial(params, n - 1) for n in range(first, last + 1)]
-    else:
-        rows = lambda_table(params, args.n_max, args.method).values
+    rows = lambda_table(LambdaParams(args.a, args.b), args.n_max, args.method).values
     for first in range(1, args.n_max + 1, _DUMP_ROWS):
         last = min(first + _DUMP_ROWS - 1, args.n_max)
         sys.stdout.write("".join(f"{n}\t{v}\n" for n, v in enumerate(rows(first, last), first)))
     return 0
 
 
-def _grid_from_args(case_id: str, args):
-    arity = case_arity(case_id)
-    if arity == 0:
-        if args.a is not None or args.b is not None:
-            raise ValueError(f"case {case_id} takes no --a/--b parameters")
-        return None
-    if arity == 1:
-        if args.a is None or args.b is not None:
-            raise ValueError(f"case {case_id} takes exactly --a")
-        return [args.a]
-    if args.a is None or args.b is None:
-        raise ValueError(f"case {case_id} needs both --a and --b")
-    return [(args.a, args.b)]
-
-
 def _run_verify(args) -> int:
     if args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
-    if args.case not in case_ids():
-        raise ValueError(f"unknown case {args.case!r}; known: {', '.join(case_ids())}")
-    if args.p_max < 0:
-        raise ValueError(f"--p-max must be >= 0, got {args.p_max}")
-    grid = _grid_from_args(args.case, args)
-    report = range_report(args.case, args.p_max, grid)
+    case = make_case(args.case, args.a, args.b)
+    report = range_report(args.case, args.p_max, [case.params()] if case.params() else None)
     if args.json:
         print(_report_json(report))
     else:
@@ -168,12 +145,7 @@ def _run_reps(args) -> int:
         a, b, c = (int(part) for part in args.form.split(","))
     except ValueError as exc:
         raise ValueError(f"--form must be three comma-separated integers, got {args.form!r}") from exc
-    form = QuadForm(a, b, c)
-    if not form.is_positive_definite():
-        raise ValueError(f"form {form} is not positive definite")
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
-    rep_set = representations(form, args.n)
+    rep_set = representations(QuadForm(a, b, c), args.n)
     for x, y in rep_set.pairs:
         print(f"{x}\t{y}")
     print(f"count\t{rep_set.count}")

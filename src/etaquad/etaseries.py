@@ -1,6 +1,6 @@
 """Coefficients of q * prod_k (1 - q^(a*k))^3 (1 - q^(b*k))^3, exactly.
 
-Four independent routes to the same table:
+Four independent routes to the same table, the METHODS of lambda_table:
 
 * ``sparse``   -- the cube of each factor collapses onto triangular-number
                   exponents with odd coefficients, so the product is a
@@ -9,8 +9,9 @@ Four independent routes to the same table:
                   with an exact divisibility check at every step.
 * ``naive``    -- truncated polynomial multiplication, factor by factor,
                   cube by cube; the simplest possible ground truth.
-* the partition (multinomial) formula -- exact rationals over all
-  partitions of n; a verification target, not a production path.
+* ``multinomial`` -- the partition formula, exact rationals over all
+                  partitions of n; a verification target, not a production
+                  path, capped at DEFAULT_PARTITION_CAP + 1 entries.
 
 Every table is one read-only int64 array of exact integers; a value
 outside int64 raises OverflowError instead of wrapping.  Every table
@@ -101,7 +102,7 @@ class CoeffTable:
     def values(self, first: int = 1, last: int | None = None) -> list[int]:
         """Entries first..last (1-based, inclusive), by default all of them."""
         last = self.limit if last is None else last
-        if first < 1 or last > self.limit:
+        if not 1 <= first <= last <= self.limit:
             raise IndexError(f"table covers 1..{self.limit}, got range {first}..{last}")
         return self._vals[first - 1 : last].tolist()
 
@@ -202,7 +203,17 @@ def _table_naive(params: LambdaParams, limit: int) -> list[int]:
     return vals
 
 
-_BUILDERS = {"sparse": _table_sparse, "newton": _table_newton, "naive": _table_naive}
+def _table_multinomial(params: LambdaParams, limit: int) -> list[int]:
+    # entry n + 1 is the partition sum of n; past the cap this raises
+    return [lambda_multinomial(params, n) for n in range(limit)]
+
+
+_BUILDERS = {
+    "sparse": _table_sparse,
+    "newton": _table_newton,
+    "naive": _table_naive,
+    "multinomial": _table_multinomial,
+}
 METHODS = tuple(_BUILDERS)
 
 

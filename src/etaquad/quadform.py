@@ -172,34 +172,6 @@ def class_group(d: int) -> ClassGroup:
     return ClassGroup(info, tuple(sorted(classes)))
 
 
-def _coprime_value_transform(form: QuadForm, modulus: int) -> QuadForm:
-    """Equivalent form whose leading coefficient is coprime to modulus.
-
-    A primitive form represents integers coprime to any fixed modulus;
-    search small coprime (x, y), then complete to a unimodular change of
-    variables.
-    """
-    if gcd(form.a, modulus) == 1:
-        return form
-    bound = 1
-    while True:
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if max(abs(x), abs(y)) != bound or gcd(x, y) != 1:
-                    continue
-                if gcd(form.evaluate(x, y), modulus) != 1:
-                    continue
-                # complete (x, y) to SL2(Z): x*w - y*u = 1
-                g, s, t = _xgcd(x, y)
-                assert g == 1
-                u, w = -t, s
-                a2 = form.evaluate(x, y)
-                b2 = 2 * (form.a * x * u + form.c * y * w) + form.b * (x * w + y * u)
-                c2 = form.evaluate(u, w)
-                return QuadForm(a2, b2, c2)
-        bound += 1
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
     old_r, r = a, b
@@ -218,10 +190,10 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     """Reduced representative of the product class (Dirichlet composition).
 
-    Replace f2 by an equivalent form whose leading coefficient is
-    coprime to that of f1, solve the congruence system for a common
-    middle coefficient B (concordant pair), multiply, reduce.  No
-    composition shortcuts: the class groups in play are tiny.
+    Direct composition of primitive forms (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 5.4.7): two extended gcds
+    give the united form [a1*a2/d1^2, B, C] with B = b2 (mod 2*a2/d1),
+    which is then reduced.
     """
     _require_positive_definite(f1)
     _require_positive_definite(f2)
@@ -231,26 +203,17 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
         )
     if not (f1.is_primitive() and f2.is_primitive()):
         raise ValueError("composition needs primitive forms")
-    d = f1.discriminant()
-    g2 = _coprime_value_transform(f2, f1.a)
     a1, b1 = f1.a, f1.b
-    a2, b2 = g2.a, g2.b
-    assert gcd(a1, a2) == 1
-    # B = b1 (mod 2 a1), B = b2 (mod 2 a2); b1, b2 share the parity of d
-    t = (b2 - b1) // 2 * _inv_mod(a1, a2) % a2
-    big_a = a1 * a2
-    big_b = (b1 + 2 * a1 * t) % (2 * big_a)
-    num = big_b * big_b - d
+    a2, b2, c2 = f2.a, f2.b, f2.c
+    s = (b1 + b2) // 2  # b1, b2 share the parity of the discriminant
+    d, y1, _ = _xgcd(a2, a1)
+    d1, x2, y2 = _xgcd(s, d)
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * y2 * (b2 - s) - x2 * c2) % v1
+    big_a, big_b = v1 * v2, b2 + 2 * v2 * r
+    num = big_b * big_b - f1.discriminant()
     assert num % (4 * big_a) == 0
     return reduce(QuadForm(big_a, big_b, num // (4 * big_a)))
-
-
-def _inv_mod(a: int, m: int) -> int:
-    if m == 1:
-        return 0
-    g, s, _ = _xgcd(a % m, m)
-    assert g == 1
-    return s % m
 
 
 def representations(form: QuadForm, n: int) -> RepSet:

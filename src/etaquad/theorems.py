@@ -41,6 +41,9 @@ NOT_APPLICABLE = "not_applicable"
 FALSIFIED = "falsified"
 
 
+_AUDIT_PREFIX = 128
+
+
 class TableCache:
     """Shared read-only coefficient tables, one per (a, b).
 
@@ -48,8 +51,7 @@ class TableCache:
     build is spot-audited against the recurrence method on a prefix.
     """
 
-    def __init__(self, audit_prefix: int = 128):
-        self.audit_prefix = audit_prefix
+    def __init__(self):
         self._tables: dict[tuple[int, int], object] = {}
 
     def get(self, a: int, b: int, min_limit: int):
@@ -67,7 +69,7 @@ class TableCache:
         return self.get(a, b, index).value(index)
 
     def _audit(self, table) -> None:
-        prefix = min(table.limit, self.audit_prefix)
+        prefix = min(table.limit, _AUDIT_PREFIX)
         ref = lambda_table(table.params, prefix, "newton")
         for n in range(1, prefix + 1):
             if table.value(n) != ref.value(n):
@@ -89,9 +91,7 @@ class ConstructionCase:
     _rule: _Rule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        spec = _CASES.get(self.case_id)
-        if spec is None:
-            raise ValueError(f"unknown case {self.case_id!r}; known: {sorted(_CASES)}")
+        spec = _spec(self.case_id)
         given = sum(v is not None for v in (self.a, self.b))
         if given != spec.arity:
             raise ValueError(
@@ -539,6 +539,13 @@ def case_ids() -> list[str]:
     return sorted(_CASES)
 
 
+def _spec(case_id: str) -> _CaseSpec:
+    spec = _CASES.get(case_id)
+    if spec is None:
+        raise ValueError(f"unknown case {case_id!r}; known: {', '.join(case_ids())}")
+    return spec
+
+
 def case_summary(case_id: str) -> str:
     return _CASES[case_id].summary
 
@@ -599,6 +606,10 @@ def closed_form(family: str, n: int, a: int | None = None, b: int | None = None)
           sum_{x + a*y = 1 (4)} (x + a*y)(x - b*y) = (1/2) sum (x^2 - ab*y^2)
           over x^2 + ab*y^2 = 2n+1; asserts they agree and returns the value.
     """
+    if family not in CLOSED_FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {CLOSED_FAMILIES}")
+    if family != "LEMMA51" and (a is not None or b is not None):
+        raise ValueError(f"family {family} takes no parameters a, b")
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     if family in ("L13", "L17", "L35", "L115"):
@@ -611,23 +622,21 @@ def closed_form(family: str, n: int, a: int | None = None, b: int | None = None)
             for x, y in representations(QuadForm(1, 0, 1), m).pairs
             if x % 4 == 1
         )
-    if family == "LEMMA51":
-        if a is None or b is None:
-            raise ValueError("LEMMA51 needs parameters a and b")
-        if a < 1 or b < 1 or (a * b) % 4 != 3:
-            raise ValueError("LEMMA51 needs a*b = 3 (mod 4)")
-        m = 2 * n + 1
-        pairs = representations(QuadForm(1, 0, a * b), m).pairs
-        lhs = sum((x + a * y) * (x - b * y) for x, y in pairs if (x + a * y) % 4 == 1)
-        total = sum(x * x - a * b * y * y for x, y in pairs)
-        if total % 2:
-            raise InternalInconsistencyError(f"odd full sum {total} at m={m}")
-        if lhs != total // 2:
-            raise InternalInconsistencyError(
-                f"half-sum identity fails at m={m}, (a,b)=({a},{b}): {lhs} != {total // 2}"
-            )
-        return lhs
-    raise ValueError(f"unknown family {family!r}, expected one of {CLOSED_FAMILIES}")
+    if a is None or b is None:
+        raise ValueError("LEMMA51 needs parameters a and b")
+    if a < 1 or b < 1 or (a * b) % 4 != 3:
+        raise ValueError("LEMMA51 needs a*b = 3 (mod 4)")
+    m = 2 * n + 1
+    pairs = representations(QuadForm(1, 0, a * b), m).pairs
+    lhs = sum((x + a * y) * (x - b * y) for x, y in pairs if (x + a * y) % 4 == 1)
+    total = sum(x * x - a * b * y * y for x, y in pairs)
+    if total % 2:
+        raise InternalInconsistencyError(f"odd full sum {total} at m={m}")
+    if lhs != total // 2:
+        raise InternalInconsistencyError(
+            f"half-sum identity fails at m={m}, (a,b)=({a},{b}): {lhs} != {total // 2}"
+        )
+    return lhs
 
 
 def _half_sum(d: int, m: int) -> int:
@@ -657,9 +666,9 @@ def range_report(
     Hypothesis failures are counted as skipped; falsifying verdicts are
     collected in full.
     """
-    spec = _CASES.get(case_id)
-    if spec is None:
-        raise ValueError(f"unknown case {case_id!r}; known: {sorted(_CASES)}")
+    spec = _spec(case_id)
+    if p_max < 0:
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
     if spec.arity == 0:
         if grid is not None:
             raise ValueError(f"case {case_id} takes no parameters")

@@ -1,15 +1,21 @@
 """CLI contract: output shapes, exit codes, determinism, JSON schema."""
 
+import io
 import json
 import re
 import shlex
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from etaquad import case_ids, make_case, range_report
 from etaquad.cli import main
 
 REPORT_SCHEMA = {
@@ -147,6 +153,7 @@ def test_closed_output(capsys):
     assert main(["closed", "--family", "LEMMA51", "--n", "6", "--a", "1", "--b", "3"]) == 0
     assert capsys.readouterr().out == "-22\n"
     assert main(["closed", "--family", "LEMMA51", "--n", "6"]) == 2
+    assert main(["closed", "--family", "L13", "--n", "5", "--a", "3"]) == 2
     capsys.readouterr()
 
 
@@ -256,6 +263,10 @@ def test_resource_limit_exit_4(capsys):
     for argv, message in (
         (["verify", "--case", "E1.6", "--p-max", "300000000"], "sieve to 300000000 needs"),
         (["lambda", "--a", "1", "--b", "1", "--n-max", str(10**10)], "table to 10000000000 needs"),
+        (
+            ["lambda", "--a", "1", "--b", "1", "--n-max", str(10**10), "--method", "multinomial"],
+            "table to 10000000000 needs",
+        ),
     ):
         tracemalloc.start()
         try:
@@ -268,6 +279,66 @@ def test_resource_limit_exit_4(capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"etaquad: resource limit: {message}")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda", "--a", "0", "--b", "1", "--n-max", "5"],
+        ["lambda", "--a", "1", "--b", "1", "--n-max", "0"],
+        # passes the table budget, then the partition cap stops it at entry 42
+        ["lambda", "--a", "1", "--b", "1", "--n-max", str(2**28), "--method", "multinomial"],
+        ["verify", "--case", "bogus", "--p-max", "10"],
+        ["verify", "--case", "T3.1", "--a", "3", "--p-max", "10"],
+        ["verify", "--case", "C3.4", "--b", "3", "--p-max", "10"],
+        ["verify", "--case", "E1.6", "--a", "1", "--p-max", "10"],
+        ["verify", "--case", "T3.1", "--a", "2", "--b", "3", "--p-max", "10"],
+        ["verify", "--case", "E1.6", "--p-max", "-1"],
+        ["verify", "--case", "E1.6", "--p-max", "10", "--threads", "0"],
+        ["reps", "--form", "3,0", "--n", "8"],
+        ["reps", "--form", "1,5,1", "--n", "8"],
+        ["reps", "--form", "1,0,1", "--n", "0"],
+        ["classgroup", "--disc", "5"],
+        ["closed", "--family", "L13", "--n", "5", "--a", "3"],
+        ["closed", "--family", "L13", "--n", "-1"],
+        ["closed", "--family", "LEMMA51", "--n", "6"],
+        ["closed", "--family", "LEMMA51", "--n", "6", "--a", "1", "--b", "1"],
+    ],
+)
+def test_usage_error_is_one_stderr_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("etaquad: error: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@given(
+    st.sampled_from(case_ids() + ["X9.9"]),
+    st.none() | st.integers(min_value=-2, max_value=40),
+    st.none() | st.integers(min_value=-2, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_verify_rejects_what_make_case_rejects(case_id, a, b):
+    # the CLI adds no parameter rule of its own, and range_report's grid
+    # holds the parameters positionally, so all three agree
+    try:
+        make_case(case_id, a, b)
+        rejected = False
+    except ValueError:
+        rejected = True
+    argv = ["verify", "--case", case_id, "--p-max", "0"]
+    for flag, value in (("--a", a), ("--b", b)):
+        if value is not None:
+            argv += [flag, str(value)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(argv) == (2 if rejected else 0)
+    grid = None if a is None and b is None else [(a,) if b is None else (a, b)]
+    if rejected:
+        with pytest.raises(ValueError):
+            range_report(case_id, 0, grid)
+    else:
+        assert range_report(case_id, 0, grid).scanned == 0
 
 
 def test_memory_error_exit_4(capsys, monkeypatch):

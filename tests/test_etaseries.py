@@ -103,6 +103,10 @@ def test_table_value_ranges():
         table.values(0, 2)
     with pytest.raises(IndexError):
         table.values(1, 9)
+    with pytest.raises(IndexError):
+        table.values(9)
+    with pytest.raises(IndexError):
+        table.values(6, 2)
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 5), (4, 6), (5, 5)])
@@ -162,6 +166,14 @@ def test_multinomial_matches_table(a, b):
     table = lambda_table(params, 14)
     for n in range(13):
         assert lambda_multinomial(params, n) == table.value(n + 1)
+
+
+def test_multinomial_table_up_to_cap():
+    # entry n + 1 is the partition sum of n, so the cap of 40 allows 41 entries
+    params = LambdaParams(1, 1)
+    assert lambda_table(params, 41, "multinomial").values() == oracle_product_table(1, 1, 41)
+    with pytest.raises(PartitionCapError):
+        lambda_table(params, 42, "multinomial")
 
 
 def test_multinomial_cap():

@@ -166,6 +166,10 @@ def test_closed_form_validation():
         closed_form("LEMMA51", 1)  # needs a, b
     with pytest.raises(ValueError):
         closed_form("LEMMA51", 1, 1, 5)  # ab != 3 mod 4
+    with pytest.raises(ValueError, match="takes no parameters"):
+        closed_form("L13", 5, 3)
+    with pytest.raises(ValueError, match="takes no parameters"):
+        closed_form("KF", 5, None, 3)
 
 
 def test_closed_forms_match_tables():
@@ -288,6 +292,8 @@ def test_range_report_validation():
         range_report("E1.6", 100, grid=[(1, 7)])  # no parameters allowed
     with pytest.raises(ValueError):
         range_report("C3.4", 100, grid=[(1, 2)])  # single-parameter case
+    with pytest.raises(ValueError, match="p_max must be >= 0"):
+        range_report("E1.6", -1)
 
 
 def test_range_report_deterministic_and_grid_counts():
