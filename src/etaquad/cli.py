@@ -19,10 +19,11 @@ import argparse
 import json
 import sys
 
+from .closed import CLOSED_FAMILIES, closed_form
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .etaseries import METHODS, LambdaParams, lambda_table
 from .quadform import QuadForm, class_group, representations
-from .theorems import CLOSED_FAMILIES, case_ids, closed_form, make_case, range_report
+from .theorems import case_ids, make_case, range_report
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,6 +177,10 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--form" in argv[:-1]:  # argparse would read a value such as -1,0,-1 as a flag
+        i = argv.index("--form")
+        argv[i : i + 2] = [f"--form={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

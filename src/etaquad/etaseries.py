@@ -204,7 +204,9 @@ def _table_naive(params: LambdaParams, limit: int) -> list[int]:
 
 
 def _table_multinomial(params: LambdaParams, limit: int) -> list[int]:
-    # entry n + 1 is the partition sum of n; past the cap this raises
+    # entry n + 1 is the partition sum of n; the first index past the cap raises at once
+    if limit > DEFAULT_PARTITION_CAP + 1:
+        lambda_multinomial(params, DEFAULT_PARTITION_CAP + 1)
     return [lambda_multinomial(params, n) for n in range(limit)]
 
 

@@ -247,40 +247,29 @@ def _run_product(case, p, cache, rule):
     return Verdict(FALSIFIED, case, p, witness=(x, y), index=index, lhs=lhs, rhs=lam, reason=reason)
 
 
+# T5.3's residue classes of p mod 30: the form p = fa*x^2 + fb*y^2, its label,
+# and the multipliers k of the value k*(4*fa*x^2 - 2p) expected at p, 2p, 3p, 5p
+_THM53_CLASSES = {
+    **dict.fromkeys((1, 19), ((1, 15), "x^2 + 15y^2", (1, 0, 0, 0))),
+    **dict.fromkeys((17, 23), ((3, 5), "3x^2 + 5y^2", (0, -1, 3, -5))),
+}
+
+
 def _run_thm53(case, p, cache, rule):
     ta, tb, affine = rule.tables[0]
     table = cache.get(ta, tb, _index(affine, p))
-    r = p % 30
-    details = []
-    witness = None
-    if r in (1, 19):
-        rep = find_rep(1, 15, p)
-        if rep is None:
-            return Verdict(
-                FALSIFIED, case, p, index=p, reason="expected representation x^2 + 15y^2 missing"
-            )
-        witness = rep
-        first = 4 * rep[0] * rep[0] - 2 * p
-    else:
-        first = 0
-    if r in (17, 23):
-        rep = find_rep(3, 5, p)
-        if rep is None:
-            return Verdict(
-                FALSIFIED, case, p, index=p, reason="expected representation 3x^2 + 5y^2 missing"
-            )
-        witness = rep
-        x2 = rep[0] * rep[0]
-        expected = [first, 2 * p - 12 * x2, 36 * x2 - 6 * p, 10 * p - 60 * x2]
-    else:
-        expected = [first, 0, 0, 0]
-    ok = True
-    for mult, want in zip((1, 2, 3, 5), expected):
-        got = table.value(mult * p)
-        details.append((mult * p, want, got))
-        ok = ok and want == got
-    status = HOLDS if ok else FALSIFIED
-    return Verdict(status, case, p, witness=witness, index=p, details=tuple(details))
+    cls = _THM53_CLASSES.get(p % 30)
+    witness, expected = None, (0, 0, 0, 0)
+    if cls is not None:
+        (fa, fb), label, mults = cls
+        witness = find_rep(fa, fb, p)
+        if witness is None:
+            reason = f"expected representation {label} missing"
+            return Verdict(FALSIFIED, case, p, index=p, reason=reason)
+        expected = tuple(k * (4 * fa * witness[0] ** 2 - 2 * p) for k in mults)
+    details = tuple((m * p, want, table.value(m * p)) for m, want in zip((1, 2, 3, 5), expected))
+    status = HOLDS if all(want == got for _, want, got in details) else FALSIFIED
+    return Verdict(status, case, p, witness=witness, index=p, details=details)
 
 
 @dataclass(frozen=True)
@@ -589,65 +578,6 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# closed-form evaluators
-
-CLOSED_FAMILIES = ("L13", "L17", "L35", "L115", "KF", "LEMMA51")
-
-
-def closed_form(family: str, n: int, a: int | None = None, b: int | None = None) -> int:
-    """Evaluate one closed-form coefficient formula by direct enumeration.
-
-    L13:  half-sum of x^2 - 3y^2 over x^2 + 3y^2 = 2n+1   (= coeff (1,3) at n+1)
-    L17:  half-sum of x^2 - 7y^2 over x^2 + 7y^2 = 2n+1   (= coeff (1,7) at 2n+1)
-    L35:  half-sum of x^2 - 15y^2 over x^2 + 15y^2 = 2n+1 (= coeff (3,5) at 2n+1)
-    L115: the same sum                                    (= coeff (1,15) at 4n+1)
-    KF:   sum of x^2 - y^2 over x^2 + y^2 = 4n+1, x = 1 (mod 4)  (= coeff (1,1) at n+1)
-    LEMMA51(a, b), ab = 3 (mod 4): both sides of the half-sum identity
-          sum_{x + a*y = 1 (4)} (x + a*y)(x - b*y) = (1/2) sum (x^2 - ab*y^2)
-          over x^2 + ab*y^2 = 2n+1; asserts they agree and returns the value.
-    """
-    if family not in CLOSED_FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {CLOSED_FAMILIES}")
-    if family != "LEMMA51" and (a is not None or b is not None):
-        raise ValueError(f"family {family} takes no parameters a, b")
-    if n < 0:
-        raise ValueError(f"index must be >= 0, got {n}")
-    if family in ("L13", "L17", "L35", "L115"):
-        d = {"L13": 3, "L17": 7, "L35": 15, "L115": 15}[family]
-        return _half_sum(d, 2 * n + 1)
-    if family == "KF":
-        m = 4 * n + 1
-        return sum(
-            x * x - y * y
-            for x, y in representations(QuadForm(1, 0, 1), m).pairs
-            if x % 4 == 1
-        )
-    if a is None or b is None:
-        raise ValueError("LEMMA51 needs parameters a and b")
-    if a < 1 or b < 1 or (a * b) % 4 != 3:
-        raise ValueError("LEMMA51 needs a*b = 3 (mod 4)")
-    m = 2 * n + 1
-    pairs = representations(QuadForm(1, 0, a * b), m).pairs
-    lhs = sum((x + a * y) * (x - b * y) for x, y in pairs if (x + a * y) % 4 == 1)
-    total = sum(x * x - a * b * y * y for x, y in pairs)
-    if total % 2:
-        raise InternalInconsistencyError(f"odd full sum {total} at m={m}")
-    if lhs != total // 2:
-        raise InternalInconsistencyError(
-            f"half-sum identity fails at m={m}, (a,b)=({a},{b}): {lhs} != {total // 2}"
-        )
-    return lhs
-
-
-def _half_sum(d: int, m: int) -> int:
-    total = sum(x * x - d * y * y for x, y in representations(QuadForm(1, 0, d), m).pairs)
-    if total % 2:
-        raise InternalInconsistencyError(f"odd full sum {total} for D={d}, m={m}")
-    return total // 2
-
-
-
-# ---------------------------------------------------------------------------
 # range aggregation
 
 
@@ -669,22 +599,14 @@ def range_report(
     spec = _spec(case_id)
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
-    if spec.arity == 0:
-        if grid is not None:
-            raise ValueError(f"case {case_id} takes no parameters")
-        instances = [ConstructionCase(case_id)]
-    else:
-        if grid is None:
-            raise ValueError(f"case {case_id} needs a parameter grid")
-        combos = set()
-        for entry in grid:
-            combo = (entry,) if isinstance(entry, int) else tuple(entry)
-            if len(combo) != spec.arity:
-                raise ValueError(f"case {case_id} takes {spec.arity} parameter(s), got {combo}")
-            combos.add(combo)
-        instances = [
-            ConstructionCase(case_id, *combo) for combo in sorted(combos)
-        ]
+    if spec.arity == 0 and grid is not None:
+        raise ValueError(f"case {case_id} takes no parameters")
+    if spec.arity > 0 and grid is None:
+        raise ValueError(f"case {case_id} needs a parameter grid")
+    # ConstructionCase rejects a combo of the wrong length; an empty grid gives no instance
+    entries = [()] if grid is None else grid
+    combos = {(entry,) if isinstance(entry, int) else tuple(entry) for entry in entries}
+    instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
     cache = cache or _SHARED_CACHE
     primes = [p for p in sieve_primes(p_max).primes() if p >= 3] if p_max >= 3 else []
     if primes:

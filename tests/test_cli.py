@@ -138,6 +138,10 @@ def test_reps_flag_errors(capsys):
     assert main(["reps", "--form", "1,5,1", "--n", "8"]) == 2
     assert main(["reps", "--form", "1,0,1", "--n", "0"]) == 2
     capsys.readouterr()
+    # a value that starts with "-" reaches the library check, with or without "="
+    for argv in (["--form", "-1,0,-1"], ["--form=-1,0,-1"]):
+        assert main(["reps", *argv, "--n", "5"]) == 2
+        assert capsys.readouterr().err == "etaquad: error: form [-1, 0, -1] is not positive definite\n"
 
 
 def test_classgroup_output(capsys):
@@ -298,6 +302,7 @@ def test_resource_limit_exit_4(capsys):
         ["reps", "--form", "3,0", "--n", "8"],
         ["reps", "--form", "1,5,1", "--n", "8"],
         ["reps", "--form", "1,0,1", "--n", "0"],
+        ["reps", "--form", "-1,0,-1", "--n", "5"],
         ["classgroup", "--disc", "5"],
         ["closed", "--family", "L13", "--n", "5", "--a", "3"],
         ["closed", "--family", "L13", "--n", "-1"],

@@ -176,6 +176,18 @@ def test_multinomial_table_up_to_cap():
         lambda_table(params, 42, "multinomial")
 
 
+def test_multinomial_cap_checked_before_any_sum(monkeypatch):
+    import etaquad.etaseries as es
+
+    def no_sums(n):
+        raise AssertionError(f"partition sum of {n} computed before the cap check")
+
+    monkeypatch.setattr(es, "partition_terms", no_sums)
+    for limit in (42, 2**28):
+        with pytest.raises(PartitionCapError, match="^partition sum capped at 40, got index 41$"):
+            lambda_table(LambdaParams(1, 1), limit, "multinomial")
+
+
 def test_multinomial_cap():
     with pytest.raises(PartitionCapError):
         lambda_multinomial(LambdaParams(1, 1), 41)

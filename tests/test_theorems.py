@@ -1,6 +1,7 @@
 """Verdict machinery: single-prime checks, closed forms, range reports."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from conftest import oracle_primes
@@ -13,9 +14,11 @@ from etaquad import (
     NOT_APPLICABLE,
     LambdaParams,
     ResourceLimitError,
+    QuadForm,
     TableCache,
     case_arity,
     case_ids,
+    case_summary,
     closed_form,
     find_rep,
     gauss_doubling,
@@ -115,18 +118,63 @@ def test_every_representation_is_checked():
         assert v.status == HOLDS
 
 
-def test_falsification_is_reported_not_raised():
-    class WrongCache(TableCache):
-        def value(self, a, b, index):
-            return super().value(a, b, index) + 1
+class _HighTable:
+    """A coefficient table that reads one too high everywhere."""
 
-    v = verify_construction(make_case("E1.6"), 11, cache=WrongCache())
+    def __init__(self, table):
+        self._table = table
+
+    def value(self, n):
+        return self._table.value(n) + 1
+
+
+class _HighCache(TableCache):
+    # the T5.3 runner reads through get(), the others through value()
+    def get(self, a, b, min_limit):
+        return _HighTable(super().get(a, b, min_limit))
+
+
+def test_falsification_is_reported_not_raised():
+    v = verify_construction(make_case("E1.6"), 11, cache=_HighCache())
     assert v.status == FALSIFIED
     assert v.lhs == -6 and v.rhs == -5
 
-    report = range_report("E1.6", 30, cache=WrongCache())
+    v = verify_product(make_case("T4.1", 1, 2), 11, cache=_HighCache())
+    assert v.status == FALSIFIED and not v.holds
+    assert (v.witness, v.lhs, v.rhs, v.reason) == ((-3, 1), -3, -2, None)
+
+    report = range_report("E1.6", 30, cache=_HighCache())
     assert len(report.falsified) == report.checked > 0
     assert not report.ok
+
+
+def test_product_square_recovery_failure(monkeypatch):
+    import etaquad.theorems as th
+
+    # x*y still equals the coefficient, but (2x^2 - 11)^2 != 11^2 - 8*3^2
+    monkeypatch.setattr(th, "normalized_reps", lambda form, t: [(1, -3)])
+    v = verify_product(make_case("T4.1", 1, 2), 11)
+    assert v.status == FALSIFIED and v.lhs == v.rhs == -3
+    assert v.witness == (1, -3) and v.reason == "square recovery identity failed"
+
+
+def test_sign_rule_dependence_is_falsified():
+    case = make_case("T3.1", 1, 1)
+    # a constant sign leaves 4x^2 - 2p depending on which of x^2 + y^2 = 5 is used
+    object.__setattr__(case, "_rule", replace(case._rule, sign=lambda x, y: 0))
+    v = verify_construction(case, 5)
+    assert v.status == FALSIFIED and v.witness == (1, 2) and v.lhs == -6
+    assert v.reason == "left side depends on the representation: [-6, 6]"
+
+
+def test_public_members():
+    assert QuadForm(3, 1, 5).evaluate(2, -1) == 12 - 2 + 5
+    assert str(make_case("T3.1", 1, 3)) == "T3.1(1,3)"
+    assert str(make_case("C3.4", 5)) == "C3.4(5)"
+    assert str(make_case("E1.6")) == "E1.6"
+    assert verify_construction(make_case("E1.6"), 11).holds
+    assert not verify_construction(make_case("E1.6"), 5).holds
+    assert case_summary("E1.6") == "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p"
 
 
 def test_verify_product_examples():
@@ -212,6 +260,28 @@ def test_thm53_examples():
         verify_thm53(9)
 
 
+def test_thm53_falsified_when_table_is_off():
+    v = verify_thm53(17, cache=_HighCache())
+    assert v.status == FALSIFIED and v.witness == (2, 1) and v.index == 17
+    assert v.details == ((17, 0, 1), (34, -14, -13), (51, 42, 43), (85, -70, -69))
+    v = verify_thm53(19, cache=_HighCache())
+    assert v.status == FALSIFIED and v.witness == (2, 1)
+    assert v.details == ((19, -22, -21), (38, 0, 1), (57, 0, 1), (95, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "p,form",
+    [(19, "x^2 + 15y^2"), (17, "3x^2 + 5y^2")],
+)
+def test_thm53_missing_representation(monkeypatch, p, form):
+    import etaquad.theorems as th
+
+    monkeypatch.setattr(th, "find_rep", lambda a, b, m: None)
+    v = verify_thm53(p)
+    assert v.status == FALSIFIED and v.witness is None and v.index == p
+    assert v.reason == f"expected representation {form} missing" and v.details == ()
+
+
 def test_sign_is_representation_independent():
     # recomputing each verdict from every sign variant of its witness
     # must give the same left side
@@ -294,6 +364,17 @@ def test_range_report_validation():
         range_report("C3.4", 100, grid=[(1, 2)])  # single-parameter case
     with pytest.raises(ValueError, match="p_max must be >= 0"):
         range_report("E1.6", -1)
+    with pytest.raises(ValueError, match=r"^case C3.4 takes 1 parameter\(s\), got 2$"):
+        range_report("C3.4", 100, grid=[(1,), (1, 3)])
+    with pytest.raises(ValueError, match=r"^case T3.1 takes 2 parameter\(s\), got 1$"):
+        range_report("T3.1", 100, grid=[(1, 3), (5,)])
+
+
+def test_range_report_grid_forms():
+    empty = range_report("T3.1", 100, grid=[])
+    assert (empty.checked, empty.skipped, empty.params) == (0, 0, ())
+    # one-parameter cases take bare integers as well as 1-tuples
+    assert range_report("C3.4", 100, grid=[1, 3]) == range_report("C3.4", 100, grid=[(1,), (3,)])
 
 
 def test_range_report_deterministic_and_grid_counts():
