@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from math import isqrt
 
+import numpy as np
+
 from .errors import ResourceLimitError
 
 # Sieve memory budget: one byte per integer up to `limit`.
@@ -110,11 +112,15 @@ class PrimeSieve:
             raise IndexError(f"sieve covers 0..{self.limit}, got {n}")
         return bool(self._flags[n])
 
+    def flags(self) -> np.ndarray:
+        """Read-only boolean view of the flags: entry n is true iff n is prime."""
+        return np.frombuffer(self._flags, dtype=np.bool_)
+
     def primes(self) -> list[int]:
-        return [n for n in range(2, self.limit + 1) if self._flags[n]]
+        return np.flatnonzero(self.flags()).tolist()
 
     def count(self) -> int:
-        return sum(self._flags)
+        return int(np.count_nonzero(self.flags()))
 
 
 def sieve_primes(limit: int) -> PrimeSieve:

@@ -40,9 +40,10 @@ def closed_form(family: str, n: int, a: int | None = None, b: int | None = None)
     if a < 1 or b < 1 or (a * b) % 4 != 3:
         raise ValueError("LEMMA51 needs a*b = 3 (mod 4)")
     m = 2 * n + 1
+    # one enumeration feeds both sides
     pairs = representations(QuadForm(1, 0, a * b), m).pairs
     lhs = sum((x + a * y) * (x - b * y) for x, y in pairs if (x + a * y) % 4 == 1)
-    rhs = _half_sum(a * b, m)
+    rhs = _half_sum(a * b, m, pairs=pairs)
     if lhs != rhs:
         raise InternalInconsistencyError(
             f"half-sum identity fails at m={m}, (a,b)=({a},{b}): {lhs} != {rhs}"
@@ -50,8 +51,11 @@ def closed_form(family: str, n: int, a: int | None = None, b: int | None = None)
     return lhs
 
 
-def _half_sum(d: int, m: int, odd_x: bool = False) -> int:
-    pairs = representations(QuadForm(1, 0, d), m).pairs
+def _half_sum(d: int, m: int, odd_x: bool = False, pairs=None) -> int:
+    """Half the sum of x^2 - d*y^2 over x^2 + d*y^2 = m (over odd x only with
+    odd_x); `pairs` passes that representation set when it is already known."""
+    if pairs is None:
+        pairs = representations(QuadForm(1, 0, d), m).pairs
     total = sum(x * x - d * y * y for x, y in pairs if x % 2 or not odd_x)
     if total % 2:
         raise InternalInconsistencyError(f"odd full sum {total} for D={d}, m={m}")

@@ -106,6 +106,14 @@ class CoeffTable:
             raise IndexError(f"table covers 1..{self.limit}, got range {first}..{last}")
         return self._vals[first - 1 : last].tolist()
 
+    def take(self, indices) -> np.ndarray:
+        """Entries at an array of 1-based indices, as a new int64 array."""
+        indices = np.asarray(indices, dtype=np.int64)
+        outside = (indices < 1) | (indices > self.limit)
+        if outside.any():
+            raise IndexError(f"table covers 1..{self.limit}, got index {indices[outside][0]}")
+        return self._vals[indices - 1]
+
     def __len__(self) -> int:
         return self.limit
 

@@ -4,7 +4,8 @@ Reduction to the canonical representative, enumeration of the reduced
 primitive classes of a negative discriminant, Dirichlet composition and
 class inverses, and exhaustive enumeration of the representations of an
 integer by a form, including the mod-4-normalized solutions that drive
-the product-series identities.
+the product-series identities, and one sweep over the lattice points of a
+diagonal form that lists the representations of many integers at once.
 
 Value semantics throughout: forms, class groups and representation sets
 are immutable once built.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -271,3 +274,24 @@ def find_rep(a: int, b: int, m: int) -> tuple[int, int] | None:
                 return (x, y)
         x += 1
     return None
+
+
+def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Int64 arrays (t, x, y) of every x, y >= 0 with t = a*x^2 + b*y^2 <= t_max
+    and keep(t) true, ordered by y and then x.
+
+    `keep` maps an int64 array of values to a boolean mask.  One Python step
+    per y, vectorized over x; the signed solutions of n = a*x^2 + b*y^2 are
+    the orbit (+-x, +-y) of the points with t = n.
+    """
+    if a < 1 or b < 1:
+        raise ValueError(f"lattice_points needs a positive definite diagonal form, got ({a}, {b})")
+    found = []
+    for y in range(isqrt(t_max // b) + 1 if t_max >= 0 else 0):
+        x = np.arange(isqrt((t_max - b * y * y) // a) + 1, dtype=np.int64)
+        t = a * x * x + b * y * y
+        hit = keep(t)
+        found.append((t[hit], x[hit], np.full(np.count_nonzero(hit), y, dtype=np.int64)))
+    if not found:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    return tuple(np.concatenate(column) for column in zip(*found))

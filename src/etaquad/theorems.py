@@ -24,17 +24,34 @@ with its index as an affine rule (u*p + v)/8 + w, the ordered
 ``hypotheses`` with their reasons, and the ``sign`` rule on (x, y) or the
 runner (``run``) for the left side.  Table sizes for a range follow from
 the index rules at p_max, so adding a case means adding one record.
+
+Two paths evaluate a rule.  The single-prime path (``verify_*``) runs the
+rule's scalar runner, which finds the representations of one prime by an
+O(sqrt p) scan and builds its ``Verdict``.  ``range_report`` takes the
+columnar path: one sieve, one ``lattice_points`` sweep of the rule's form
+over every prime of the range, the hypotheses as boolean masks, and each
+table read once as an array, so a range costs about O(P) array work
+instead of O(P^1.5 / log P) Python steps.  Each scalar runner has one
+columnar counterpart that reads the same ``_Rule`` fields.  Every prime
+the columns cannot settle as holding or not applicable (its sides differ,
+its left side depends on the representation, an expected representation
+is missing) goes through the scalar runner in the one-prime loop's
+order, so the scalar path stays the oracle and every falsified
+``Verdict`` is the one it gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import gcd
+from typing import NamedTuple
+
+import numpy as np
 
 from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
 from .etaseries import TABLE_BUDGET_BYTES, LambdaParams, lambda_table
-from .quadform import QuadForm, find_rep, normalized_reps, representations
+from .quadform import QuadForm, find_rep, lattice_points, normalized_reps, representations
 
 HOLDS = "holds"
 NOT_APPLICABLE = "not_applicable"
@@ -157,8 +174,9 @@ class RangeReport:
         return not self.falsified
 
 
-def _sign(e: int) -> int:
-    return 1 if e % 2 == 0 else -1
+def _sign(e):
+    """(-1)^e, for an int or an int64 array e."""
+    return 1 - 2 * (e % 2)
 
 
 def _na(case, p, reason) -> Verdict:
@@ -183,10 +201,11 @@ def _decide(case, p, reps, index, lhs_values: set[int], rhs: int) -> Verdict:
     return Verdict(status, case, p, witness=witness, index=index, lhs=lhs, rhs=rhs)
 
 
-def _exact_div8(num: int, what: str) -> int:
-    if num % 8:
-        raise InternalInconsistencyError(f"{what} = {num} is not divisible by 8")
-    return num // 8
+def _require_unique(norm, t, a, b) -> None:
+    if len(norm) > 1:
+        raise InternalInconsistencyError(
+            f"normalized representation of {t} by [{a}, 0, {b}] is not unique: {norm}"
+        )
 
 
 def _require_even_y(reps, case, p) -> None:
@@ -213,7 +232,7 @@ def _run_square(case, p, cache, rule):
         shown = f"{fa}*x^2" if rule.show_a else "x^2"
         suffix = " with odd x" if rule.odd_x else ""
         return _na(case, p, f"p has no representation p = {shown} + {fb}*y^2{suffix}")
-    indices = [_index(affine, p) for _, _, affine in rule.tables]
+    indices = [_exact_index(affine, p) for _, _, affine in rule.tables]
     values = [cache.value(ta, tb, i) for (ta, tb, _), i in zip(rule.tables, indices)]
     if len(values) == 2:
         return _decide(case, p, reps, indices[0], {values[0]}, values[1])
@@ -228,15 +247,12 @@ def _run_product(case, p, cache, rule):
     t = m*p, and (2a*x^2 - t)^2 = t^2 - 4ab*L^2 recovers the square."""
     a, b = rule.form
     ta, tb, affine = rule.tables[0]
-    index = _index(affine, p)
+    index = _exact_index(affine, p)
     t = 8 * (index - 1) + a + b  # t = 8n + a + b, read at n + 1
     norm = normalized_reps(QuadForm(a, 0, b), t)
     if not norm:
         return _na(case, p, f"{t} has no representation with x = y = 1 (mod 4)")
-    if len(norm) > 1:
-        raise InternalInconsistencyError(
-            f"normalized representation of {t} by [{a}, 0, {b}] is not unique: {norm}"
-        )
+    _require_unique(norm, t, a, b)
     x, y = norm[0]
     lam = cache.value(ta, tb, index)
     lhs = x * y
@@ -253,11 +269,12 @@ _THM53_CLASSES = {
     **dict.fromkeys((1, 19), ((1, 15), "x^2 + 15y^2", (1, 0, 0, 0))),
     **dict.fromkeys((17, 23), ((3, 5), "3x^2 + 5y^2", (0, -1, 3, -5))),
 }
+_THM53_MULTIPLES = (1, 2, 3, 5)
 
 
 def _run_thm53(case, p, cache, rule):
     ta, tb, affine = rule.tables[0]
-    table = cache.get(ta, tb, _index(affine, p))
+    table = cache.get(ta, tb, _exact_index(affine, p))
     cls = _THM53_CLASSES.get(p % 30)
     witness, expected = None, (0, 0, 0, 0)
     if cls is not None:
@@ -267,7 +284,9 @@ def _run_thm53(case, p, cache, rule):
             reason = f"expected representation {label} missing"
             return Verdict(FALSIFIED, case, p, index=p, reason=reason)
         expected = tuple(k * (4 * fa * witness[0] ** 2 - 2 * p) for k in mults)
-    details = tuple((m * p, want, table.value(m * p)) for m, want in zip((1, 2, 3, 5), expected))
+    details = tuple(
+        (m * p, want, table.value(m * p)) for m, want in zip(_THM53_MULTIPLES, expected)
+    )
     status = HOLDS if all(want == got for _, want, got in details) else FALSIFIED
     return Verdict(status, case, p, witness=witness, index=p, details=details)
 
@@ -286,13 +305,29 @@ class _Rule:
     run: object = _run_square
 
 
-def _index(affine: tuple[int, int, int], p: int) -> int:
+def _index(affine: tuple[int, int, int], p):
+    """(u*p + v) // 8 + w and whether u*p + v is not divisible by 8, for an
+    int or an int64 array p."""
     u, v, w = affine
-    return _exact_div8(u * p + v, "index numerator u*p + v") + w
+    num = u * p + v
+    return num // 8 + w, num % 8 != 0
 
 
+def _exact_index(affine: tuple[int, int, int], p: int) -> int:
+    index, inexact = _index(affine, p)
+    if inexact:
+        u, v, _ = affine
+        raise InternalInconsistencyError(
+            f"index numerator u*p + v = {u * p + v} is not divisible by 8"
+        )
+    return index
+
+
+# each hypothesis is (fails(p), reason), where fails takes an int or an int64 array
 def _residue(mod, allowed, label):
-    return (lambda p: p % mod not in allowed, f"p is not {label}")
+    fails = np.ones(mod, dtype=bool)
+    fails[list(allowed)] = False
+    return (lambda p: fails[p % mod], f"p is not {label}")
 
 
 def _equals(value, name):
@@ -369,7 +404,7 @@ def _congruent(m, a, b):
     """T4.1 (m = 1) and T4.2 (m = 2): m*p = a + b (mod 8) with m*p >= a + b."""
     t = "p" if m == 1 else f"{m}p"
     reason = f"{t} is not a+b (mod 8) with {t} >= a+b"
-    return (lambda p: m * p < a + b or (m * p - a - b) % 8, reason)
+    return (lambda p: (m * p < a + b) | ((m * p - a - b) % 8 != 0), reason)
 
 
 def _evaluate(case: ConstructionCase, p: int, cache: TableCache) -> Verdict:
@@ -578,7 +613,115 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# range aggregation
+# range aggregation: each instance evaluated over every prime of the range at
+# once.  A columnar runner reads the same _Rule fields as its scalar runner
+# and returns two boolean arrays over the prime positions: `live` where the
+# verdict is not not_applicable, and `suspect` where it may be anything but
+# holds, so that the scalar runner must decide it.  An internal fault that
+# the sweep shows raises at once, through the scalar runner's own check.
+
+
+class _Range(NamedTuple):
+    primes: np.ndarray  # the odd primes <= p_max, ascending
+    flags: np.ndarray  # the sieve's primality flags for 0..p_max
+
+    def sweep(self, form, m=1):
+        """Every x, y >= 0 with m*p = fa*x^2 + fb*y^2 for an odd prime p of the
+        range, as arrays (position of p, x, y)."""
+        flags = self.flags
+        t, x, y = lattice_points(
+            *form, m * int(self.primes[-1]), lambda t: (t % m == 0) & flags[t // m] & (t > 2 * m)
+        )
+        return np.searchsorted(self.primes, t // m), x, y
+
+    def index(self, affine, where):
+        """Each prime's table index; inexact where `where` holds raises, as in
+        the scalar runner."""
+        index, inexact = _index(affine, self.primes)
+        for i in np.flatnonzero(where & inexact)[:1]:
+            _exact_index(affine, int(self.primes[i]))
+        return index
+
+
+def _read(table, index, where):
+    """Table entries at index[where], zero elsewhere."""
+    out = np.zeros(len(index), dtype=np.int64)
+    out[where] = table.take(index[where])
+    return out
+
+
+def _marks(positions, n):
+    mask = np.zeros(n, dtype=bool)
+    mask[positions] = True
+    return mask
+
+
+def _points_of(i, pos, x, y):
+    return list(zip(x[pos == i].tolist(), y[pos == i].tolist()))
+
+
+def _cols_square(case, rule, rng, ok, tables):
+    primes, n = rng.primes, len(rng.primes)
+    pos, x, y = rng.sweep(rule.form)
+    keep = ok[pos] & (x % 2 == 1) if rule.odd_x else ok[pos]
+    pos, x, y = pos[keep], x[keep], y[keep]
+    live = _marks(pos, n)
+    sides = [
+        _read(table, rng.index(affine, live), live)
+        for table, (_, _, affine) in zip(tables, rule.tables)
+    ]
+    if len(sides) == 2:
+        return live, live & (sides[0] != sides[1])
+    if rule.even_y:
+        for i in np.unique(pos[y % 2 == 1])[:1]:
+            _require_even_y(_points_of(i, pos, x, y), case, int(primes[i]))
+    # the left side at each point, over its four sign variants
+    base = 4 * rule.form[0] * x * x - 2 * primes[pos]
+    lhs = np.stack([_sign(rule.sign(sx * x, sy * y)) * base for sx in (1, -1) for sy in (1, -1)])
+    low, high = np.full(n, np.iinfo(np.int64).max), np.full(n, np.iinfo(np.int64).min)
+    np.minimum.at(low, pos, lhs.min(axis=0))
+    np.maximum.at(high, pos, lhs.max(axis=0))
+    return live, live & ((low != high) | (low != sides[0]))
+
+
+def _cols_product(case, rule, rng, ok, tables):
+    a, b = rule.form
+    ((_, _, affine),) = rule.tables
+    m = affine[0]  # t = 8(index - 1) + a + b = m*p
+    primes, n = rng.primes, len(rng.primes)
+    index = rng.index(affine, ok)  # the scalar runner checks it before any representation
+    pos, x, y = rng.sweep(rule.form, m)
+    keep = ok[pos] & (x % 2 == 1) & (y % 2 == 1)
+    pos, x, y = pos[keep], x[keep], y[keep]
+    # each point with odd x, y has one sign variant with x = y = 1 (mod 4)
+    x, y = np.where(x % 4 == 1, x, -x), np.where(y % 4 == 1, y, -y)
+    targets, first, hits = np.unique(pos, return_index=True, return_counts=True)
+    for i in targets[hits > 1][:1]:
+        _require_unique(sorted(_points_of(i, pos, x, y)), m * int(primes[i]), a, b)
+    t, lam, x, y = m * primes[targets], tables[0].take(index[targets]), x[first], y[first]
+    wrong = (x * y != lam) | ((2 * a * x * x - t) ** 2 != t * t - 4 * a * b * lam * lam)
+    return _marks(targets, n), _marks(targets[wrong], n)
+
+
+def _cols_thm53(case, rule, rng, ok, tables):
+    primes, n = rng.primes, len(rng.primes)
+    got = np.stack([tables[0].take(m * primes) * ok for m in _THM53_MULTIPLES])
+    want = np.zeros_like(got)
+    missing = np.zeros(n, dtype=bool)
+    for cls in dict.fromkeys(_THM53_CLASSES.values()):
+        (fa, fb), _, mults = cls
+        member = ok & np.isin(primes % 30, [r for r, c in _THM53_CLASSES.items() if c == cls])
+        # find_rep's witness: the representation with the smallest x >= 0
+        pos, x, _ = rng.sweep((fa, fb))
+        smallest = np.full(n, np.iinfo(np.int64).max)
+        np.minimum.at(smallest, pos, x)
+        found = member & (smallest < np.iinfo(np.int64).max)
+        missing |= member & ~found
+        want[:, found] = np.outer(mults, 4 * fa * smallest[found] ** 2 - 2 * primes[found])
+    return ok, missing | (ok & (want != got).any(axis=0))
+
+
+_COLUMNAR = {_run_square: _cols_square, _run_product: _cols_product, _run_thm53: _cols_thm53}
 
 
 def range_report(
@@ -608,23 +751,34 @@ def range_report(
     combos = {(entry,) if isinstance(entry, int) else tuple(entry) for entry in entries}
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
     cache = cache or _SHARED_CACHE
-    primes = [p for p in sieve_primes(p_max).primes() if p >= 3] if p_max >= 3 else []
-    if primes:
-        # every index rule is increasing in p, so p_max sizes each table once
-        for inst in instances:
-            for ta, tb, (u, v, w) in inst._rule.tables:
-                cache.get(ta, tb, max((u * p_max + v) // 8 + w, 1))
+    flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)
+    rng = _Range(np.flatnonzero(flags)[1:].astype(np.int64), flags)  # every prime but 2
+    # every index rule is increasing in p, so p_max sizes each table once
+    tables = [
+        [cache.get(ta, tb, max(_index(affine, p_max)[0], 1)) for ta, tb, affine in rule.tables]
+        for rule in (inst._rule for inst in instances if len(rng.primes))
+    ]
     checked = skipped = 0
+    suspects = []  # (prime position, instance position)
+    for k, (inst, held) in enumerate(zip(instances, tables)):
+        rule = inst._rule
+        ok = np.ones(len(rng.primes), dtype=bool)
+        for fails, _ in rule.hypotheses:
+            ok &= ~fails(rng.primes)
+        live, suspect = _COLUMNAR[rule.run](inst, rule, rng, ok, held)
+        checked += int(np.count_nonzero(live & ~suspect))
+        skipped += int(np.count_nonzero(~live & ~suspect))
+        suspects += [(i, k) for i in np.flatnonzero(suspect).tolist()]
+    # the scalar runner decides the rest, in the order of the one-prime loop
     falsified: list[Verdict] = []
-    for p in primes:
-        for inst in instances:
-            verdict = _evaluate(inst, p, cache)
-            if verdict.status == NOT_APPLICABLE:
-                skipped += 1
-            else:
-                checked += 1
-                if verdict.status == FALSIFIED:
-                    falsified.append(verdict)
+    for i, k in sorted(suspects):
+        verdict = _evaluate(instances[k], int(rng.primes[i]), cache)
+        if verdict.status == NOT_APPLICABLE:
+            skipped += 1
+        else:
+            checked += 1
+            if verdict.status == FALSIFIED:
+                falsified.append(verdict)
     return RangeReport(
         case_id=case_id,
         params=tuple(inst.params() for inst in instances),

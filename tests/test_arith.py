@@ -107,6 +107,14 @@ def test_sieve_flags_and_errors():
         sieve_primes(2**40)
 
 
+def test_sieve_flag_array():
+    sieve = sieve_primes(1000)
+    flags = sieve.flags()
+    assert len(flags) == 1001 and not flags.flags.writeable
+    assert [n for n in range(1001) if flags[n]] == oracle_primes(1000)
+    assert all(type(p) is int for p in sieve.primes())
+
+
 def test_is_prime_against_sieve():
     flags = sieve_primes(2000)
     for n in range(2001):

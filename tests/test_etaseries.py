@@ -109,6 +109,18 @@ def test_table_value_ranges():
         table.values(6, 2)
 
 
+def test_table_take():
+    table = lambda_table(LambdaParams(1, 1), 8)
+    got = table.take(np.array([8, 3, 3, 1]))
+    assert got.dtype == np.int64 and got.tolist() == [42, 9, 9, 1]
+    assert table.take([]).tolist() == []
+    got[0] = 0  # a copy, not a view of the read-only table
+    assert table.value(8) == 42
+    for bad in ([0, 2], [1, 9]):
+        with pytest.raises(IndexError, match=r"^table covers 1\.\.8, got index (0|9)$"):
+            table.take(bad)
+
+
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 5), (4, 6), (5, 5)])
 def test_methods_agree(a, b):
     params = LambdaParams(a, b)

@@ -4,6 +4,7 @@ rules the verification harness relies on."""
 
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from conftest import oracle_reps
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from etaquad import (
     find_rep,
     inverse,
     kronecker,
+    lattice_points,
     normalized_reps,
     reduce,
     representations,
@@ -409,3 +411,40 @@ def test_four_prime_count_on_ambiguous_classes(primes_500):
                     continue
                 count = representations(K, 4 * p).count
                 assert count in (0, 2 * w), (a, b, K, p, count)
+
+
+@given(
+    st.sampled_from([(1, 1), (1, 7), (2, 3), (3, 5), (5, 5)]),
+    st.integers(min_value=-1, max_value=2000),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=11),
+)
+@settings(max_examples=30, deadline=None)
+def test_lattice_points_equal_representations(form, t_max, mod, residue):
+    # the sweep lists exactly the non-negative representations of every kept value
+    a, b = form
+    keep = lambda t: t % mod == residue % mod
+    t, x, y = lattice_points(a, b, t_max, keep)
+    assert t.dtype == x.dtype == y.dtype == np.int64
+    assert (t == a * x * x + b * y * y).all()
+    got = sorted(zip(t.tolist(), x.tolist(), y.tolist()))
+    want = [
+        (n, x, y)
+        for n in range(1, t_max + 1)
+        if keep(n)
+        for x, y in representations(QuadForm(a, 0, b), n).pairs
+        if x >= 0 and y >= 0
+    ]
+    if t_max >= 0 and keep(0):
+        want.insert(0, (0, 0, 0))
+    assert got == want
+
+
+def test_lattice_points_order_and_errors():
+    t, x, y = lattice_points(1, 2, 12, lambda t: t % 3 == 0)
+    # ordered by y, then x
+    points = [(0, 0, 0), (9, 3, 0), (3, 1, 1), (6, 2, 1), (9, 1, 2), (12, 2, 2)]
+    assert list(zip(t.tolist(), x.tolist(), y.tolist())) == points
+    assert all(len(c) == 0 for c in lattice_points(1, 1, -1, lambda t: t >= 0))
+    with pytest.raises(ValueError, match="positive definite"):
+        lattice_points(0, 1, 10, lambda t: t >= 0)

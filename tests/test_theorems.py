@@ -2,7 +2,9 @@
 
 import pickle
 from dataclasses import replace
+from itertools import product
 
+import numpy as np
 import pytest
 from conftest import oracle_primes
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from etaquad import (
     FALSIFIED,
     HOLDS,
     NOT_APPLICABLE,
+    InternalInconsistencyError,
     LambdaParams,
     ResourceLimitError,
     QuadForm,
@@ -127,11 +130,24 @@ class _HighTable:
     def value(self, n):
         return self._table.value(n) + 1
 
+    def take(self, indices):
+        return self._table.take(indices) + 1
+
 
 class _HighCache(TableCache):
-    # the T5.3 runner reads through get(), the others through value()
+    """Hands out every table, or only the (a, b) tables named, one too high.
+
+    The T5.3 runner and every range report read through get(), the other
+    single-prime runners through value(), which calls get().
+    """
+
+    def __init__(self, shifted=None):
+        super().__init__()
+        self._shifted = shifted
+
     def get(self, a, b, min_limit):
-        return _HighTable(super().get(a, b, min_limit))
+        table = super().get(a, b, min_limit)
+        return _HighTable(table) if self._shifted is None or (a, b) in self._shifted else table
 
 
 def test_falsification_is_reported_not_raised():
@@ -232,6 +248,17 @@ def test_closed_forms_match_tables():
         assert closed_form("L35", n) == t35.value(2 * n + 1)
         assert closed_form("L115", n) == t115.value(4 * n + 1)
         assert closed_form("KF", n) == t11.value(n + 1)
+
+
+def test_lemma51_enumerates_once(monkeypatch):
+    import etaquad.closed as closed
+
+    real, seen = closed.representations, []
+    monkeypatch.setattr(closed, "representations", lambda form, m: seen.append(m) or real(form, m))
+    for n in (0, 7, 500):
+        closed_form("LEMMA51", n, 1, 3)
+    # one enumeration of 2n + 1 per value, shared by both sides
+    assert seen == [1, 15, 1001]
 
 
 @pytest.mark.parametrize("a,b", [(1, 3), (1, 7), (1, 11), (1, 15), (3, 5)])
@@ -438,3 +465,142 @@ def test_table_cache_growth_capped_at_budget(monkeypatch):
     assert cache.get(1, 7, 70).limit == 100
     with pytest.raises(ResourceLimitError, match="^table to 101 needs 808 bytes"):
         cache.get(1, 7, 101)
+
+
+# ---------------------------------------------------------------------------
+# the columnar range path against the one-prime loop of _evaluate
+
+
+def _scalar_report(case_id, p_max, grid=None, cache=None):
+    """(checked, skipped, falsified) from one _evaluate call per odd prime and
+    instance, in range_report's order."""
+    import etaquad.theorems as th
+
+    combos = [()] if grid is None else sorted({tuple(c) for c in grid})
+    instances = [make_case(case_id, *combo) for combo in combos]
+    cache = cache or TableCache()
+    checked = skipped = 0
+    falsified = []
+    for p in oracle_primes(p_max)[1:]:
+        for inst in instances:
+            v = th._evaluate(inst, p, cache)
+            skipped += v.status == NOT_APPLICABLE
+            checked += v.status != NOT_APPLICABLE
+            if v.status == FALSIFIED:
+                falsified.append(v)
+    return checked, skipped, tuple(falsified)
+
+
+def _admissible(case_id):
+    combos = []
+    for combo in product(range(1, 16), repeat=case_arity(case_id)):
+        try:
+            make_case(case_id, *combo)
+        except ValueError:
+            continue
+        combos.append(combo)
+    return combos
+
+
+_ADMISSIBLE = {c: _admissible(c) for c in case_ids() if case_arity(c)}
+
+
+@st.composite
+def _case_and_grid(draw):
+    case_id = draw(st.sampled_from(case_ids()))
+    if not case_arity(case_id):
+        return case_id, None
+    return case_id, draw(st.lists(st.sampled_from(_ADMISSIBLE[case_id]), min_size=1, max_size=2))
+
+
+@given(_case_and_grid(), st.integers(min_value=0, max_value=5000))
+@settings(max_examples=60, deadline=None)
+def test_range_report_equals_scalar_loop(case_and_grid, p_max):
+    case_id, grid = case_and_grid
+    report = range_report(case_id, p_max, grid, cache=TableCache())
+    want = _scalar_report(case_id, p_max, grid)
+    assert (report.checked, report.skipped, report.falsified) == want
+    assert type(report.checked) is int and type(report.skipped) is int
+
+
+@pytest.mark.parametrize(
+    "case_id,grid,shifted",
+    [
+        ("E1.6", None, None),
+        ("T4.1", [(1, 2)], None),
+        # with both tables one high C3.3's two sides move together and agree
+        ("C3.3", [(3, 5)], {(1, 15)}),
+        ("T5.3", None, None),
+    ],
+)
+def test_range_report_falsified_under_high_cache(case_id, grid, shifted):
+    report = range_report(case_id, 3000, grid, cache=_HighCache(shifted))
+    assert report.checked > 0 and len(report.falsified) == report.checked
+    want = _scalar_report(case_id, 3000, grid, cache=_HighCache(shifted))
+    assert (report.checked, report.skipped, report.falsified) == want
+
+
+def _shifted_point(real, at, dy=0, times=1):
+    """A sweep that lists its point of value `at` `times` times, with y + dy."""
+
+    def sweep(a, b, t_max, keep):
+        t, x, y = real(a, b, t_max, keep)
+        i = np.flatnonzero(t == at)
+        assert len(i) == 1
+        y = y.copy()
+        y[i] += dy
+        return tuple(np.append(c, [c[i[0]]] * (times - 1)) for c in (t, x, y))
+
+    return sweep
+
+
+def test_range_repeated_normalized_point_raises(monkeypatch):
+    import etaquad.theorems as th
+
+    real_reps = th.normalized_reps
+    monkeypatch.setattr(th, "normalized_reps", lambda form, t: 2 * real_reps(form, t))
+    with pytest.raises(InternalInconsistencyError) as scalar:
+        verify_product(make_case("T4.1", 1, 2), 11)
+    monkeypatch.setattr(th, "normalized_reps", real_reps)
+    monkeypatch.setattr(th, "lattice_points", _shifted_point(th.lattice_points, 11, times=2))
+    with pytest.raises(InternalInconsistencyError) as columnar:
+        range_report("T4.1", 100, [(1, 2)])
+    want = "normalized representation of 11 by [1, 0, 2] is not unique: [(-3, 1), (-3, 1)]"
+    assert str(columnar.value) == str(scalar.value) == want
+
+
+def test_range_odd_y_raises(monkeypatch):
+    import etaquad.theorems as th
+
+    # 11 = 3*1^2 + 2*2^2 is the first prime T3.3(3,2) checks
+    real_reps = th.representations
+    odd = lambda form, p: replace(real_reps(form, p), pairs=((1, 3),))
+    monkeypatch.setattr(th, "representations", odd)
+    with pytest.raises(InternalInconsistencyError) as scalar:
+        verify_construction(make_case("T3.3", 3, 2), 11)
+    monkeypatch.setattr(th, "representations", real_reps)
+    monkeypatch.setattr(th, "lattice_points", _shifted_point(th.lattice_points, 11, dy=1))
+    with pytest.raises(InternalInconsistencyError) as columnar:
+        range_report("T3.3", 100, [(3, 2)])
+    want = "odd y in a representation of p=11 for case T3.3(3,2)"
+    assert str(columnar.value) == str(scalar.value) == want
+
+
+def test_thm53_range_class_prime_missing_from_sweep(monkeypatch):
+    import etaquad.theorems as th
+
+    want = range_report("T5.3", 500)
+    no_points = lambda a, b, t_max, keep: tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    monkeypatch.setattr(th, "lattice_points", no_points)
+    # each class prime goes to the scalar runner, whose find_rep still finds it
+    assert range_report("T5.3", 500) == want
+    monkeypatch.setattr(th, "find_rep", lambda a, b, m: None)
+    report = range_report("T5.3", 500)
+    assert report.checked == want.checked
+    assert [v.p for v in report.falsified] == [
+        p for p in oracle_primes(500) if p % 30 in (1, 17, 19, 23)
+    ]
+    assert {v.reason for v in report.falsified} == {
+        "expected representation x^2 + 15y^2 missing",
+        "expected representation 3x^2 + 5y^2 missing",
+    }
