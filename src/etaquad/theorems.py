@@ -754,9 +754,10 @@ def range_report(
     flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)
     rng = _Range(np.flatnonzero(flags)[1:].astype(np.int64), flags)  # every prime but 2
     # every index rule is increasing in p, so p_max sizes each table once
+    rules = [inst._rule for inst in instances] if len(rng.primes) else []
     tables = [
         [cache.get(ta, tb, max(_index(affine, p_max)[0], 1)) for ta, tb, affine in rule.tables]
-        for rule in (inst._rule for inst in instances if len(rng.primes))
+        for rule in rules
     ]
     checked = skipped = 0
     suspects = []  # (prime position, instance position)
