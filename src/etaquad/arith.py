@@ -87,7 +87,8 @@ class SigmaTable:
 
 
 class PrimeSieve:
-    """Primality flags for 0..limit (Eratosthenes over a bytearray)."""
+    """Primality flags for 0..limit: Eratosthenes over one numpy bool array,
+    which is then frozen read-only and shared by every query."""
 
     __slots__ = ("limit", "_flags")
 
@@ -98,14 +99,14 @@ class PrimeSieve:
             raise ResourceLimitError(
                 f"sieve to {limit} needs {limit + 1} bytes, budget is {SIEVE_BUDGET_BYTES}"
             )
-        flags = bytearray(b"\x01") * (limit + 1)
-        flags[0] = flags[1] = 0
+        flags = np.ones(limit + 1, dtype=np.bool_)
+        flags[:2] = False
         for p in range(2, isqrt(limit) + 1):
             if flags[p]:
-                start = p * p
-                flags[start :: p] = b"\x00" * ((limit - start) // p + 1)
+                flags[p * p :: p] = False
+        flags.flags.writeable = False
         self.limit = limit
-        self._flags = bytes(flags)
+        self._flags = flags
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
@@ -113,14 +114,14 @@ class PrimeSieve:
         return bool(self._flags[n])
 
     def flags(self) -> np.ndarray:
-        """Read-only boolean view of the flags: entry n is true iff n is prime."""
-        return np.frombuffer(self._flags, dtype=np.bool_)
+        """The read-only boolean flags: entry n is true iff n is prime."""
+        return self._flags
 
     def primes(self) -> list[int]:
-        return np.flatnonzero(self.flags()).tolist()
+        return np.flatnonzero(self._flags).tolist()
 
     def count(self) -> int:
-        return int(np.count_nonzero(self.flags()))
+        return int(np.count_nonzero(self._flags))
 
 
 def sieve_primes(limit: int) -> PrimeSieve:

@@ -2,10 +2,15 @@
 
 Reduction to the canonical representative, enumeration of the reduced
 primitive classes of a negative discriminant, Dirichlet composition and
-class inverses, and exhaustive enumeration of the representations of an
-integer by a form, including the mod-4-normalized solutions that drive
-the product-series identities, and one sweep over the lattice points of a
-diagonal form that lists the representations of many integers at once.
+class inverses, and the representations of integers by a form.
+
+One integer's representations come from a single scan over x >= 0
+(``_scan``): ``representations`` adds the mirror (-x, -y) of each solution
+with x > 0, ``normalized_reps`` keeps the mod-4-normalized solutions that
+drive the product-series identities, and ``find_rep`` takes the first
+solution with y >= 0.  ``lattice_points`` is one numpy sweep over the
+lattice points of a diagonal form that lists the representations of many
+integers at once.
 
 Value semantics throughout: forms, class groups and representation sets
 are immutable once built.
@@ -219,30 +224,38 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return reduce(QuadForm(big_a, big_b, num // (4 * big_a)))
 
 
-def representations(form: QuadForm, n: int) -> RepSet:
-    """Every integer pair (x, y) with form(x, y) = n.
+def _scan(form: QuadForm, n: int):
+    """Every (x, y) with x >= 0 and form(x, y) = n, in ascending x, then y.
 
-    Positive definiteness bounds the search box by
-    x^2 <= 4cn/|d| and y^2 <= 4an/|d|; x is scanned exhaustively and y
-    recovered from the integer quadratic formula.
+    The one search behind `representations` and `find_rep`: positive
+    definiteness bounds x^2 <= 4cn/|d|, and each x's y are recovered from
+    the integer quadratic formula.
     """
-    _require_positive_definite(form)
-    if n < 1:
-        raise ValueError(f"representations needs n >= 1, got {n}")
-    a, b, c = form.a, form.b, form.c
+    b, c = form.b, form.c
     d = form.discriminant()
-    pairs: list[tuple[int, int]] = []
-    xmax = isqrt(4 * c * n // -d)
-    for x in range(-xmax, xmax + 1):
+    for x in range(isqrt(4 * c * n // -d) + 1):
         # c*y^2 + b*x*y + (a*x^2 - n) = 0 over y
         disc_y = d * x * x + 4 * c * n
         s = isqrt(disc_y)
         if s * s != disc_y:
             continue
-        for root in {s, -s}:
+        for root in sorted({-s, s}):
             num = -b * x + root
             if num % (2 * c) == 0:
-                pairs.append((x, num // (2 * c)))
+                yield x, num // (2 * c)
+
+
+def representations(form: QuadForm, n: int) -> RepSet:
+    """Every integer pair (x, y) with form(x, y) = n.
+
+    The solutions with x >= 0 come from `_scan`; those with x < 0 are the
+    mirrors (-x, -y) of the ones with x > 0.
+    """
+    _require_positive_definite(form)
+    if n < 1:
+        raise ValueError(f"representations needs n >= 1, got {n}")
+    pairs = list(_scan(form, n))
+    pairs += [(-x, -y) for x, y in pairs if x > 0]
     return RepSet(form, n, tuple(sorted(pairs)))
 
 
@@ -264,16 +277,7 @@ def find_rep(a: int, b: int, m: int) -> tuple[int, int] | None:
     """
     if a < 1 or b < 1 or m < 1:
         raise ValueError(f"find_rep needs positive arguments, got ({a}, {b}, {m})")
-    x = 0
-    while a * x * x <= m:
-        rem = m - a * x * x
-        if rem % b == 0:
-            t = rem // b
-            y = isqrt(t)
-            if y * y == t:
-                return (x, y)
-        x += 1
-    return None
+    return next(((x, y) for x, y in _scan(QuadForm(a, 0, b), m) if y >= 0), None)
 
 
 def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -179,6 +179,18 @@ def _sign(e):
     return 1 - 2 * (e % 2)
 
 
+def _square_lhs(fa, x, p):
+    """4*fa*x^2 - 2p, the unsigned left side of the square identities, for
+    ints or int64 arrays x and p."""
+    return 4 * fa * x * x - 2 * p
+
+
+def _product_checks(a, b, x, y, t, lam):
+    """Whether x*y = L and whether (2a*x^2 - t)^2 = t^2 - 4ab*L^2 recovers the
+    square, for ints or int64 arrays."""
+    return x * y == lam, (2 * a * x * x - t) ** 2 == t * t - 4 * a * b * lam * lam
+
+
 def _na(case, p, reason) -> Verdict:
     return Verdict(NOT_APPLICABLE, case, p, reason=reason)
 
@@ -238,7 +250,7 @@ def _run_square(case, p, cache, rule):
         return _decide(case, p, reps, indices[0], {values[0]}, values[1])
     if rule.even_y:
         _require_even_y(reps, case, p)
-    lhs_values = {_sign(rule.sign(x, y)) * (4 * fa * x * x - 2 * p) for x, y in reps}
+    lhs_values = {_sign(rule.sign(x, y)) * _square_lhs(fa, x, p) for x, y in reps}
     return _decide(case, p, reps, indices[0], lhs_values, values[0])
 
 
@@ -255,12 +267,10 @@ def _run_product(case, p, cache, rule):
     _require_unique(norm, t, a, b)
     x, y = norm[0]
     lam = cache.value(ta, tb, index)
-    lhs = x * y
-    quad_ok = (2 * a * x * x - t) ** 2 == t * t - 4 * a * b * lam * lam
-    if lhs == lam and quad_ok:
-        return Verdict(HOLDS, case, p, witness=(x, y), index=index, lhs=lhs, rhs=lam)
-    reason = None if lhs != lam else "square recovery identity failed"
-    return Verdict(FALSIFIED, case, p, witness=(x, y), index=index, lhs=lhs, rhs=lam, reason=reason)
+    lhs_ok, quad_ok = _product_checks(a, b, x, y, t, lam)
+    status = HOLDS if lhs_ok and quad_ok else FALSIFIED
+    reason = "square recovery identity failed" if lhs_ok and not quad_ok else None
+    return Verdict(status, case, p, witness=(x, y), index=index, lhs=x * y, rhs=lam, reason=reason)
 
 
 # T5.3's residue classes of p mod 30: the form p = fa*x^2 + fb*y^2, its label,
@@ -283,7 +293,7 @@ def _run_thm53(case, p, cache, rule):
         if witness is None:
             reason = f"expected representation {label} missing"
             return Verdict(FALSIFIED, case, p, index=p, reason=reason)
-        expected = tuple(k * (4 * fa * witness[0] ** 2 - 2 * p) for k in mults)
+        expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
     details = tuple(
         (m * p, want, table.value(m * p)) for m, want in zip(_THM53_MULTIPLES, expected)
     )
@@ -676,7 +686,7 @@ def _cols_square(case, rule, rng, ok, tables):
         for i in np.unique(pos[y % 2 == 1])[:1]:
             _require_even_y(_points_of(i, pos, x, y), case, int(primes[i]))
     # the left side at each point, over its four sign variants
-    base = 4 * rule.form[0] * x * x - 2 * primes[pos]
+    base = _square_lhs(rule.form[0], x, primes[pos])
     lhs = np.stack([_sign(rule.sign(sx * x, sy * y)) * base for sx in (1, -1) for sy in (1, -1)])
     low, high = np.full(n, np.iinfo(np.int64).max), np.full(n, np.iinfo(np.int64).min)
     np.minimum.at(low, pos, lhs.min(axis=0))
@@ -699,8 +709,8 @@ def _cols_product(case, rule, rng, ok, tables):
     for i in targets[hits > 1][:1]:
         _require_unique(sorted(_points_of(i, pos, x, y)), m * int(primes[i]), a, b)
     t, lam, x, y = m * primes[targets], tables[0].take(index[targets]), x[first], y[first]
-    wrong = (x * y != lam) | ((2 * a * x * x - t) ** 2 != t * t - 4 * a * b * lam * lam)
-    return _marks(targets, n), _marks(targets[wrong], n)
+    lhs_ok, quad_ok = _product_checks(a, b, x, y, t, lam)
+    return _marks(targets, n), _marks(targets[~(lhs_ok & quad_ok)], n)
 
 
 def _cols_thm53(case, rule, rng, ok, tables):
@@ -717,7 +727,7 @@ def _cols_thm53(case, rule, rng, ok, tables):
         np.minimum.at(smallest, pos, x)
         found = member & (smallest < np.iinfo(np.int64).max)
         missing |= member & ~found
-        want[:, found] = np.outer(mults, 4 * fa * smallest[found] ** 2 - 2 * primes[found])
+        want[:, found] = np.outer(mults, _square_lhs(fa, smallest[found], primes[found]))
     return ok, missing | (ok & (want != got).any(axis=0))
 
 

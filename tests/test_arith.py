@@ -1,6 +1,7 @@
 """Divisor sums, sieves, residue symbols, and the two classical
 single-prime constructions."""
 
+import tracemalloc
 from math import comb, gcd, isqrt
 
 import pytest
@@ -113,6 +114,18 @@ def test_sieve_flag_array():
     assert len(flags) == 1001 and not flags.flags.writeable
     assert [n for n in range(1001) if flags[n]] == oracle_primes(1000)
     assert all(type(p) is int for p in sieve.primes())
+
+
+def test_sieve_holds_one_flag_array():
+    # one byte per flag, sieved in place: 10 MB at 1e7, with no second copy
+    tracemalloc.start()
+    try:
+        sieve = sieve_primes(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12.5e6
+    assert sieve.count() == 664579 and sieve.flags() is sieve.flags()
 
 
 def test_is_prime_against_sieve():

@@ -206,11 +206,9 @@ def test_representation_counts_printed():
 
 
 def test_representations_match_box_scan():
-    for form in (QuadForm(1, 0, 3), QuadForm(2, 1, 3), QuadForm(3, 2, 3), QuadForm(2, 2, 11)):
+    for a, b, c in ((1, 0, 3), (2, 1, 3), (3, 2, 3), (2, 2, 11), (2, 2, 3)):
         for n in range(1, 120):
-            assert list(representations(form, n).pairs) == oracle_reps(
-                form.a, form.b, form.c, n
-            )
+            assert list(representations(QuadForm(a, b, c), n).pairs) == oracle_reps(a, b, c, n)
 
 
 def test_representations_validation():
@@ -249,14 +247,15 @@ def test_find_rep_examples():
 
 
 def test_find_rep_finds_iff_representable():
-    for m in range(1, 400):
-        got = find_rep(2, 3, m)
-        brute = [(x, y) for x, y in oracle_reps(2, 0, 3, m) if x >= 0 and y >= 0]
-        if brute:
-            assert got is not None and got in brute
-            assert got[0] == min(x for x, _ in brute)
-        else:
-            assert got is None
+    for a, b in ((2, 3), (1, 1), (1, 7), (3, 5), (1, 15)):
+        for m in range(1, 400):
+            got = find_rep(a, b, m)
+            brute = [(x, y) for x, y in oracle_reps(a, 0, b, m) if x >= 0 and y >= 0]
+            if brute:
+                assert got is not None and got in brute
+                assert got[0] == min(x for x, _ in brute)
+            else:
+                assert got is None
 
 
 # --- multiplicative counting rules used by the harness ---------------------
