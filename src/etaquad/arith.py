@@ -51,39 +51,22 @@ def weighted_sigma(a: int, b: int, n: int) -> int:
     return a * sigma_scaled(n, a) + b * sigma_scaled(n, b)
 
 
-class SigmaTable:
-    """Divisor sums sigma(1..limit), built by an O(N log N) summing sieve.
+def divisor_sums(limit: int) -> np.ndarray:
+    """sigma(0..limit) as one read-only int64 array, with sigma(0) = 0.
 
-    Shared read-only by the power-series recurrence, which consumes
-    sigma(k) for every k up to its truncation order.
+    A divisor-pair sieve: each d <= isqrt(limit) adds d + q at n = d*q for
+    every q >= d, and the square n = d^2 then gives back the d it counted
+    twice.  That is isqrt(limit) numpy steps, not one per d <= limit.
     """
-
-    __slots__ = ("limit", "_values")
-
-    def __init__(self, limit: int):
-        if limit < 1:
-            raise ValueError(f"SigmaTable limit must be >= 1, got {limit}")
-        self.limit = limit
-        values = [0] * (limit + 1)
-        for d in range(1, limit + 1):
-            for m in range(d, limit + 1, d):
-                values[m] += d
-        self._values = values
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"sigma table covers 1..{self.limit}, got {n}")
-        return self._values[n]
-
-    def scaled(self, n: int, d: int) -> int:
-        """sigma(n/d) if d | n else 0, read from the table."""
-        if n % d:
-            return 0
-        return self[n // d]
-
-    def weighted(self, a: int, b: int, n: int) -> int:
-        """a*sigma(n/a) + b*sigma(n/b), read from the table."""
-        return a * self.scaled(n, a) + b * self.scaled(n, b)
+    if limit < 0:
+        raise ValueError(f"divisor_sums limit must be >= 0, got {limit}")
+    values = np.zeros(limit + 1, dtype=np.int64)
+    for d in range(1, isqrt(limit) + 1):
+        q = np.arange(d, limit // d + 1, dtype=np.int64)
+        values[d * q] += d + q
+        values[d * d] -= d
+    values.flags.writeable = False
+    return values
 
 
 class PrimeSieve:

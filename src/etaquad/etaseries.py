@@ -32,7 +32,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import SigmaTable, weighted_sigma
+from .arith import divisor_sums, weighted_sigma
 from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError
 from .quadform import QuadForm, normalized_reps
 
@@ -140,11 +140,13 @@ def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
             f"sparse partial sums to {limit} for {params} may leave int64"
         )
     vals = np.zeros(limit, dtype=np.int64)
+    # a multiplier >= limit meets only k = 0, whose exponent is 0 at any
+    # scale, so min() keeps a multiplier past int64 out of the arrays
     tri_b, coef = _jacobi_arrays((limit - 1) // b)
-    btri = b * tri_b
+    btri = min(b, limit) * tri_b
     m_hi = len(btri)
     tri_a, coef_a = _jacobi_arrays((limit - 1) // a)
-    for base, ck in zip((a * tri_a).tolist(), coef_a.tolist()):
+    for base, ck in zip((min(a, limit) * tri_a).tolist(), coef_a.tolist()):
         rem = limit - 1 - base
         while m_hi > 0 and btri[m_hi - 1] > rem:
             m_hi -= 1
@@ -153,36 +155,35 @@ def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
     return vals
 
 
-def _table_newton(params: LambdaParams, limit: int) -> list[int]:
+def _table_newton(params: LambdaParams, limit: int) -> np.ndarray:
     """Recurrence: n*L[n] = -3 * (c_n + sum_{k<n} c_k L[n-k]), L[0] = 1,
     where c_k = a*sigma(k/a) + b*sigma(k/b) and L[i] is the coefficient
     of q^(i+1).  The division by n must be exact at every step."""
     a, b = params.a, params.b
-    sig = SigmaTable(limit)
-    c = [0] + [sig.weighted(a, b, k) for k in range(1, limit)]
-    c64 = np.array(c, dtype=np.int64)
-    csum = sum(c)
-    vals = [1] + [0] * (limit - 1)
-    vals64 = np.zeros(limit, dtype=np.int64)
-    vals64[0] = 1
+    sig = divisor_sums(limit - 1)
+    c = np.zeros(limit, dtype=np.int64)
+    # as in _table_sparse, a multiplier >= limit meets only k = 0 (sigma(0) = 0)
+    for m in (min(a, limit), min(b, limit)):
+        c[::m] += m * sig[: (limit - 1) // m + 1]
+    # c_k <= 2*sigma(k), so within the table budget this sum stays far below 2^62
+    csum = int(c.sum())
+    vals = np.zeros(limit, dtype=np.int64)
+    vals[0] = 1
     max_abs = 1
     for n in range(1, limit):
         # while csum * max|L| fits int64, so does every partial sum of the
         # inner sum, and so does q: |q| <= 3 * csum * max|L| / n for n >= 2
         # and q = -3 * c_1 at n = 1, so q needs no check of its own
-        fast = csum * max_abs <= _INT64_SAFE
-        if fast:
-            inner = int(np.dot(c64[1:n], vals64[n - 1 : 0 : -1]))
+        if csum * max_abs <= _INT64_SAFE:
+            inner = int(np.dot(c[1:n], vals[n - 1 : 0 : -1]))
         else:
-            inner = sum(map(mul, c[1:n], vals[n - 1 : 0 : -1]))
-        q, r = divmod(-3 * (c[n] + inner), n)
+            inner = sum(map(mul, c[1:n].tolist(), vals[n - 1 : 0 : -1].tolist()))
+        q, r = divmod(-3 * (int(c[n]) + inner), n)
         if r:
             raise InternalInconsistencyError(
                 f"recurrence division inexact at n={n} for (a, b)=({a}, {b})"
             )
-        vals[n] = q
-        if fast:
-            vals64[n] = q
+        vals[n] = q  # numpy raises OverflowError on a q outside int64
         max_abs = max(max_abs, abs(q))
     return vals
 

@@ -4,6 +4,7 @@ single-prime constructions."""
 import tracemalloc
 from math import comb, gcd, isqrt
 
+import numpy as np
 import pytest
 from conftest import coprime_pairs, oracle_primes, oracle_sigma
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from etaquad import (
     ResourceLimitError,
-    SigmaTable,
+    divisor_sums,
     gauss_doubling,
     is_prime,
     jacobsthal,
@@ -62,24 +63,21 @@ def test_weighted_sigma_rejects_zero():
 
 
 def test_sigma_table_basics():
-    table = SigmaTable(2000)
-    assert table[1] == 1
+    table = divisor_sums(2000)
+    assert table.dtype == np.int64 and not table.flags.writeable
+    assert len(table) == 2001 and table[0] == 0 and table[1] == 1
     for p in oracle_primes(2000):
         assert table[p] == p + 1
     for n in range(1, 2001):
         assert table[n] == sigma(n)
-    assert table.scaled(6, 3) == 3
-    assert table.scaled(5, 3) == 0
-    assert table.weighted(1, 5, 5) == 11
-    with pytest.raises(IndexError):
-        table[2001]
+    assert divisor_sums(0).tolist() == [0]
     with pytest.raises(ValueError):
-        SigmaTable(0)
+        divisor_sums(-1)
 
 
 def test_sigma_multiplicative_on_coprime_pairs():
     bound = 10**4
-    table = SigmaTable(bound)
+    table = divisor_sums(bound).tolist()
     for m, n in coprime_pairs(100):
         if m * n <= bound:
             assert table[m * n] == table[m] * table[n]

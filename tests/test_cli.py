@@ -121,6 +121,14 @@ def test_lambda_dump_chunk_boundaries(capsys, monkeypatch):
             assert capsys.readouterr().out == want
 
 
+def test_lambda_multiplier_past_int64(capsys):
+    # a multiplier past int64 meets only its k = 0 term, on every route
+    for method in ("sparse", "newton", "naive", "multinomial"):
+        argv = ["lambda", "--a", str(10**20), "--b", "1", "--n-max", "5", "--method", method]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "1\t1\n2\t-3\n3\t0\n4\t5\n5\t0\n"
+
+
 def test_lambda_flag_errors(capsys):
     assert main(["lambda", "--a", "0", "--b", "1", "--n-max", "1"]) == 2
     assert main(["lambda", "--a", "1", "--b", "1", "--n-max", "0"]) == 2

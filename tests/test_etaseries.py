@@ -80,6 +80,7 @@ def test_table_value_indexing():
     table = lambda_table(LambdaParams(1, 3), 8)
     assert table.value(1) == 1 and table.value(7) == -22
     assert len(table) == 8
+    assert repr(table) == "CoeffTable(a=1, b=3, limit=8, method='sparse')"
     with pytest.raises(IndexError):
         table.value(0)
     with pytest.raises(IndexError):
@@ -131,6 +132,17 @@ def test_methods_agree(a, b):
         assert lambda_from_reps(params, n) == want[n]
 
 
+@pytest.mark.parametrize("a,b", [(2**70, 1), (1, 2**70)], ids=["a", "b"])
+def test_multiplier_past_int64(a, b):
+    # a multiplier >= limit meets only k = 0, so no route may put it in int64;
+    # the limit stays small so that the partition sums stay cheap
+    params = LambdaParams(a, b)
+    for limit in (1, 2, 12):
+        want = oracle_product_table(a, b, limit)
+        for method in METHODS:
+            assert lambda_table(params, limit, method).values() == want
+
+
 def test_table_budget_checked_before_any_method():
     over = TABLE_BUDGET_BYTES // 8 + 1
     for method in METHODS:
@@ -164,6 +176,8 @@ def test_partition_terms_counts():
         assert len(terms) == count
         for term in terms:
             assert sum((i + 1) * k for i, k in enumerate(term.multiplicities)) == n
+    with pytest.raises(ValueError):
+        partition_terms(-1)
 
 
 def test_multinomial_examples():
@@ -213,6 +227,8 @@ def test_from_reps_examples():
     assert lambda_from_reps(LambdaParams(1, 3), 3) == 2
     assert lambda_from_reps(LambdaParams(1, 1), 0) == 1
     assert lambda_from_reps(LambdaParams(1, 7), 0) == 1
+    with pytest.raises(ValueError):
+        lambda_from_reps(LambdaParams(1, 7), -1)
 
 
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=8))

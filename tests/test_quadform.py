@@ -31,6 +31,10 @@ def test_reduce_examples():
     assert reduce(QuadForm(1, 0, 3)) == QuadForm(1, 0, 3)
     assert reduce(QuadForm(3, 2, 3)) == QuadForm(3, 2, 3)
     assert reduce(QuadForm(5, 6, 2)) == QuadForm(1, 0, 1)
+    # |b| <= a <= c fails; then the boundary cases |b| = a and a = c need b >= 0
+    assert not QuadForm(2, 3, 5).is_reduced()
+    assert not QuadForm(3, -1, 3).is_reduced()
+    assert QuadForm(3, 1, 3).is_reduced()
 
 
 def test_reduce_rejects_bad_forms():
@@ -190,6 +194,8 @@ def test_inverse_examples():
     g = inverse(f)
     assert g == QuadForm(2, -1, 3)
     assert compose(f, g) == class_group(-23).principal()
+    with pytest.raises(ValueError, match="not primitive"):
+        inverse(QuadForm(2, 2, 2))
 
 
 def test_representation_counts_printed():

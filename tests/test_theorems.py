@@ -540,6 +540,31 @@ def test_range_report_falsified_under_high_cache(case_id, grid, shifted):
     assert (report.checked, report.skipped, report.falsified) == want
 
 
+def test_range_fallback_counts_as_scalar_loop(monkeypatch):
+    import etaquad.theorems as th
+
+    def all_suspect(cols):
+        # the sweep's own live mask, but every prime left to the scalar runner
+        def run(*args):
+            live, _ = cols(*args)
+            return live, np.ones(len(live), dtype=bool)
+
+        return run
+
+    monkeypatch.setattr(th, "_COLUMNAR", {run: all_suspect(c) for run, c in th._COLUMNAR.items()})
+    for case_id, grid in [
+        ("E1.6", None),
+        ("T3.1", [(1, 3), (3, 5)]),
+        ("C3.3", [(3, 5)]),
+        ("T4.3", [(1, 11)]),
+        ("T5.3", None),
+    ]:
+        report = range_report(case_id, 3000, grid, cache=TableCache())
+        assert report.skipped > 0
+        want = _scalar_report(case_id, 3000, grid)
+        assert (report.checked, report.skipped, report.falsified) == want
+
+
 def _shifted_point(real, at, dy=0, times=1):
     """A sweep that lists its point of value `at` `times` times, with y + dy."""
 
