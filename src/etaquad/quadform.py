@@ -5,12 +5,14 @@ primitive classes of a negative discriminant, Dirichlet composition and
 class inverses, and the representations of integers by a form.
 
 One integer's representations come from a single scan over x >= 0
-(``_scan``): ``representations`` adds the mirror (-x, -y) of each solution
-with x > 0, ``normalized_reps`` keeps the mod-4-normalized solutions that
-drive the product-series identities, and ``find_rep`` takes the first
-solution with y >= 0.  ``lattice_points`` is one numpy sweep over the
-lattice points of a diagonal form that lists the representations of many
-integers at once.
+(``_scan``): a numpy residue filter modulo a few small moduli drops most
+x in chunks, and only the survivors pay the exact ``isqrt`` in Python
+ints, lazily and in ascending x.  ``representations`` adds the mirror
+(-x, -y) of each solution with x > 0, ``normalized_reps`` keeps the
+mod-4-normalized solutions that drive the product-series identities, and
+``find_rep`` takes the first solution with y >= 0.  ``lattice_points`` is
+one numpy sweep over the lattice points of a diagonal form that lists the
+representations of many integers at once.
 
 Value semantics throughout: forms, class groups and representation sets
 are immutable once built.
@@ -224,25 +226,55 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return reduce(QuadForm(big_a, big_b, num // (4 * big_a)))
 
 
+def _square_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The table u*r^2 mod m over (u, r), and the table over (k, v) of
+    whether v + k is a square mod m."""
+    r = np.arange(m)
+    return np.outer(r, r * r) % m, np.isin(np.add.outer(r, r) % m, r * r % m)
+
+
+# the residue filter of `_scan`: a few pairwise coprime moduli and their tables
+_FILTER = [(m, *_square_tables(m)) for m in (64, 63, 65, 11)]
+_SCAN_CHUNK = (1 << 10, 1 << 16)  # first and largest chunk of x in `_scan`
+
+
 def _scan(form: QuadForm, n: int):
     """Every (x, y) with x >= 0 and form(x, y) = n, in ascending x, then y.
 
     The one search behind `representations` and `find_rep`: positive
-    definiteness bounds x^2 <= 4cn/|d|, and each x's y are recovered from
-    the integer quadratic formula.
+    definiteness bounds x^2 <= 4cn/|d|, and each x's y are the roots of
+    c*y^2 + b*x*y + (a*x^2 - n) = 0, whose discriminant d*x^2 + 4cn must be
+    a square.  A residue filter drops most x first: for each modulus m of
+    `_FILTER`, a boolean mask over x mod m marks where d*x^2 + 4cn is a
+    square mod m.  x is walked in chunks, from 2^10 doubling to 2^16, so an
+    early exit stays cheap and memory stays one chunk; each chunk ANDs the
+    masks from its start, and only the x that survive pay the exact `isqrt`
+    and root recovery, in Python ints.  Offsets within a chunk are small,
+    so nothing needs to fit int64.
     """
     b, c = form.b, form.c
-    d = form.discriminant()
-    for x in range(isqrt(4 * c * n // -d) + 1):
-        # c*y^2 + b*x*y + (a*x^2 - n) = 0 over y
-        disc_y = d * x * x + 4 * c * n
-        s = isqrt(disc_y)
-        if s * s != disc_y:
-            continue
-        for root in sorted({-s, s}):
-            num = -b * x + root
-            if num % (2 * c) == 0:
-                yield x, num // (2 * c)
+    d, k = form.discriminant(), 4 * c * n
+    x_end = isqrt(k // -d) + 1
+    # each mask repeated over one largest chunk plus one period, sliced per chunk
+    span = min(x_end, _SCAN_CHUNK[1])
+    masks = []
+    for m, scaled, is_square_plus in _FILTER:
+        mask = is_square_plus[k % m][scaled[d % m]]
+        masks.append((m, mask.reshape(1, m).repeat(span // m + 2, 0).ravel()))
+    lo, size = 0, _SCAN_CHUNK[0]
+    while lo < x_end:
+        length = min(size, x_end - lo)
+        keep = np.logical_and.reduce([mask[lo % m : lo % m + length] for m, mask in masks])
+        for x in (lo + off for off in keep.nonzero()[0].tolist()):
+            disc_y = d * x * x + k
+            s = isqrt(disc_y)
+            if s * s != disc_y:
+                continue
+            for root in sorted({-s, s}):
+                num = -b * x + root
+                if num % (2 * c) == 0:
+                    yield x, num // (2 * c)
+        lo, size = lo + length, min(2 * size, _SCAN_CHUNK[1])
 
 
 def representations(form: QuadForm, n: int) -> RepSet:

@@ -345,7 +345,17 @@ def _equals(value, name):
 
 
 def _divides(value, name):
-    return (lambda p: value % p == 0, f"p divides {name}")
+    """p divides value.  value is read in 31-bit limbs from the top, so a prime
+    array (below 2^28 by the sieve budget) never meets a value past int64."""
+    limbs = [value >> shift & 2**31 - 1 for shift in range(value.bit_length() // 31 * 31, -1, -31)]
+
+    def fails(p):
+        rest = 0
+        for limb in limbs:
+            rest = (rest * 2**31 + limb) % p
+        return rest == 0
+
+    return (fails, f"p divides {name}")
 
 
 _ONE_MOD_8 = _residue(8, (1,), "1 (mod 8)")
@@ -414,7 +424,8 @@ def _congruent(m, a, b):
     """T4.1 (m = 1) and T4.2 (m = 2): m*p = a + b (mod 8) with m*p >= a + b."""
     t = "p" if m == 1 else f"{m}p"
     reason = f"{t} is not a+b (mod 8) with {t} >= a+b"
-    return (lambda p: (m * p < a + b) | ((m * p - a - b) % 8 != 0), reason)
+    # a + b is reduced mod 8 before it meets p, so a multiplier past int64 works
+    return (lambda p: (m * p < a + b) | ((m * p - (a + b) % 8) % 8 != 0), reason)
 
 
 def _evaluate(case: ConstructionCase, p: int, cache: TableCache) -> Verdict:
@@ -699,6 +710,10 @@ def _cols_product(case, rule, rng, ok, tables):
     ((_, _, affine),) = rule.tables
     m = affine[0]  # t = 8(index - 1) + a + b = m*p
     primes, n = rng.primes, len(rng.primes)
+    if m * int(primes[-1]) < a + b:
+        # odd x and y give t >= a + b, so no prime of the range has a point
+        # (and a + b, past every t, need not fit int64)
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     index = rng.index(affine, ok)  # the scalar runner checks it before any representation
     pos, x, y = rng.sweep(rule.form, m)
     keep = ok[pos] & (x % 2 == 1) & (y % 2 == 1)

@@ -63,6 +63,25 @@ def oracle_reps(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def oracle_scan(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
+    """Every (x, y) with x >= 0 and a*x^2 + b*x*y + c*y^2 = n, in ascending x,
+    then y: one isqrt per x up to the positive-definiteness bound, with no
+    filter before it."""
+    d = b * b - 4 * a * c
+    assert d < 0 and a > 0
+    out = []
+    for x in range(isqrt(4 * c * n // -d) + 1):
+        disc_y = d * x * x + 4 * c * n
+        s = isqrt(disc_y)
+        if s * s != disc_y:
+            continue
+        for root in sorted({-s, s}):
+            num = -b * x + root
+            if num % (2 * c) == 0:
+                out.append((x, num // (2 * c)))
+    return out
+
+
 def coprime_pairs(limit: int):
     for m in range(1, limit + 1):
         for n in range(1, limit + 1):

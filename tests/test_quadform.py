@@ -6,7 +6,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from conftest import oracle_reps
+from conftest import oracle_reps, oracle_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +23,7 @@ from etaquad import (
     reduce,
     representations,
 )
+from etaquad.quadform import _SCAN_CHUNK, _scan
 
 GROUP_DISCS = [-12, -20, -23, -24, -28, -40, -52, -60, -84]
 
@@ -215,6 +216,51 @@ def test_representations_match_box_scan():
     for a, b, c in ((1, 0, 3), (2, 1, 3), (3, 2, 3), (2, 2, 11), (2, 2, 3)):
         for n in range(1, 120):
             assert list(representations(QuadForm(a, b, c), n).pairs) == oracle_reps(a, b, c, n)
+
+
+def _with_mirrors(scan):
+    return tuple(sorted(scan + [(-x, -y) for x, y in scan if x > 0]))
+
+
+@st.composite
+def _form_and_point(draw):
+    """A positive definite form, some with a coefficient past int64, and a
+    point (x0, y0) with x0 past the second chunk of the scan."""
+    coeff = st.one_of(st.integers(1, 40), st.integers(2**63, 2**70))
+    a, c = draw(coeff), draw(coeff)
+    b = draw(st.integers(-min(a, c), min(a, c)))  # b^2 <= ac < 4ac
+    first = _SCAN_CHUNK[0]
+    x0 = draw(st.integers(3 * first, 8 * first))
+    # c*y0^2 <= a*x0^2, so the scan stays below about 2*x0
+    bound = isqrt(a * x0 * x0 // c)
+    y0 = draw(st.integers(-bound, bound))
+    return QuadForm(a, b, c), a * x0 * x0 + b * x0 * y0 + c * y0 * y0, (x0, y0)
+
+
+@given(_form_and_point())
+@settings(max_examples=40, deadline=None)
+def test_scan_matches_unfiltered_loop(case):
+    form, n, point = case
+    want = oracle_scan(form.a, form.b, form.c, n)
+    assert point in want
+    assert list(_scan(form, n)) == want
+    assert representations(form, n).pairs == _with_mirrors(want)
+
+
+def test_scan_solutions_at_chunk_boundaries():
+    first = _SCAN_CHUNK[0]
+    # the first two chunks end at x = first and x = 3 * first
+    for x0 in (first - 1, first, first + 1, 3 * first - 1, 3 * first, 3 * first + 1):
+        for a, b, c in ((1, 0, 2), (2, 1, 3)):
+            n = a * x0 * x0 + b * x0 * 5 + c * 25
+            want = oracle_scan(a, b, c, n)
+            assert (x0, 5) in want
+            assert representations(QuadForm(a, b, c), n).pairs == _with_mirrors(want)
+
+
+def test_find_rep_stops_at_first_solution():
+    # the scan would run to x = 10**20; the first x that solves is 1
+    assert find_rep(1, 1, 10**40 + 1) == (1, 10**20)
 
 
 def test_representations_validation():

@@ -565,6 +565,28 @@ def test_range_fallback_counts_as_scalar_loop(monkeypatch):
         assert (report.checked, report.skipped, report.falsified) == want
 
 
+@pytest.mark.parametrize(
+    "case_id,a,b",
+    [
+        ("T4.1", 10**20 + 1, 1),
+        ("T4.2", 10**20 + 1, 1),
+        ("T4.3", 10**20 + 1, 3),
+        ("T4.3", 1, 10**20 + 3),
+    ],
+)
+def test_range_multiplier_past_int64(case_id, a, b, capsys):
+    from etaquad.cli import main
+
+    # the hypothesis masks and the product sweep meet a + b and a*b past int64
+    argv = ["verify", "--case", case_id, "--a", str(a), "--b", str(b), "--p-max", "100"]
+    assert main(argv) == 0
+    report = range_report(case_id, 100, [(a, b)], cache=TableCache())
+    want = _scalar_report(case_id, 100, [(a, b)])
+    assert (report.checked, report.skipped, report.falsified) == want
+    out = capsys.readouterr().out
+    assert f"checked\t{report.checked}\nskipped\t{report.skipped}\nfalsified\t0\n" in out
+
+
 def _shifted_point(real, at, dy=0, times=1):
     """A sweep that lists its point of value `at` `times` times, with y + dy."""
 
