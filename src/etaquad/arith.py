@@ -112,15 +112,56 @@ def sieve_primes(limit: int) -> PrimeSieve:
     return PrimeSieve(limit)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# (bound, bases): every odd composite n < bound fails the strong-probable-prime
+# test to one of the bases (Pomerance-Selfridge-Wagstaff, Jaeschke, Jiang-Deng,
+# Sorenson-Webster)
+_MR_BASES = (
+    (25_326_001, _SMALL_PRIMES[:3]),
+    (3_215_031_751, _SMALL_PRIMES[:4]),
+    (341_550_071_728_321, _SMALL_PRIMES[:7]),
+    (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]),
+    (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),
+    (3_317_044_064_679_887_385_961_981, _SMALL_PRIMES[:13]),
+)
+
+
+def _strong_probable_prime(n: int, base: int) -> bool:
+    """Whether odd n > base passes the strong-probable-prime test to base."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; adequate at the scales used here."""
-    if n < 2:
+    """Exact primality for every n.
+
+    Division by the primes to 47 first, then the strong-probable-prime test
+    to the bases that _MR_BASES proves enough below n's bound.  Past the
+    last bound (3.3e24) a probable prime is confirmed by trial division.
+    """
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 53 * 53:
+        return n > 1
+    for bound, bases in _MR_BASES:
+        if n < bound:
+            break
+    if not all(_strong_probable_prime(n, base) for base in bases):
         return False
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    f = 5
+    if n < bound:
+        return True
+    f = 53
     while f * f <= n:
         if n % f == 0 or n % (f + 2) == 0:
             return False

@@ -13,6 +13,11 @@ Four independent routes to the same table, the METHODS of lambda_table:
                   partitions of n; a verification target, not a production
                   path, capped at DEFAULT_PARTITION_CAP + 1 entries.
 
+Single coefficients need no table: ``lambda_at`` reads them off the
+lattice points of a*x^2 + b*y^2 in O(sqrt(n)) numpy work per index, and
+``lambda_from_reps`` is its one-index oracle through the representation
+search.
+
 Every table is one read-only int64 array of exact integers; a value
 outside int64 raises OverflowError instead of wrapping.  Every table
 must fit TABLE_BUDGET_BYTES (8 bytes per entry), checked before it is
@@ -37,6 +42,10 @@ from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimit
 from .quadform import QuadForm, normalized_reps
 
 _INT64_SAFE = (1 << 62) - 1
+
+# lambda_at scans in float64, exact for values below this
+EXACT_FLOAT_CEILING = 1 << 52
+_KERNEL_CELLS = 1 << 16  # scan values times indices per chunk of lambda_at
 
 # Table memory budget: eight bytes per coefficient up to `limit`.
 TABLE_BUDGET_BYTES = 1 << 31
@@ -304,6 +313,54 @@ def lambda_multinomial(params: LambdaParams, n: int, cap: int = DEFAULT_PARTITIO
     if total.denominator != 1:
         raise InternalInconsistencyError(f"partition sum for index {n} is not integral: {total}")
     return int(total)
+
+
+def lambda_at(params: LambdaParams, indices) -> np.ndarray:
+    """The coefficients of q^n at each index n >= 1, as an int64 array,
+    without a table.
+
+    By Jacobi's identity (see `lambda_from_reps`), entry n is the sum of
+    x*y over a*x^2 + b*y^2 = t = 8(n - 1) + a + b with x = y = 1 (mod 4):
+    over the odd x, y > 0, +x*y where x = y (mod 4) and -x*y elsewhere.
+    One numpy scan over the odd values u of the variable with the larger
+    coefficient serves every index at once: the quotient q = (t - big*u^2)
+    / small must be an odd square v^2.  The scan runs in float64, exact
+    while every t stays below EXACT_FLOAT_CEILING (checked before anything
+    is allocated): t and big*u^2 are then exact, and a q that is not an
+    integer lies at least 1/small from every integer, farther than its
+    rounding error, so v = floor(sqrt(q)) and v*v == q find exactly the
+    solutions.  u is walked in chunks of _KERNEL_CELLS cells, so memory
+    stays one chunk whatever t.
+    """
+    a, b = params.a, params.b
+    wanted = [int(n) for n in indices]
+    if not wanted:
+        return np.zeros(0, dtype=np.int64)
+    if min(wanted) < 1:
+        raise ValueError(f"indices must be >= 1, got {min(wanted)}")
+    targets = [8 * (n - 1) + a + b for n in wanted]
+    t_max = max(targets)
+    if t_max >= EXACT_FLOAT_CEILING:
+        raise ResourceLimitError(
+            f"lambda_at at index {max(wanted)} needs 8(n - 1) + a + b = {t_max}, "
+            f"past the exact-float ceiling 2^52 = {EXACT_FLOAT_CEILING}"
+        )
+    big, small = max(a, b), min(a, b)
+    t = np.array(targets, dtype=np.float64)[:, None]
+    u_top = isqrt((t_max - small) // big)  # v >= 1 leaves big*u^2 <= t - small
+    width = 2 * max(1, _KERNEL_CELLS // len(wanted))
+    sums = [0] * len(wanted)
+    for lo in range(1, u_top + 1, width):
+        u = np.arange(lo, min(lo + width, u_top + 1), 2, dtype=np.float64)
+        q = (t - big * (u * u)) / small
+        v = np.floor(np.sqrt(np.abs(q)))
+        rows, cols = np.divmod(np.flatnonzero(v * v == q), len(u))
+        # the few terms are summed in Python ints, so no partial sum can wrap
+        for i, x, y in zip(rows.tolist(), u[cols].tolist(), v[rows, cols].tolist()):
+            x, y = int(x), int(y)
+            if y % 2:
+                sums[i] += x * y if x % 4 == y % 4 else -x * y
+    return np.array(sums, dtype=np.int64)  # numpy raises OverflowError outside int64
 
 
 def lambda_from_reps(params: LambdaParams, n: int) -> int:

@@ -158,28 +158,40 @@ def inverse(form: QuadForm) -> QuadForm:
     return reduce(QuadForm(form.a, -form.b, form.c))
 
 
+_CLASS_GROUP_CELLS = 1 << 18  # (a, b) cells per chunk of class_group's mask
+
+
 def class_group(d: int) -> ClassGroup:
     """Enumerate the reduced primitive forms of discriminant d.
 
-    Direct triple enumeration: every (a, b, c) with |b| <= a <= c,
-    b^2 - 4ac = d and gcd(a, b, c) = 1, where b >= 0 on the boundary.
+    Every (a, b, c) with |b| <= a <= c, b^2 - 4ac = d and gcd(a, b, c) = 1,
+    where b >= 0 on the boundary.  Such a form has 3a^2 <= |d|, so one
+    boolean mask over a <= sqrt(|d|/3) and 0 <= b <= a with b = d (mod 2)
+    marks the (a, b) with 4a | b^2 - d.  Those with c >= a and gcd 1 are
+    the forms with b >= 0; (a, -b, c) joins each with 0 < b < a < c.  The
+    mask is built in bands of a, each of at most _CLASS_GROUP_CELLS cells,
+    so memory stays bounded for large |d|.
     """
     info = discriminant_info(d)
-    classes: list[QuadForm] = []
-    b = abs(d) % 2
-    while 3 * b * b <= -d:
-        ac = (b * b - d) // 4
-        a = max(b, 1)
-        while a * a <= ac:
-            if ac % a == 0:
-                c = ac // a
-                if gcd(gcd(a, b), c) == 1:
-                    classes.append(QuadForm(a, b, c))
-                    if 0 < b < a < c:
-                        classes.append(QuadForm(a, -b, c))
-            a += 1
-        b += 2
-    return ClassGroup(info, tuple(sorted(classes)))
+    a_top = isqrt(-d // 3)
+    b = np.arange(-d % 2, a_top + 1, 2, dtype=np.int64)
+    num = b * b - d
+    # at least 8 bands of rows, so the mask hugs the triangle b <= a
+    rows = max(1, min(_CLASS_GROUP_CELLS // len(b), -(-a_top // 8)))
+    classes: list[tuple[int, int, int]] = []
+    for lo in range(1, a_top + 1, rows):
+        a = np.arange(lo, min(lo + rows, a_top + 1), dtype=np.int64)[:, None]
+        cols = np.searchsorted(b, a[-1, 0], side="right")  # every b <= a in the chunk
+        ia, ib = np.divmod(np.flatnonzero((b[:cols] <= a) & (num[:cols] % (4 * a) == 0)), cols)
+        fa, fb = a[ia, 0], b[ib]
+        fc = num[ib] // (4 * fa)
+        keep = (fc >= fa) & (np.gcd(np.gcd(fa, fb), fc) == 1)
+        for x, y, z in zip(fa[keep].tolist(), fb[keep].tolist(), fc[keep].tolist()):
+            classes.append((x, y, z))
+            if 0 < y < x < z:
+                classes.append((x, -y, z))
+    # tuples sort as QuadForm does, field by field, and much faster
+    return ClassGroup(info, tuple(QuadForm(*abc) for abc in sorted(classes)))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -322,6 +334,9 @@ def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.nda
     """
     if a < 1 or b < 1:
         raise ValueError(f"lattice_points needs a positive definite diagonal form, got ({a}, {b})")
+    # a coefficient past t_max meets only x = 0 (or y = 0), whose value it
+    # leaves unchanged, so capping it keeps one past int64 out of the arrays
+    a, b = min(a, t_max + 1), min(b, t_max + 1)
     found = []
     for y in range(isqrt(t_max // b) + 1 if t_max >= 0 else 0):
         x = np.arange(isqrt((t_max - b * y * y) // a) + 1, dtype=np.int64)

@@ -14,8 +14,12 @@ an implementation bug.  When a prime admits several representations,
 the identity is evaluated on every one of them and any disagreement is
 reported as a falsification with witnesses.
 
-Coefficient values are read from per-(a, b) cached tables built with the
-sparse method and spot-audited against the recurrence method.
+Coefficient values come through one ``TableCache`` per run.  A range
+reads per-(a, b) tables built with the sparse method and spot-audited
+against the recurrence method.  A single prime reads its few indices
+through ``TableCache.values``, which slices a held table that covers them
+and otherwise sums over lattice points (``lambda_at``, O(sqrt p) work), so
+a one-prime verdict never builds a table.
 
 Each case is one ``_CASES`` record (summary, parameter conditions, arity)
 whose rule builder gives the identity at concrete parameters as a
@@ -50,7 +54,7 @@ import numpy as np
 
 from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
-from .etaseries import TABLE_BUDGET_BYTES, LambdaParams, lambda_table
+from .etaseries import TABLE_BUDGET_BYTES, LambdaParams, lambda_at, lambda_from_reps, lambda_table
 from .quadform import QuadForm, find_rep, lattice_points, normalized_reps, representations
 
 HOLDS = "holds"
@@ -62,14 +66,20 @@ _AUDIT_PREFIX = 128
 
 
 class TableCache:
-    """Shared read-only coefficient tables, one per (a, b).
+    """Shared read-only coefficient tables, one per (a, b), and the one read
+    path of the single-prime runners.
 
-    Tables grow geometrically on demand, up to the table budget; every
-    build is spot-audited against the recurrence method on a prefix.
+    `get` builds or grows a table, geometrically up to the table budget;
+    only the range path calls it, and every build is spot-audited against
+    the recurrence method on a prefix.  `values` never builds: it slices a
+    held table that covers every index it reads, and otherwise calls the
+    lattice kernel `lambda_at`, whose first read per (a, b) is audited
+    against the sums over representations.
     """
 
     def __init__(self):
         self._tables: dict[tuple[int, int], object] = {}
+        self._kernel_audited: set[tuple[int, int]] = set()
 
     def get(self, a: int, b: int, min_limit: int):
         key = (a, b) if a <= b else (b, a)
@@ -82,8 +92,22 @@ class TableCache:
             cur = table
         return cur
 
-    def value(self, a: int, b: int, index: int) -> int:
-        return self.get(a, b, index).value(index)
+    def values(self, a: int, b: int, indices: list[int]) -> list[int]:
+        """The (a, b) coefficients at each index, as ints."""
+        key = (a, b) if a <= b else (b, a)
+        table = self._tables.get(key)
+        if table is not None and table.limit >= max(indices):
+            return table.take(indices).tolist()
+        params = LambdaParams(*key)
+        got = lambda_at(params, indices).tolist()
+        if key not in self._kernel_audited:
+            for n, value in zip(indices, got):
+                if value != lambda_from_reps(params, n - 1):
+                    raise InternalInconsistencyError(
+                        f"lattice-sum/representation mismatch at index {n} for {params}"
+                    )
+            self._kernel_audited.add(key)
+        return got
 
     def _audit(self, table) -> None:
         prefix = min(table.limit, _AUDIT_PREFIX)
@@ -245,7 +269,7 @@ def _run_square(case, p, cache, rule):
         suffix = " with odd x" if rule.odd_x else ""
         return _na(case, p, f"p has no representation p = {shown} + {fb}*y^2{suffix}")
     indices = [_exact_index(affine, p) for _, _, affine in rule.tables]
-    values = [cache.value(ta, tb, i) for (ta, tb, _), i in zip(rule.tables, indices)]
+    values = [cache.values(ta, tb, [i])[0] for (ta, tb, _), i in zip(rule.tables, indices)]
     if len(values) == 2:
         return _decide(case, p, reps, indices[0], {values[0]}, values[1])
     if rule.even_y:
@@ -266,7 +290,7 @@ def _run_product(case, p, cache, rule):
         return _na(case, p, f"{t} has no representation with x = y = 1 (mod 4)")
     _require_unique(norm, t, a, b)
     x, y = norm[0]
-    lam = cache.value(ta, tb, index)
+    (lam,) = cache.values(ta, tb, [index])
     lhs_ok, quad_ok = _product_checks(a, b, x, y, t, lam)
     status = HOLDS if lhs_ok and quad_ok else FALSIFIED
     reason = "square recovery identity failed" if lhs_ok and not quad_ok else None
@@ -283,8 +307,7 @@ _THM53_MULTIPLES = (1, 2, 3, 5)
 
 
 def _run_thm53(case, p, cache, rule):
-    ta, tb, affine = rule.tables[0]
-    table = cache.get(ta, tb, _exact_index(affine, p))
+    ta, tb, _ = rule.tables[0]
     cls = _THM53_CLASSES.get(p % 30)
     witness, expected = None, (0, 0, 0, 0)
     if cls is not None:
@@ -294,9 +317,8 @@ def _run_thm53(case, p, cache, rule):
             reason = f"expected representation {label} missing"
             return Verdict(FALSIFIED, case, p, index=p, reason=reason)
         expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
-    details = tuple(
-        (m * p, want, table.value(m * p)) for m, want in zip(_THM53_MULTIPLES, expected)
-    )
+    reads = [m * p for m in _THM53_MULTIPLES]
+    details = tuple(zip(reads, expected, cache.values(ta, tb, reads)))
     status = HOLDS if all(want == got for _, want, got in details) else FALSIFIED
     return Verdict(status, case, p, witness=witness, index=p, details=details)
 

@@ -82,6 +82,26 @@ def oracle_scan(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
+def oracle_class_group(d: int) -> list[tuple[int, int, int]]:
+    """The reduced primitive forms (a, b, c) of discriminant d < 0, sorted, by
+    a double loop over b >= 0 and the divisors a <= sqrt((b^2 - d)/4)."""
+    classes = []
+    b = abs(d) % 2
+    while 3 * b * b <= -d:
+        ac = (b * b - d) // 4
+        a = max(b, 1)
+        while a * a <= ac:
+            if ac % a == 0:
+                c = ac // a
+                if gcd(gcd(a, b), c) == 1:
+                    classes.append((a, b, c))
+                    if 0 < b < a < c:
+                        classes.append((a, -b, c))
+            a += 1
+        b += 2
+    return sorted(classes)
+
+
 def coprime_pairs(limit: int):
     for m in range(1, limit + 1):
         for n in range(1, limit + 1):

@@ -1,5 +1,7 @@
 """The four independent coefficient routes and their agreement."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import oracle_product_table
@@ -12,6 +14,7 @@ from etaquad import (
     PartitionCapError,
     ResourceLimitError,
     jacobi_cube,
+    lambda_at,
     lambda_from_reps,
     lambda_multinomial,
     lambda_table,
@@ -19,6 +22,7 @@ from etaquad import (
 )
 from etaquad.etaseries import (
     _INT64_SAFE,
+    EXACT_FLOAT_CEILING,
     METHODS,
     TABLE_BUDGET_BYTES,
     CoeffTable,
@@ -308,6 +312,60 @@ def test_newton_resume_midstream(monkeypatch):
 def test_from_reps_matches_table_random(a, b, n):
     params = LambdaParams(a, b)
     assert lambda_from_reps(params, n) == lambda_table(params, n + 1).value(n + 1)
+
+
+_PAIRS = st.one_of(
+    st.integers(min_value=1, max_value=15).flatmap(
+        lambda b: st.tuples(st.integers(min_value=b + 1, max_value=16), st.just(b))
+    ),
+    st.integers(min_value=1, max_value=16).map(lambda b: (b, b)),
+    st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda ab: (2 * ab[0], 2 * ab[1])),
+    st.tuples(st.integers(1, 16), st.integers(1, 16)),
+)
+
+
+@given(
+    _PAIRS,
+    st.integers(min_value=1, max_value=3000),
+    st.lists(st.integers(min_value=0, max_value=2**30), min_size=1, max_size=12),
+    st.sampled_from([1, 5, 1 << 16]),
+)
+@settings(max_examples=120, deadline=None)
+def test_lambda_at_matches_table(pair, limit, draws, cells):
+    # random indices of a random table, in one call; small chunks of the scan too
+    import etaquad.etaseries as es
+
+    params = LambdaParams(*pair)
+    indices = [1 + d % limit for d in draws]
+    with mock.patch.object(es, "_KERNEL_CELLS", cells):
+        got = lambda_at(params, indices)
+    assert got.dtype == np.int64
+    assert got.tolist() == lambda_table(params, limit).take(indices).tolist()
+
+
+def test_lambda_at_examples():
+    assert lambda_at(LambdaParams(1, 1), []).tolist() == []
+    assert lambda_at(LambdaParams(1, 7), [1, 11, 11]).tolist() == [1, -6, -6]
+    assert lambda_at(LambdaParams(1, 7), [300000031]).tolist() == [
+        lambda_from_reps(LambdaParams(1, 7), 300000030)
+    ]
+    with pytest.raises(ValueError, match=">= 1"):
+        lambda_at(LambdaParams(1, 7), [3, 0])
+
+
+def test_lambda_at_ceiling(monkeypatch):
+    import etaquad.etaseries as es
+
+    # just below the ceiling: a = b = 2^51 - 1 gives t = 2^52 - 2 at n = 1
+    big = LambdaParams(2**51 - 1, 2**51 - 1)
+    assert lambda_at(big, [1]).tolist() == [1]
+    # at and past it the check raises before numpy allocates anything
+    monkeypatch.setattr(es, "np", None)
+    for params, n in ((big, 2), (LambdaParams(1, 7), 2**49), (LambdaParams(1, 7), 2**49 + 1)):
+        t = 8 * (n - 1) + params.a + params.b
+        assert t >= EXACT_FLOAT_CEILING == 2**52
+        with pytest.raises(ResourceLimitError, match=rf"= {t}, past the exact-float ceiling 2\^52"):
+            lambda_at(params, [1, n])
 
 
 def test_big_int_fallbacks_forced(monkeypatch):

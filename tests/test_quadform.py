@@ -6,7 +6,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from conftest import oracle_reps, oracle_scan
+from conftest import oracle_class_group, oracle_reps, oracle_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -88,6 +88,30 @@ def test_class_group_h23():
 )
 def test_class_numbers(d, h):
     assert len(class_group(d)) == h
+
+
+def test_class_group_matches_double_loop():
+    # the mask against the double-loop oracle, on every discriminant to -20000
+    for d in range(-3, -20001, -1):
+        if d % 4 in (0, 1):
+            assert _triples(class_group(d)) == oracle_class_group(d), d
+
+
+@given(st.integers(min_value=20_001, max_value=10**7).filter(lambda n: n % 4 in (0, 3)))
+@settings(max_examples=8, deadline=None)
+def test_class_group_matches_double_loop_large(n):
+    # past the exhaustive range, down to d = -10^7 (several bands of rows)
+    assert _triples(class_group(-n)) == oracle_class_group(-n)
+
+
+def test_class_group_one_row_per_band(monkeypatch):
+    # a cell budget that leaves one row of a per band gives the same classes
+    import etaquad.quadform as qf
+
+    want = _triples(class_group(-4000004))
+    assert len(want) == 1032
+    monkeypatch.setattr(qf, "_CLASS_GROUP_CELLS", 1)
+    assert _triples(class_group(-4000004)) == want
 
 
 def test_class_group_rejects_bad_discriminants():
@@ -499,3 +523,13 @@ def test_lattice_points_order_and_errors():
     assert all(len(c) == 0 for c in lattice_points(1, 1, -1, lambda t: t >= 0))
     with pytest.raises(ValueError, match="positive definite"):
         lattice_points(0, 1, 10, lambda t: t >= 0)
+
+
+def test_lattice_points_coefficient_past_t_max():
+    # a coefficient past int64 meets only x = 0 (or y = 0) and is capped first
+    t = [3 * k * k for k in range(1, 12)]
+    ones = list(range(1, 12))
+    got = lattice_points(10**20 + 1, 3, 388, lambda t: t > 0)
+    assert [c.tolist() for c in got] == [t, [0] * 11, ones]
+    got = lattice_points(3, 10**20 + 1, 388, lambda t: t > 0)
+    assert [c.tolist() for c in got] == [t, ones, [0] * 11]

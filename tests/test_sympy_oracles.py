@@ -3,19 +3,63 @@
 sympy is a test-only dependency; without it this module is skipped.
 """
 
+import random
+
 import pytest
 from conftest import oracle_primes
 
-from etaquad import QuadForm, find_rep, kronecker, representations, sigma
+from etaquad import QuadForm, find_rep, is_prime, kronecker, representations, sigma
+from etaquad.arith import _MR_BASES
 
 pytest.importorskip("sympy")
 
+from sympy import isprime, prevprime  # noqa: E402
 from sympy.functions.combinatorial.numbers import divisor_sigma, kronecker_symbol  # noqa: E402
 from sympy.solvers.diophantine.diophantine import cornacchia  # noqa: E402
 
 
 def test_sigma_matches_sympy():
     assert [sigma(n) for n in range(1, 3000)] == [divisor_sigma(n) for n in range(1, 3000)]
+
+
+def test_is_prime_matches_sympy():
+    rng = random.Random(11)
+    last_bound = _MR_BASES[-1][0]
+    for _ in range(4000):
+        n = rng.randrange(-2, 10 ** rng.randint(1, 30))
+        # past the last bound a prime is confirmed by trial division, O(sqrt n)
+        if n >= last_bound and isprime(n):
+            continue
+        assert is_prime(n) == isprime(n), n
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # strong pseudoprimes to the first 2, 3, 4, 7, 9 and 12 prime bases;
+        # each is at or past a bound, so more bases must expose it
+        1373653,
+        25326001,
+        3215031751,
+        341550071728321,
+        3825123056546413051,
+        318665857834031151167461,
+        # Carmichael numbers; the last two have no prime factor below 211
+        561,
+        41041,
+        825265,
+        56052361,
+        118901521,
+    ],
+)
+def test_is_prime_on_pseudoprimes(n):
+    assert not isprime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_below_each_bound():
+    for bound, _ in _MR_BASES:
+        assert is_prime(prevprime(bound))
 
 
 def test_kronecker_matches_sympy():

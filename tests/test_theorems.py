@@ -26,6 +26,7 @@ from etaquad import (
     find_rep,
     gauss_doubling,
     jacobsthal,
+    lambda_from_reps,
     lambda_table,
     make_case,
     range_report,
@@ -137,17 +138,24 @@ class _HighTable:
 class _HighCache(TableCache):
     """Hands out every table, or only the (a, b) tables named, one too high.
 
-    The T5.3 runner and every range report read through get(), the other
-    single-prime runners through value(), which calls get().
+    Every range report reads through get(), the single-prime runners
+    through values(), which never calls get(); both are shifted.
     """
 
     def __init__(self, shifted=None):
         super().__init__()
         self._shifted = shifted
 
+    def _shifts(self, a, b):
+        return self._shifted is None or (a, b) in self._shifted
+
     def get(self, a, b, min_limit):
         table = super().get(a, b, min_limit)
-        return _HighTable(table) if self._shifted is None or (a, b) in self._shifted else table
+        return _HighTable(table) if self._shifts(a, b) else table
+
+    def values(self, a, b, indices):
+        got = super().values(a, b, indices)
+        return [v + 1 for v in got] if self._shifts(a, b) else got
 
 
 def test_falsification_is_reported_not_raised():
@@ -451,6 +459,60 @@ def test_range_report_cold_equals_warm_cache(case_id, p_max, queries):
     assert range_report(case_id, p_max, cache=warm) == range_report(
         case_id, p_max, cache=TableCache()
     )
+
+
+def test_single_prime_verdicts_build_no_table():
+    # every fixed case, and a product case, reads through the kernel alone
+    cache = TableCache()
+    for p in oracle_primes(2000)[1:]:
+        for case_id in _FIXED_CASES:
+            if case_id != "T5.3":
+                verify_construction(make_case(case_id), p, cache)
+            elif p > 5:
+                verify_thm53(p, cache)
+        verify_product(make_case("T4.1", 1, 2), p, cache)
+    assert cache._tables == {}
+
+
+def test_values_slice_a_held_table(monkeypatch):
+    import etaquad.theorems as th
+
+    cache = TableCache()
+    table = cache.get(1, 7, 1000)
+    kernel_reads = []
+    kernel = th.lambda_at
+    monkeypatch.setattr(th, "lambda_at", lambda params, n: kernel_reads.append(n) or kernel(params, n))
+    assert cache.values(7, 1, [11, 1000]) == table.take([11, 1000]).tolist()
+    v = verify_construction(make_case("E1.6"), 991, cache)
+    assert v.holds and v.rhs == table.value(991) and kernel_reads == []
+    # past the held limit the kernel answers, and the table is not grown
+    assert cache.values(1, 7, [1009]) == [lambda_from_reps(LambdaParams(1, 7), 1008)]
+    assert kernel_reads == [[1009]] and cache.get(1, 7, 1) is table
+
+
+def test_e16_past_the_table_wall():
+    # a table to index 3e8 is past the table budget; the kernel needs none
+    cache = TableCache()
+    p = 300000031
+    v = verify_construction(make_case("E1.6"), p, cache)
+    assert v.holds and v.index == p
+    assert v.rhs == lambda_from_reps(LambdaParams(1, 7), p - 1)
+    assert cache._tables == {}
+
+
+def test_kernel_reads_audited_once_per_pair(monkeypatch):
+    import etaquad.theorems as th
+
+    kernel = th.lambda_at
+    monkeypatch.setattr(th, "lambda_at", lambda params, n: kernel(params, n) + 1)
+    with pytest.raises(InternalInconsistencyError, match="mismatch at index 11 for"):
+        TableCache().values(1, 7, [11])
+    cache = TableCache()
+    monkeypatch.setattr(th, "lambda_at", kernel)
+    assert cache.values(1, 7, [11]) == [-6]
+    # the first read of (1, 7) was audited; later ones are not
+    monkeypatch.setattr(th, "lambda_at", lambda params, n: kernel(params, n) + 1)
+    assert cache.values(7, 1, [11]) == [-5]
 
 
 def test_table_cache_growth_capped_at_budget(monkeypatch):
