@@ -142,12 +142,58 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Whether odd n > 47, free of the primes to 47, passes the strong Lucas
+    probable-prime test with Selfridge's parameters: the first D in 5, -7,
+    9, -11, ... with (D|n) = -1, P = 1 and Q = (1 - D)/4."""
+    if isqrt(n) ** 2 == n:  # no D exists for a square
+        return False
+    d = 5
+    while (j := kronecker(d, n)) == 1:
+        d = -d - 2 if d > 0 else -d + 2
+    if j == 0:  # 1 < gcd(d, n) < n
+        return False
+    q = (1 - d) // 4
+    # n + 1 = m * 2^s with m odd; walk m's bits from the top with
+    # U_k, V_k and Q^k, doubling k and then adding one where the bit is set
+    m, s = n + 1, 0
+    while m % 2 == 0:
+        m, s = m // 2, s + 1
+    u, v, qk = 1, 1, q % n
+    for bit in bin(m)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # U_(k+1) = (U + V)/2 and V_(k+1) = (D*U + V)/2, halved mod odd n
+            u, v = u + v, d * u + v
+            u, v = (u + n * (u & 1)) // 2 % n, (v + n * (v & 1)) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def _no_factor_from_53(n: int) -> bool:
+    """Trial division of n, free of the primes to 47, by 53 and up."""
+    f = 53
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
+
+
 def is_prime(n: int) -> bool:
     """Exact primality for every n.
 
     Division by the primes to 47 first, then the strong-probable-prime test
     to the bases that _MR_BASES proves enough below n's bound.  Past the
-    last bound (3.3e24) a probable prime is confirmed by trial division.
+    last bound (3.3e24) a strong Lucas test follows (together a BPSW test,
+    with no known pseudoprime), and a probable prime is confirmed by trial
+    division.
     """
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -161,12 +207,7 @@ def is_prime(n: int) -> bool:
         return False
     if n < bound:
         return True
-    f = 53
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    return _strong_lucas_probable_prime(n) and _no_factor_from_53(n)
 
 
 def kronecker(a: int, n: int) -> int:

@@ -82,7 +82,11 @@ def _run_lambda(args) -> int:
     rows = lambda_table(LambdaParams(args.a, args.b), args.n_max, args.method).values
     for first in range(1, args.n_max + 1, _DUMP_ROWS):
         last = min(first + _DUMP_ROWS - 1, args.n_max)
-        sys.stdout.write("".join(f"{n}\t{v}\n" for n, v in enumerate(rows(first, last), first)))
+        # one % format per chunk over the interleaved indices and values
+        cells = [0] * (2 * (last - first + 1))
+        cells[0::2] = range(first, last + 1)
+        cells[1::2] = rows(first, last)
+        sys.stdout.write("%d\t%d\n" * (last - first + 1) % tuple(cells))
     return 0
 
 

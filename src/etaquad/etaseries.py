@@ -8,7 +8,9 @@ Four independent routes to the same table, the METHODS of lambda_table:
 * ``newton``   -- an O(N^2) recurrence driven by weighted divisor sums,
                   with an exact divisibility check at every step.
 * ``naive``    -- truncated polynomial multiplication, factor by factor,
-                  cube by cube; the simplest possible ground truth.
+                  cube by cube, as whole-array steps by 1 - q^s; the
+                  simplest possible ground truth, O(N^2 (1/a + 1/b)) in
+                  int64 until its values near 2^59, then in Python ints.
 * ``multinomial`` -- the partition formula, exact rationals over all
                   partitions of n; a verification target, not a production
                   path, capped at DEFAULT_PARTITION_CAP + 1 entries.
@@ -42,6 +44,10 @@ from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimit
 from .quadform import QuadForm, normalized_reps
 
 _INT64_SAFE = (1 << 62) - 1
+
+# naive route: each step by 1 - q^s at most doubles max|vals|, so a cube
+# starting below 2^59 stays below 2^62 and inside int64
+_NAIVE_INT64_HEADROOM = 1 << 59
 
 # lambda_at scans in float64, exact for values below this
 EXACT_FLOAT_CEILING = 1 << 52
@@ -197,27 +203,24 @@ def _table_newton(params: LambdaParams, limit: int) -> np.ndarray:
     return vals
 
 
-def _table_naive(params: LambdaParams, limit: int) -> list[int]:
+def _table_naive(params: LambdaParams, limit: int) -> np.ndarray:
     """Truncated product, one cubed factor at a time.
 
-    Multiplying by (1 - t)^3 = 1 - 3t + 3t^2 - t^3 with t = q^s is done
-    in place from the high end, so the lower-index reads still see the
-    previous polynomial.
+    (1 - t)^3 with t = q^s is three multiplications by 1 - t, each one
+    whole-array step whose right side reads the previous polynomial.  The
+    array stays int64 while _NAIVE_INT64_HEADROOM bounds it and turns into
+    Python ints (dtype object) for the rest of the product once it does not.
     """
     a, b = params.a, params.b
-    vals = [0] * limit
+    vals = np.zeros(limit, dtype=np.int64)
     vals[0] = 1
     for step, k_top in ((a, (limit - 1) // a), (b, (limit - 1) // b)):
         for k in range(1, k_top + 1):
             s = step * k
-            s2, s3 = 2 * s, 3 * s
-            for i in range(limit - 1, s - 1, -1):
-                acc = vals[i] - 3 * vals[i - s]
-                if i >= s2:
-                    acc += 3 * vals[i - s2]
-                    if i >= s3:
-                        acc -= vals[i - s3]
-                vals[i] = acc
+            if vals.dtype != object and max(vals.max(), -vals.min()) >= _NAIVE_INT64_HEADROOM:
+                vals = vals.astype(object)
+            for _ in range(3):
+                vals[s:] = vals[s:] - vals[:-s]
     return vals
 
 

@@ -47,6 +47,7 @@ order, so the scalar path stays the oracle and every falsified
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
@@ -145,7 +146,7 @@ class ConstructionCase:
         for fails, message in spec.conditions:
             if fails(self.a, self.b):
                 raise ValueError(message)
-        object.__setattr__(self, "_rule", spec.rule(*self.params()))
+        object.__setattr__(self, "_rule", _built_rule(self.case_id, self.params()))
 
     def __reduce__(self):
         # the rule holds closures, which do not pickle; rebuild it instead
@@ -600,6 +601,13 @@ _CASES: dict[str, _CaseSpec] = {
 _CASES["E1.7"] = replace(
     _CASES["C3.1"], summary="alias of C3.1: 4x^2 - 2p at (p+3)/4 in the (1,1) table"
 )
+
+
+@lru_cache(maxsize=1024)
+def _built_rule(case_id: str, params: tuple[int, ...]) -> _Rule:
+    """The case's _Rule, built once per (case, parameters): rules are frozen,
+    and some build numpy residue tables."""
+    return _CASES[case_id].rule(*params)
 
 
 def case_ids() -> list[str]:

@@ -9,13 +9,14 @@ import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaquad import case_ids, make_case, range_report
+from etaquad import LambdaParams, case_ids, lambda_table, make_case, range_report
 from etaquad.cli import main
 
 REPORT_SCHEMA = {
@@ -119,6 +120,29 @@ def test_lambda_dump_chunk_boundaries(capsys, monkeypatch):
         for method in ("sparse", "newton", "naive", "multinomial"):
             assert main(["lambda", "--a", "1", "--b", "1", "--n-max", "8", "--method", method]) == 0
             assert capsys.readouterr().out == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.one_of(st.integers(1, 20), st.just(2**70)),
+    b=st.integers(1, 20),
+    n_max=st.integers(1, 5000),
+    method=st.sampled_from(["sparse", "newton", "naive"]),
+    dump_rows=st.sampled_from([1, 7, 64, 65536]),
+)
+def test_lambda_dump_matches_rows(a, b, n_max, method, dump_rows):
+    # the dump is byte for byte one n<TAB>value line per table entry, with
+    # negative values and a multiplier past int64, at any chunk size
+    import etaquad.cli as cli_mod
+
+    n_max = n_max if method == "sparse" else min(n_max, 600)
+    rows = lambda_table(LambdaParams(a, b), n_max, method).values()
+    want = "".join(f"{n}\t{v}\n" for n, v in enumerate(rows, 1))
+    out = io.StringIO()
+    with mock.patch.object(cli_mod, "_DUMP_ROWS", dump_rows), redirect_stdout(out):
+        argv = ["lambda", "--a", str(a), "--b", str(b), "--n-max", str(n_max), "--method", method]
+        assert main(argv) == 0
+    assert out.getvalue() == want
 
 
 def test_lambda_multiplier_past_int64(capsys):

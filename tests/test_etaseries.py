@@ -136,6 +136,32 @@ def test_methods_agree(a, b):
         assert lambda_from_reps(params, n) == want[n]
 
 
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 5)])
+def test_naive_promotes_to_python_ints(a, b, monkeypatch):
+    # with the int64 headroom lowered to 2^6 the tables leave int64 after a
+    # few factors and finish in Python ints, with the same values
+    import etaquad.etaseries as es
+
+    params = LambdaParams(a, b)
+    assert es._table_naive(params, 300).dtype == np.int64
+    monkeypatch.setattr(es, "_NAIVE_INT64_HEADROOM", 1 << 6)
+    assert es._table_naive(params, 300).dtype == object
+    for limit in (1, 2, 17, 300):
+        want = lambda_table(params, limit, "sparse").values()
+        assert lambda_table(params, limit, "naive").values() == want
+
+
+def test_naive_promotes_on_its_own():
+    # (1, 1) crosses the 2^59 headroom between N = 2000 and 3000
+    import etaquad.etaseries as es
+
+    params = LambdaParams(1, 1)
+    assert es._table_naive(params, 2000).dtype == np.int64
+    vals = es._table_naive(params, 3000)
+    assert vals.dtype == object
+    assert vals.tolist() == lambda_table(params, 3000, "sparse").values()
+
+
 @pytest.mark.parametrize("a,b", [(2**70, 1), (1, 2**70)], ids=["a", "b"])
 def test_multiplier_past_int64(a, b):
     # a multiplier >= limit meets only k = 0, so no route may put it in int64;

@@ -8,13 +8,19 @@ import random
 import pytest
 from conftest import oracle_primes
 
-from etaquad import QuadForm, find_rep, is_prime, kronecker, representations, sigma
-from etaquad.arith import _MR_BASES
+from etaquad import QuadForm, arith, find_rep, is_prime, kronecker, representations, sigma
+from etaquad.arith import (
+    _MR_BASES,
+    _SMALL_PRIMES,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
+)
 
 pytest.importorskip("sympy")
 
-from sympy import isprime, prevprime  # noqa: E402
+from sympy import isprime, nextprime, prevprime  # noqa: E402
 from sympy.functions.combinatorial.numbers import divisor_sigma, kronecker_symbol  # noqa: E402
+from sympy.ntheory.primetest import is_strong_lucas_prp  # noqa: E402
 from sympy.solvers.diophantine.diophantine import cornacchia  # noqa: E402
 
 
@@ -60,6 +66,45 @@ def test_is_prime_on_pseudoprimes(n):
 def test_is_prime_below_each_bound():
     for bound, _ in _MR_BASES:
         assert is_prime(prevprime(bound))
+
+
+def test_is_prime_past_last_bound_skips_trial_division(monkeypatch):
+    # the last bound is itself a strong pseudoprime to every base up to 41
+    # (smallest factor 1,287,836,182,261); the strong Lucas test rejects it
+    def no_trial_division(n):
+        raise AssertionError(f"trial division reached for {n}")
+
+    monkeypatch.setattr(arith, "_no_factor_from_53", no_trial_division)
+    last_bound = _MR_BASES[-1][0]
+    assert all(_strong_probable_prime(last_bound, p) for p in _MR_BASES[-1][1])
+    assert not is_prime(last_bound)
+    # seeded semiprimes just past the bound, each factor past 47
+    rng = random.Random(13)
+    for _ in range(200):
+        p = nextprime(rng.randrange(53, 10**12))
+        q = nextprime(last_bound // p + rng.randrange(10**6))
+        assert not isprime(p * q) and not is_prime(p * q)
+    # a prime past the bound passes both tests and reaches trial division
+    monkeypatch.setattr(arith, "_no_factor_from_53", lambda n: True)
+    assert is_prime(nextprime(last_bound))
+
+
+def test_strong_lucas_matches_sympy():
+    rng = random.Random(17)
+    odd = [n for n in range(53, 30000, 2) if all(n % p for p in _SMALL_PRIMES)]
+    odd += [rng.randrange(10**20, 10**30) | 1 for _ in range(3000)]
+    odd = [n for n in odd if all(n % p for p in _SMALL_PRIMES)]
+    for n in odd:
+        assert _strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
+    # the strong Lucas pseudoprimes below 20000 (OEIS A217255), and squares
+    assert [n for n in odd if n < 20000 and _strong_lucas_probable_prime(n) and not isprime(n)] == [
+        5459,
+        5777,
+        10877,
+        16109,
+        18971,
+    ]
+    assert not _strong_lucas_probable_prime(nextprime(10**15) ** 2)
 
 
 def test_kronecker_matches_sympy():

@@ -59,6 +59,23 @@ def test_case_registry():
         make_case("T4.3", 3, 5)  # a + b not 4 mod 8
 
 
+def test_case_rule_built_once():
+    # each (case, parameters) builds its rule once; every construction still
+    # validates, and a pickled case rebuilds onto the same rule
+    for case_id, params in (("T5.3", ()), ("E1.6", ()), ("C3.1", ()), ("T3.1", (1, 3))):
+        first, second = make_case(case_id, *params), make_case(case_id, *params)
+        assert first == second and first._rule is second._rule
+        assert pickle.loads(pickle.dumps(first))._rule is first._rule
+    assert make_case("T3.1", 1, 3)._rule is not make_case("T3.1", 1, 5)._rule
+    assert make_case("E1.7")._rule is not make_case("C3.1")._rule
+    for _ in range(2):
+        with pytest.raises(ValueError, match="requires odd a"):
+            make_case("T3.1", 2, 3)
+    assert verify_thm53(31) == verify_thm53(31)
+    e16 = [verify_construction(make_case("E1.6"), p) for p in (11, 11, 13)]
+    assert e16[0] == e16[1] and e16[0].status == HOLDS and e16[2].status == NOT_APPLICABLE
+
+
 def test_verify_construction_examples():
     v = verify_construction(make_case("T3.1", 1, 3), 7)
     assert v.status == HOLDS and v.index == 4 and v.lhs == v.rhs == 2
