@@ -9,14 +9,19 @@ exceptions to exit codes.
 
 Exit codes: 0 success, 1 an identity was falsified, 2 usage error,
 3 coefficient overflow, 4 a resource budget would be exceeded or memory
-ran out, 5 an internal inconsistency (a bug).  Output is deterministic:
-identical flags give byte-identical output regardless of the --threads hint.
+ran out, 5 an internal inconsistency (a bug), 141 (EXIT_BROKEN_PIPE, the
+shell's status for SIGPIPE) the reader closed stdout early, as
+``etaquad lambda ... | head`` does, and the rest of the output was dropped
+without a message.  Output is deterministic: identical flags give
+byte-identical output regardless of the --threads hint.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .closed import CLOSED_FAMILIES, closed_form
@@ -25,7 +30,10 @@ from .etaseries import METHODS, LambdaParams, lambda_table
 from .quadform import QuadForm, class_group, representations
 from .theorems import case_ids, make_case, range_report
 
+EXIT_BROKEN_PIPE = 141
 
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etaquad",
@@ -187,7 +195,16 @@ def main(argv=None) -> int:
         argv[i : i + 2] = [f"--form={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except OverflowError as exc:
         print(f"etaquad: overflow: {exc}", file=sys.stderr)
         return 3

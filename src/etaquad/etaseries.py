@@ -4,7 +4,8 @@ Four independent routes to the same table, the METHODS of lambda_table:
 
 * ``sparse``   -- the cube of each factor collapses onto triangular-number
                   exponents with odd coefficients, so the product is a
-                  sparse double sum; O(N/sqrt(ab)) term visits.
+                  sparse double sum; O(N/sqrt(ab)) term visits, one
+                  Python step per term of the larger multiplier.
 * ``newton``   -- an O(N^2) recurrence driven by weighted divisor sums,
                   with an exact divisibility check at every step.
 * ``naive``    -- truncated polynomial multiplication, factor by factor,
@@ -148,25 +149,26 @@ def _sparse_partial_sum_bound(a: int, b: int, limit: int) -> int:
 
 
 def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
-    a, b = params.a, params.b
     # the table budget keeps this bound below 2^62 for every (a, b)
-    if _sparse_partial_sum_bound(a, b, limit) > _INT64_SAFE:
+    if _sparse_partial_sum_bound(params.a, params.b, limit) > _INT64_SAFE:
         raise InternalInconsistencyError(
             f"sparse partial sums to {limit} for {params} may leave int64"
         )
+    # the product is symmetric in (a, b): the outer loop runs over the larger
+    # multiplier, which has fewer terms, and each step adds a whole row of the other
+    big, small = max(params.a, params.b), min(params.a, params.b)
     vals = np.zeros(limit, dtype=np.int64)
     # a multiplier >= limit meets only k = 0, whose exponent is 0 at any
     # scale, so min() keeps a multiplier past int64 out of the arrays
-    tri_b, coef = _jacobi_arrays((limit - 1) // b)
-    btri = min(b, limit) * tri_b
-    m_hi = len(btri)
-    tri_a, coef_a = _jacobi_arrays((limit - 1) // a)
-    for base, ck in zip((min(a, limit) * tri_a).tolist(), coef_a.tolist()):
-        rem = limit - 1 - base
-        while m_hi > 0 and btri[m_hi - 1] > rem:
-            m_hi -= 1
+    tri, coef = _jacobi_arrays((limit - 1) // small)
+    row = min(small, limit) * tri
+    tri_k, coef_k = _jacobi_arrays((limit - 1) // big)
+    bases = min(big, limit) * tri_k
+    # row[:end] are the exponents that keep base + row below limit
+    row_ends = np.searchsorted(row, limit - 1 - bases, side="right")
+    for base, ck, end in zip(bases.tolist(), coef_k.tolist(), row_ends.tolist()):
         # indices within one k are distinct, so fancy += is well defined
-        vals[base + btri[:m_hi]] += ck * coef[:m_hi]
+        vals[base + row[:end]] += ck * coef[:end]
     return vals
 
 

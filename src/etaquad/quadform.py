@@ -11,8 +11,8 @@ ints, lazily and in ascending x.  ``representations`` adds the mirror
 (-x, -y) of each solution with x > 0, ``normalized_reps`` keeps the
 mod-4-normalized solutions that drive the product-series identities, and
 ``find_rep`` takes the first solution with y >= 0.  ``lattice_points`` is
-one numpy sweep over the lattice points of a diagonal form that lists the
-representations of many integers at once.
+one numpy sweep over the lattice points of a diagonal form, in chunks of
+consecutive rows, that lists the representations of many integers at once.
 
 Value semantics throughout: forms, class groups and representation sets
 are immutable once built.
@@ -324,25 +324,58 @@ def find_rep(a: int, b: int, m: int) -> tuple[int, int] | None:
     return next(((x, y) for x, y in _scan(QuadForm(a, 0, b), m) if y >= 0), None)
 
 
+_LATTICE_CELLS = 1 << 15  # points per chunk of consecutive rows in lattice_points
+
+
+def _isqrt_int64(values: np.ndarray) -> np.ndarray:
+    """floor(sqrt(v)) for each v of a non-negative int64 array, exactly.
+
+    The conversion to float64 and its square root are correctly rounded and
+    monotone, so for an int64 v the float root is never below the answer m
+    (m^2 <= v) and less than m + 2: one step down corrects it.
+    """
+    root = np.sqrt(values).astype(np.int64)
+    root -= root * root > values
+    return root
+
+
 def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Int64 arrays (t, x, y) of every x, y >= 0 with t = a*x^2 + b*y^2 <= t_max
     and keep(t) true, ordered by y and then x.
 
-    `keep` maps an int64 array of values to a boolean mask.  One Python step
-    per y, vectorized over x; the signed solutions of n = a*x^2 + b*y^2 are
-    the orbit (+-x, +-y) of the points with t = n.
+    `keep` maps an int64 array of values to a boolean mask.  Row y holds the
+    x in 0..isqrt((t_max - b*y^2) // a).  Consecutive rows are taken in
+    chunks of about _LATTICE_CELLS points; each chunk lays its rows end to
+    end in one array, builds x there by a cumulative sum that restarts at
+    every row start, and calls `keep` once.  The signed solutions of
+    n = a*x^2 + b*y^2 are the orbit (+-x, +-y) of the points with t = n.
     """
     if a < 1 or b < 1:
         raise ValueError(f"lattice_points needs a positive definite diagonal form, got ({a}, {b})")
+    if t_max < 0:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     # a coefficient past t_max meets only x = 0 (or y = 0), whose value it
     # leaves unchanged, so capping it keeps one past int64 out of the arrays
     a, b = min(a, t_max + 1), min(b, t_max + 1)
+    y = np.arange(isqrt(t_max // b) + 1, dtype=np.int64)
+    by2 = b * y * y
+    counts = _isqrt_int64((t_max - by2) // a) + 1
+    ends = np.cumsum(counts)
     found = []
-    for y in range(isqrt(t_max // b) + 1 if t_max >= 0 else 0):
-        x = np.arange(isqrt((t_max - b * y * y) // a) + 1, dtype=np.int64)
-        t = a * x * x + b * y * y
-        hit = keep(t)
-        found.append((t[hit], x[hit], np.full(np.count_nonzero(hit), y, dtype=np.int64)))
-    if not found:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    lo = 0
+    while lo < len(y):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + _LATTICE_CELLS, side="right")))
+        rows, row_ends = counts[lo:hi], ends[lo:hi] - base
+        # x steps by 1 and drops back to 0 where the next row starts
+        x = np.ones(int(row_ends[-1]), dtype=np.int64)
+        x[0] = 0
+        x[row_ends[:-1]] = 1 - rows[:-1]
+        np.cumsum(x, out=x)
+        t = x * x
+        t *= a
+        t += np.repeat(by2[lo:hi], rows)
+        hit = np.flatnonzero(keep(t))
+        found.append((t[hit], x[hit], lo + np.searchsorted(row_ends, hit, side="right")))
+        lo = hi
     return tuple(np.concatenate(column) for column in zip(*found))

@@ -112,12 +112,13 @@ class TableCache:
 
     def _audit(self, table) -> None:
         prefix = min(table.limit, _AUDIT_PREFIX)
-        ref = lambda_table(table.params, prefix, "newton")
-        for n in range(1, prefix + 1):
-            if table.value(n) != ref.value(n):
-                raise InternalInconsistencyError(
-                    f"sparse/recurrence mismatch at index {n} for {table.params}"
-                )
+        got = table.values(1, prefix)
+        want = lambda_table(table.params, prefix, "newton").values()
+        if got != want:
+            n = next(n for n, (g, w) in enumerate(zip(got, want), 1) if g != w)
+            raise InternalInconsistencyError(
+                f"sparse/recurrence mismatch at index {n} for {table.params}"
+            )
 
 
 _SHARED_CACHE = TableCache()

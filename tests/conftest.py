@@ -9,6 +9,7 @@ import os
 from math import gcd, isqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # tests that start `python -m etaquad` or `python -c` children need the
@@ -80,6 +81,21 @@ def oracle_scan(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
             if num % (2 * c) == 0:
                 out.append((x, num // (2 * c)))
     return out
+
+
+def oracle_lattice_points(a: int, b: int, t_max: int, keep):
+    """`quadform.lattice_points` one row at a time: for each y, every x with
+    a*x^2 + b*y^2 <= t_max as one int64 array, masked by keep."""
+    a, b = min(a, t_max + 1), min(b, t_max + 1)
+    found = []
+    for y in range(isqrt(t_max // b) + 1 if t_max >= 0 else 0):
+        x = np.arange(isqrt((t_max - b * y * y) // a) + 1, dtype=np.int64)
+        t = a * x * x + b * y * y
+        hit = keep(t)
+        found.append((t[hit], x[hit], np.full(np.count_nonzero(hit), y, dtype=np.int64)))
+    if not found:
+        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 def oracle_class_group(d: int) -> list[tuple[int, int, int]]:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etaquad import LambdaParams, case_ids, lambda_table, make_case, range_report
-from etaquad.cli import main
+from etaquad import LambdaParams, case_ids, closed_form, lambda_table, make_case, range_report
+from etaquad.cli import EXIT_BROKEN_PIPE, main
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -97,6 +98,9 @@ def test_lambda_dump_streams_in_chunks(monkeypatch):
 
         def write(self, text):
             self.sizes.append(len(text))
+
+        def flush(self):
+            pass
 
     n_max = 10**6
     sink = Sink()
@@ -249,6 +253,43 @@ def test_console_invocation_smoke():
     proc = run_cli("lambda", "--a", "2", "--b", "6", "--n-max", "3")
     assert proc.returncode == 0
     assert proc.stdout == "1\t1\n2\t0\n3\t-3\n"
+
+
+@pytest.mark.parametrize(
+    "argv, first_line",
+    [
+        # the reader takes one line and closes the pipe while 10^6 rows remain
+        (["lambda", "--a", "1", "--b", "1", "--n-max", "1000000"], b"1\t1\n"),
+        # the pipe is closed before the report, still in the buffer, is flushed
+        (["verify", "--case", "E1.6", "--p-max", "1000", "--json"], None),
+    ],
+)
+def test_closed_pipe_exits_quietly(argv, first_line):
+    # block-buffered stdout, as in a plain shell pipeline
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "etaquad", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
+def test_parser_built_once(capsys):
+    import etaquad.cli as cli_mod
+
+    assert main(["lambda", "--a", "1", "--b", "3", "--n-max", "2"]) == 0
+    parser = cli_mod._build_parser()
+    assert main(["closed", "--family", "KF", "--n", "5"]) == 0
+    assert cli_mod._build_parser() is parser
+    assert capsys.readouterr().out == "1\t1\n2\t-3\n" + f"{closed_form('KF', 5)}\n"
 
 
 def test_argparse_usage_error_is_exit_2():

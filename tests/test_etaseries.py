@@ -27,6 +27,7 @@ from etaquad.etaseries import (
     TABLE_BUDGET_BYTES,
     CoeffTable,
     _sparse_partial_sum_bound,
+    _table_sparse,
 )
 
 
@@ -269,6 +270,24 @@ def test_exchange_symmetry(a, b):
         lambda_table(LambdaParams(a, b), n).values()
         == lambda_table(LambdaParams(b, a), n).values()
     )
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=400),
+)
+@settings(max_examples=60, deadline=None)
+def test_sparse_loop_order_is_invisible(a, b, limit):
+    # the sparse loop runs over the larger multiplier whichever order (a, b)
+    # comes in; both orders give one array, and it equals the recurrence
+    if a == b:
+        b = a % 40 + 1
+    ab = _table_sparse(LambdaParams(a, b), limit)
+    ba = _table_sparse(LambdaParams(b, a), limit)
+    assert ab.dtype == ba.dtype == np.int64
+    assert np.array_equal(ab, ba)
+    assert ab.tolist() == lambda_table(LambdaParams(a, b), limit, "newton").values()
 
 
 @pytest.mark.parametrize("c", [2, 3, 4])

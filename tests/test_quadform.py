@@ -6,7 +6,7 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from conftest import oracle_class_group, oracle_reps, oracle_scan
+from conftest import oracle_class_group, oracle_lattice_points, oracle_reps, oracle_scan
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +23,7 @@ from etaquad import (
     reduce,
     representations,
 )
-from etaquad.quadform import _SCAN_CHUNK, _scan
+from etaquad.quadform import _SCAN_CHUNK, _isqrt_int64, _scan
 
 GROUP_DISCS = [-12, -20, -23, -24, -28, -40, -52, -60, -84]
 
@@ -513,6 +513,39 @@ def test_lattice_points_equal_representations(form, t_max, mod, residue):
     if t_max >= 0 and keep(0):
         want.insert(0, (0, 0, 0))
     assert got == want
+
+
+@given(
+    st.one_of(st.integers(min_value=1, max_value=60), st.just(10**20 + 1)),
+    st.one_of(st.integers(min_value=1, max_value=60), st.just(10**20 + 1)),
+    st.integers(min_value=-1, max_value=3000),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=11),
+    st.sampled_from([1, 2, 7, 64]),
+)
+@settings(max_examples=200, deadline=None)
+def test_lattice_points_chunks_equal_rows(a, b, t_max, mod, residue, cells):
+    # any chunking of the rows gives the row-by-row arrays, order and dtype included
+    import etaquad.quadform as qf
+
+    keep = lambda t: t % mod == residue % mod
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qf, "_LATTICE_CELLS", cells)
+        got = lattice_points(a, b, t_max, keep)
+    want = oracle_lattice_points(a, b, t_max, keep)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+def test_isqrt_int64_exact():
+    # the float root of k^2 - 1 rounds up to k for large k; the fix-up undoes it
+    k = np.array([1, 2, 3, 2**26 - 1, 2**26, 2**26 + 1, 2**31 - 1, 3037000499], dtype=np.int64)
+    rng = np.random.default_rng(13)
+    values = np.concatenate(
+        [np.arange(300), k * k - 1, k * k, k * k + 1, rng.integers(0, 2**63 - 1, 3000), [2**63 - 1]]
+    ).astype(np.int64)
+    assert _isqrt_int64(values).tolist() == [isqrt(v) for v in values.tolist()]
 
 
 def test_lattice_points_order_and_errors():

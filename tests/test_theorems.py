@@ -532,6 +532,25 @@ def test_kernel_reads_audited_once_per_pair(monkeypatch):
     assert cache.values(7, 1, [11]) == [-5]
 
 
+def test_table_build_audited_against_recurrence(monkeypatch):
+    import etaquad.etaseries as es
+
+    sparse = es._BUILDERS["sparse"]
+
+    def corrupted(params, limit):
+        vals = sparse(params, limit)
+        vals[2] += 1  # index 3
+        return vals
+
+    monkeypatch.setitem(es._BUILDERS, "sparse", corrupted)
+    with pytest.raises(InternalInconsistencyError) as exc:
+        TableCache().get(1, 7, 500)
+    assert str(exc.value) == "sparse/recurrence mismatch at index 3 for LambdaParams(a=1, b=7)"
+    monkeypatch.setitem(es._BUILDERS, "sparse", sparse)
+    want = lambda_table(LambdaParams(1, 7), 128, "newton").values()
+    assert TableCache().get(7, 1, 500).values(1, 128) == want
+
+
 def test_table_cache_growth_capped_at_budget(monkeypatch):
     import etaquad.etaseries as es
     import etaquad.theorems as th
