@@ -14,12 +14,12 @@ an implementation bug.  When a prime admits several representations,
 the identity is evaluated on every one of them and any disagreement is
 reported as a falsification with witnesses.
 
-Coefficient values come through one ``TableCache`` per run.  A range
-reads per-(a, b) tables built with the sparse method and spot-audited
-against the recurrence method.  A single prime reads its few indices
-through ``TableCache.values``, which slices a held table that covers them
-and otherwise sums over lattice points (``lambda_at``, O(sqrt p) work), so
-a one-prime verdict never builds a table.
+Coefficient values come through one ``TableCache`` per run, and every
+read goes through ``TableCache.values``: it slices a held table that
+covers the indices and otherwise sums over lattice points (``lambda_at``,
+O(sqrt p) work per index).  Only ``range_report`` builds tables, presized
+per (a, b) with the sparse method and spot-audited against the recurrence
+method; a one-prime verdict builds none.
 
 Each case is one ``_CASES`` record (summary, parameter conditions, arity)
 whose rule builder gives the identity at concrete parameters as a
@@ -68,14 +68,14 @@ _AUDIT_PREFIX = 128
 
 class TableCache:
     """Shared read-only coefficient tables, one per (a, b), and the one read
-    path of the single-prime runners.
+    path of every runner.
 
     `get` builds or grows a table, geometrically up to the table budget;
-    only the range path calls it, and every build is spot-audited against
-    the recurrence method on a prefix.  `values` never builds: it slices a
-    held table that covers every index it reads, and otherwise calls the
-    lattice kernel `lambda_at`, whose first read per (a, b) is audited
-    against the sums over representations.
+    only `range_report` calls it, to presize the tables its rules read, and
+    every build is spot-audited against the recurrence method on a prefix.
+    `values` never builds: it slices a held table that covers every index
+    it reads, and otherwise calls the lattice kernel `lambda_at`, whose
+    first read per (a, b) is audited against the sums over representations.
     """
 
     def __init__(self):
@@ -93,17 +93,19 @@ class TableCache:
             cur = table
         return cur
 
-    def values(self, a: int, b: int, indices: list[int]) -> list[int]:
-        """The (a, b) coefficients at each index, as ints."""
+    def values(self, a: int, b: int, indices) -> np.ndarray:
+        """The (a, b) coefficients at a list or int64 array of indices, as int64."""
+        if not len(indices):
+            return np.zeros(0, dtype=np.int64)
         key = (a, b) if a <= b else (b, a)
         table = self._tables.get(key)
-        if table is not None and table.limit >= max(indices):
-            return table.take(indices).tolist()
+        if table is not None and table.limit >= np.max(indices):
+            return table.take(indices)
         params = LambdaParams(*key)
-        got = lambda_at(params, indices).tolist()
+        got = lambda_at(params, indices)
         if key not in self._kernel_audited:
-            for n, value in zip(indices, got):
-                if value != lambda_from_reps(params, n - 1):
+            for n, value in zip(indices, got.tolist()):
+                if value != lambda_from_reps(params, int(n) - 1):
                     raise InternalInconsistencyError(
                         f"lattice-sum/representation mismatch at index {n} for {params}"
                     )
@@ -271,7 +273,7 @@ def _run_square(case, p, cache, rule):
         suffix = " with odd x" if rule.odd_x else ""
         return _na(case, p, f"p has no representation p = {shown} + {fb}*y^2{suffix}")
     indices = [_exact_index(affine, p) for _, _, affine in rule.tables]
-    values = [cache.values(ta, tb, [i])[0] for (ta, tb, _), i in zip(rule.tables, indices)]
+    values = [cache.values(ta, tb, [i]).item() for (ta, tb, _), i in zip(rule.tables, indices)]
     if len(values) == 2:
         return _decide(case, p, reps, indices[0], {values[0]}, values[1])
     if rule.even_y:
@@ -292,7 +294,7 @@ def _run_product(case, p, cache, rule):
         return _na(case, p, f"{t} has no representation with x = y = 1 (mod 4)")
     _require_unique(norm, t, a, b)
     x, y = norm[0]
-    (lam,) = cache.values(ta, tb, [index])
+    lam = cache.values(ta, tb, [index]).item()
     lhs_ok, quad_ok = _product_checks(a, b, x, y, t, lam)
     status = HOLDS if lhs_ok and quad_ok else FALSIFIED
     reason = "square recovery identity failed" if lhs_ok and not quad_ok else None
@@ -320,7 +322,7 @@ def _run_thm53(case, p, cache, rule):
             return Verdict(FALSIFIED, case, p, index=p, reason=reason)
         expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
     reads = [m * p for m in _THM53_MULTIPLES]
-    details = tuple(zip(reads, expected, cache.values(ta, tb, reads)))
+    details = tuple(zip(reads, expected, cache.values(ta, tb, reads).tolist()))
     status = HOLDS if all(want == got for _, want, got in details) else FALSIFIED
     return Verdict(status, case, p, witness=witness, index=p, details=details)
 
@@ -676,14 +678,17 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 class _Range(NamedTuple):
     primes: np.ndarray  # the odd primes <= p_max, ascending
     flags: np.ndarray  # the sieve's primality flags for 0..p_max
+    cache: TableCache
 
     def sweep(self, form, m=1):
         """Every x, y >= 0 with m*p = fa*x^2 + fb*y^2 for an odd prime p of the
         range, as arrays (position of p, x, y)."""
         flags = self.flags
-        t, x, y = lattice_points(
-            *form, m * int(self.primes[-1]), lambda t: (t % m == 0) & flags[t // m] & (t > 2 * m)
-        )
+
+        def keep(t):
+            return flags[t] & (t > 2) if m == 1 else (t % m == 0) & flags[t // m] & (t > 2 * m)
+
+        t, x, y = lattice_points(*form, m * int(self.primes[-1]), keep)
         return np.searchsorted(self.primes, t // m), x, y
 
     def index(self, affine, where):
@@ -693,13 +698,6 @@ class _Range(NamedTuple):
         for i in np.flatnonzero(where & inexact)[:1]:
             _exact_index(affine, int(self.primes[i]))
         return index
-
-
-def _read(table, index, where):
-    """Table entries at index[where], zero elsewhere."""
-    out = np.zeros(len(index), dtype=np.int64)
-    out[where] = table.take(index[where])
-    return out
 
 
 def _marks(positions, n):
@@ -712,18 +710,18 @@ def _points_of(i, pos, x, y):
     return list(zip(x[pos == i].tolist(), y[pos == i].tolist()))
 
 
-def _cols_square(case, rule, rng, ok, tables):
+def _cols_square(case, rule, rng, ok):
     primes, n = rng.primes, len(rng.primes)
     pos, x, y = rng.sweep(rule.form)
     keep = ok[pos] & (x % 2 == 1) if rule.odd_x else ok[pos]
     pos, x, y = pos[keep], x[keep], y[keep]
     live = _marks(pos, n)
+    rows = np.flatnonzero(live)
     sides = [
-        _read(table, rng.index(affine, live), live)
-        for table, (_, _, affine) in zip(tables, rule.tables)
+        rng.cache.values(ta, tb, rng.index(affine, live)[rows]) for ta, tb, affine in rule.tables
     ]
     if len(sides) == 2:
-        return live, live & (sides[0] != sides[1])
+        return live, _marks(rows[sides[0] != sides[1]], n)
     if rule.even_y:
         for i in np.unique(pos[y % 2 == 1])[:1]:
             _require_even_y(_points_of(i, pos, x, y), case, int(primes[i]))
@@ -733,12 +731,12 @@ def _cols_square(case, rule, rng, ok, tables):
     low, high = np.full(n, np.iinfo(np.int64).max), np.full(n, np.iinfo(np.int64).min)
     np.minimum.at(low, pos, lhs.min(axis=0))
     np.maximum.at(high, pos, lhs.max(axis=0))
-    return live, live & ((low != high) | (low != sides[0]))
+    return live, _marks(rows[(low[rows] != high[rows]) | (low[rows] != sides[0])], n)
 
 
-def _cols_product(case, rule, rng, ok, tables):
+def _cols_product(case, rule, rng, ok):
     a, b = rule.form
-    ((_, _, affine),) = rule.tables
+    ((ta, tb, affine),) = rule.tables
     m = affine[0]  # t = 8(index - 1) + a + b = m*p
     primes, n = rng.primes, len(rng.primes)
     if m * int(primes[-1]) < a + b:
@@ -754,14 +752,15 @@ def _cols_product(case, rule, rng, ok, tables):
     targets, first, hits = np.unique(pos, return_index=True, return_counts=True)
     for i in targets[hits > 1][:1]:
         _require_unique(sorted(_points_of(i, pos, x, y)), m * int(primes[i]), a, b)
-    t, lam, x, y = m * primes[targets], tables[0].take(index[targets]), x[first], y[first]
+    t, lam, x, y = m * primes[targets], rng.cache.values(ta, tb, index[targets]), x[first], y[first]
     lhs_ok, quad_ok = _product_checks(a, b, x, y, t, lam)
     return _marks(targets, n), _marks(targets[~(lhs_ok & quad_ok)], n)
 
 
-def _cols_thm53(case, rule, rng, ok, tables):
+def _cols_thm53(case, rule, rng, ok):
+    ((ta, tb, _),) = rule.tables
     primes, n = rng.primes, len(rng.primes)
-    got = np.stack([tables[0].take(m * primes) * ok for m in _THM53_MULTIPLES])
+    got = np.stack([rng.cache.values(ta, tb, m * primes) * ok for m in _THM53_MULTIPLES])
     want = np.zeros_like(got)
     missing = np.zeros(n, dtype=bool)
     for cls in dict.fromkeys(_THM53_CLASSES.values()):
@@ -808,21 +807,21 @@ def range_report(
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
     cache = cache or _SHARED_CACHE
     flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)
-    rng = _Range(np.flatnonzero(flags)[1:].astype(np.int64), flags)  # every prime but 2
-    # every index rule is increasing in p, so p_max sizes each table once
-    rules = [inst._rule for inst in instances] if len(rng.primes) else []
-    tables = [
-        [cache.get(ta, tb, max(_index(affine, p_max)[0], 1)) for ta, tb, affine in rule.tables]
-        for rule in rules
-    ]
+    rng = _Range(np.flatnonzero(flags)[1:].astype(np.int64), flags, cache)  # every prime but 2
+    swept = instances if len(rng.primes) else []
+    # every index rule is increasing in p, so p_max sizes each table once and
+    # every read below, the scalar runner's included, slices a held table
+    for inst in swept:
+        for ta, tb, affine in inst._rule.tables:
+            cache.get(ta, tb, max(_index(affine, p_max)[0], 1))
     checked = skipped = 0
     suspects = []  # (prime position, instance position)
-    for k, (inst, held) in enumerate(zip(instances, tables)):
+    for k, inst in enumerate(swept):
         rule = inst._rule
         ok = np.ones(len(rng.primes), dtype=bool)
         for fails, _ in rule.hypotheses:
             ok &= ~fails(rng.primes)
-        live, suspect = _COLUMNAR[rule.run](inst, rule, rng, ok, held)
+        live, suspect = _COLUMNAR[rule.run](inst, rule, rng, ok)
         checked += int(np.count_nonzero(live & ~suspect))
         skipped += int(np.count_nonzero(~live & ~suspect))
         suspects += [(i, k) for i in np.flatnonzero(suspect).tolist()]

@@ -139,40 +139,18 @@ def test_every_representation_is_checked():
         assert v.status == HOLDS
 
 
-class _HighTable:
-    """A coefficient table that reads one too high everywhere."""
-
-    def __init__(self, table):
-        self._table = table
-
-    def value(self, n):
-        return self._table.value(n) + 1
-
-    def take(self, indices):
-        return self._table.take(indices) + 1
-
-
 class _HighCache(TableCache):
-    """Hands out every table, or only the (a, b) tables named, one too high.
-
-    Every range report reads through get(), the single-prime runners
-    through values(), which never calls get(); both are shifted.
+    """Reads every coefficient, or only those of the (a, b) tables named, one
+    too high.  The range and single-prime runners both read through values().
     """
 
     def __init__(self, shifted=None):
         super().__init__()
         self._shifted = shifted
 
-    def _shifts(self, a, b):
-        return self._shifted is None or (a, b) in self._shifted
-
-    def get(self, a, b, min_limit):
-        table = super().get(a, b, min_limit)
-        return _HighTable(table) if self._shifts(a, b) else table
-
     def values(self, a, b, indices):
         got = super().values(a, b, indices)
-        return [v + 1 for v in got] if self._shifts(a, b) else got
+        return got + 1 if self._shifted is None or (a, b) in self._shifted else got
 
 
 def test_falsification_is_reported_not_raised():
@@ -461,13 +439,16 @@ _PRIMES_4000 = [p for p in oracle_primes(4000) if p > 5]
 @given(
     st.sampled_from(_FIXED_CASES),
     st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=0, max_value=4000),
     st.lists(st.tuples(st.sampled_from(_FIXED_CASES), st.sampled_from(_PRIMES_4000)), max_size=6),
 )
 @settings(max_examples=40, deadline=None)
-def test_range_report_cold_equals_warm_cache(case_id, p_max, queries):
-    # tables grown by earlier single queries, to limits below or above what
-    # the range needs, must not change the report
+def test_range_report_cold_equals_warm_cache(case_id, p_max, warm_p_max, queries):
+    # tables an earlier range presized, to limits below or above what this
+    # range needs, and the kernel audits of later single queries must not
+    # change the report
     warm = TableCache()
+    range_report(case_id, warm_p_max, cache=warm)
     for query_case, p in queries:
         if query_case == "T5.3":
             verify_thm53(p, cache=warm)
@@ -499,12 +480,16 @@ def test_values_slice_a_held_table(monkeypatch):
     kernel_reads = []
     kernel = th.lambda_at
     monkeypatch.setattr(th, "lambda_at", lambda params, n: kernel_reads.append(n) or kernel(params, n))
-    assert cache.values(7, 1, [11, 1000]) == table.take([11, 1000]).tolist()
+    assert cache.values(7, 1, [11, 1000]).tolist() == table.take([11, 1000]).tolist()
     v = verify_construction(make_case("E1.6"), 991, cache)
     assert v.holds and v.rhs == table.value(991) and kernel_reads == []
     # past the held limit the kernel answers, and the table is not grown
-    assert cache.values(1, 7, [1009]) == [lambda_from_reps(LambdaParams(1, 7), 1008)]
+    assert cache.values(1, 7, [1009]).tolist() == [lambda_from_reps(LambdaParams(1, 7), 1008)]
     assert kernel_reads == [[1009]] and cache.get(1, 7, 1) is table
+    # an array read that runs past it goes to the kernel whole
+    want = [table.value(11), lambda_from_reps(LambdaParams(1, 7), 1008)]
+    assert cache.values(7, 1, np.array([11, 1009])).tolist() == want
+    assert len(kernel_reads) == 2 and cache.get(1, 7, 1) is table
 
 
 def test_e16_past_the_table_wall():
@@ -526,10 +511,38 @@ def test_kernel_reads_audited_once_per_pair(monkeypatch):
         TableCache().values(1, 7, [11])
     cache = TableCache()
     monkeypatch.setattr(th, "lambda_at", kernel)
-    assert cache.values(1, 7, [11]) == [-6]
+    assert cache.values(1, 7, [11]).tolist() == [-6]
     # the first read of (1, 7) was audited; later ones are not
     monkeypatch.setattr(th, "lambda_at", lambda params, n: kernel(params, n) + 1)
-    assert cache.values(7, 1, [11]) == [-5]
+    assert cache.values(7, 1, [11]).tolist() == [-5]
+
+
+def _no_kernel(params, indices):
+    raise AssertionError(f"lattice kernel read {params} at {indices}")
+
+
+def test_values_empty_read(monkeypatch):
+    import etaquad.theorems as th
+
+    # an empty read builds nothing, calls no kernel and marks nothing audited
+    kernel = th.lambda_at
+    monkeypatch.setattr(th, "lambda_at", _no_kernel)
+    cache = TableCache()
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        got = cache.values(1, 7, empty)
+        assert got.dtype == np.int64 and got.tolist() == []
+    assert cache._tables == {}
+    # so the first real read of (1, 7) is still audited
+    monkeypatch.setattr(th, "lambda_at", lambda params, n: kernel(params, n) + 1)
+    with pytest.raises(InternalInconsistencyError, match="mismatch at index 11 for"):
+        cache.values(1, 7, [11])
+    # with a table held, an empty read slices nothing
+    monkeypatch.setattr(th, "lambda_at", _no_kernel)
+    table = cache.get(1, 7, 100)
+    for empty in ([], np.zeros(0, dtype=np.int64)):
+        got = cache.values(7, 1, empty)
+        assert got.dtype == np.int64 and got.tolist() == []
+    assert cache.get(1, 7, 1) is table
 
 
 def test_table_build_audited_against_recurrence(monkeypatch):
@@ -609,6 +622,20 @@ def _case_and_grid(draw):
     if not case_arity(case_id):
         return case_id, None
     return case_id, draw(st.lists(st.sampled_from(_ADMISSIBLE[case_id]), min_size=1, max_size=2))
+
+
+@pytest.mark.parametrize("case_id", case_ids())
+def test_range_report_makes_no_kernel_read(monkeypatch, case_id):
+    import etaquad.theorems as th
+
+    # presizing alone keeps every range read, the scalar runner's included,
+    # on a held table rather than a silent fall back to the lattice kernel
+    grid = _ADMISSIBLE[case_id][:1] if case_arity(case_id) else None
+    p_maxes = (0, 2, 3, 5, 12, 2000)
+    want = [range_report(case_id, p_max, grid, cache=TableCache()) for p_max in p_maxes]
+    monkeypatch.setattr(th, "lambda_at", _no_kernel)
+    got = [range_report(case_id, p_max, grid, cache=TableCache()) for p_max in p_maxes]
+    assert got == want
 
 
 @given(_case_and_grid(), st.integers(min_value=0, max_value=5000))
