@@ -24,6 +24,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .closed import CLOSED_FAMILIES, closed_form
 from .errors import InternalInconsistencyError, ResourceLimitError
 from .etaseries import METHODS, LambdaParams, lambda_table
@@ -86,15 +88,72 @@ def _build_parser() -> argparse.ArgumentParser:
 _DUMP_ROWS = 1 << 16
 
 
+@functools.cache  # built at the first dump, so other commands never pay for it
+def _digit_cells() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The four ASCII digits of each group 0..9999 as one little-endian
+    uint32 cell, three ways: every digit; leading zeros as NUL bytes but
+    the last digit kept, so 0 is written as "0"; leading zeros as NUL and
+    0 all NUL, for a group above the number's highest digit."""
+    n = np.arange(10000, dtype=np.uint32)
+    full = np.zeros_like(n)
+    blank = np.zeros_like(n)
+    for j, place in enumerate((1000, 100, 10, 1)):
+        digit = (ord("0") + n // place % 10) << (8 * j)
+        full |= digit
+        blank |= np.where(n >= place, digit, 0)
+    padded = blank.copy()
+    padded[0] = ord("0") << 24
+    for cells in (full, padded, blank):
+        cells.setflags(write=False)  # shared by every dump
+    return full, padded, blank
+
+
+def _groups(top: int) -> int:
+    """Number of four-digit groups in the decimal form of top >= 0."""
+    return -(-len(str(top)) // 4)
+
+
+def _write_digits(field: np.ndarray, mags: np.ndarray, top: int) -> None:
+    """Write the uint64 magnitudes mags, none above top, as decimal digits
+    into the cell columns of field, lowest group in the last column."""
+    full, lead, blank = _digit_cells()
+    for col in range(field.shape[1] - 1, -1, -1):
+        if top < 1 << 32:  # uint32 division is about three times as fast
+            mags = mags.astype(np.uint32, copy=False)
+        mags, group = np.divmod(mags, 10000)
+        top //= 10000
+        # a group is the leading one where nothing is left above it
+        field[:, col] = lead[group] if top == 0 else np.where(mags, full[group], lead[group])
+        lead = blank
+
+
+def _dump_text(indices: np.ndarray, values: np.ndarray) -> str:
+    """The rows "n<TAB>value\\n" for int64 arrays of indices n >= 1 and values.
+
+    Each row is laid out as fixed-width cells of four bytes: the index
+    digits, TAB and the sign (or NUL), the value digits, and the newline,
+    with NUL for every digit a shorter number lacks; dropping the NULs
+    leaves the rows.
+    """
+    negative = values < 0
+    # -(-2^63) wraps to -2^63, whose bits read as uint64 are 2^63
+    mags = np.where(negative, -values, values).view(np.uint64)
+    index_top, value_top = int(indices.max()), int(mags.max())
+    width = _groups(index_top)
+    cells = np.empty((len(values), width + _groups(value_top) + 2), dtype="<u4")
+    _write_digits(cells[:, :width], indices.view(np.uint64), index_top)
+    cells[:, width] = ord("\t") | negative * (ord("-") << 8)  # TAB, then "-" or NUL
+    _write_digits(cells[:, width + 1 : -1], mags, value_top)
+    cells[:, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _run_lambda(args) -> int:
-    rows = lambda_table(LambdaParams(args.a, args.b), args.n_max, args.method).values
+    table = lambda_table(LambdaParams(args.a, args.b), args.n_max, args.method)
+    # one str per chunk, its digits written by numpy (_dump_text), one write each
     for first in range(1, args.n_max + 1, _DUMP_ROWS):
-        last = min(first + _DUMP_ROWS - 1, args.n_max)
-        # one % format per chunk over the interleaved indices and values
-        cells = [0] * (2 * (last - first + 1))
-        cells[0::2] = range(first, last + 1)
-        cells[1::2] = rows(first, last)
-        sys.stdout.write("%d\t%d\n" * (last - first + 1) % tuple(cells))
+        indices = np.arange(first, min(first + _DUMP_ROWS, args.n_max + 1), dtype=np.int64)
+        sys.stdout.write(_dump_text(indices, table.take(indices)))
     return 0
 
 

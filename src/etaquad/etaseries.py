@@ -5,7 +5,9 @@ Four independent routes to the same table, the METHODS of lambda_table:
 * ``sparse``   -- the cube of each factor collapses onto triangular-number
                   exponents with odd coefficients, so the product is a
                   sparse double sum; O(N/sqrt(ab)) term visits, one
-                  Python step per term of the larger multiplier.
+                  Python step per term of the larger multiplier; for
+                  a = b, a square, each pair off the diagonal is
+                  visited once, so half as many visits.
 * ``newton``   -- an O(N^2) recurrence driven by weighted divisor sums,
                   with an exact divisibility check at every step.
 * ``naive``    -- truncated polynomial multiplication, factor by factor,
@@ -166,6 +168,15 @@ def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
     bases = min(big, limit) * tri_k
     # row[:end] are the exponents that keep base + row below limit
     row_ends = np.searchsorted(row, limit - 1 - bases, side="right")
+    if params.a == params.b:
+        # the product is f(q^a)^2, where the pair (j, k) equals (k, j): row k
+        # stops before j = k with doubled coefficients, and the diagonal
+        # terms c_k^2 at 2*base_k are added once (their indices are distinct).
+        # Every partial sum is still a sum of rectangle terms, so the bound holds
+        diagonal = 2 * bases < limit
+        vals[2 * bases[diagonal]] += coef_k[diagonal] ** 2
+        row_ends = np.minimum(row_ends, np.arange(len(bases)))
+        coef_k = 2 * coef_k
     for base, ck, end in zip(bases.tolist(), coef_k.tolist(), row_ends.tolist()):
         # indices within one k are distinct, so fancy += is well defined
         vals[base + row[:end]] += ck * coef[:end]

@@ -49,6 +49,16 @@ def oracle_product_table(a: int, b: int, limit: int) -> list[int]:
     return vals
 
 
+def oracle_dump_rows(first: int, values) -> str:
+    """The CLI `lambda` rows "n<TAB>value\\n" for n = first, first + 1, ...:
+    one % format over the interleaved indices and values, as Python
+    itself renders integers, with no part of the CLI's digit writer."""
+    cells = [0] * (2 * len(values))
+    cells[0::2] = range(first, first + len(values))
+    cells[1::2] = [int(v) for v in values]
+    return "%d\t%d\n" * len(values) % tuple(cells)
+
+
 def oracle_reps(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
     """All (x, y) with a*x^2 + b*x*y + c*y^2 = n by scanning the full
     positive-definiteness box."""

@@ -13,12 +13,15 @@ from pathlib import Path
 from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
+from conftest import oracle_dump_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etaquad import LambdaParams, case_ids, closed_form, lambda_table, make_case, range_report
-from etaquad.cli import EXIT_BROKEN_PIPE, main
+from etaquad.cli import EXIT_BROKEN_PIPE, _dump_text, main
+from etaquad.etaseries import CoeffTable
 
 REPORT_SCHEMA = {
     "type": "object",
@@ -147,6 +150,64 @@ def test_lambda_dump_matches_rows(a, b, n_max, method, dump_rows):
         argv = ["lambda", "--a", str(a), "--b", str(b), "--n-max", str(n_max), "--method", method]
         assert main(argv) == 0
     assert out.getvalue() == want
+
+
+# int64 ends, powers of ten and their neighbours (every digit-group edge), and
+# the uint32 edge where the digit writer narrows its division
+_DUMP_EDGE_VALUES = sorted(
+    {0, 2**63 - 1, -(2**63) + 1, -(2**63), 2**32 - 1, 2**32, -(2**32)}
+    | {s * (10**k + d) for k in range(19) for d in (-1, 0, 1) for s in (1, -1)}
+)
+_DUMP_FIRST_INDICES = [1, 9999, 10000, 10**8 - 1, 2**32 + 1]
+
+
+def _dump_by_chunks(first, table, rows):
+    # the CLI's digit writer over the table in chunks of `rows`, indices from first
+    text = []
+    for start in range(0, len(table), rows):
+        n = min(rows, len(table) - start)
+        offsets = np.arange(start, start + n, dtype=np.int64)
+        text.append(_dump_text(first + offsets, table.take(1 + offsets)))
+    return "".join(text)
+
+
+def test_dump_writer_edge_values():
+    table = CoeffTable(LambdaParams(1, 1), len(_DUMP_EDGE_VALUES), "sparse", _DUMP_EDGE_VALUES)
+    for first in _DUMP_FIRST_INDICES + [2**63 - len(_DUMP_EDGE_VALUES)]:
+        want = oracle_dump_rows(first, _DUMP_EDGE_VALUES)
+        for rows in (1, 7, 65536):
+            assert _dump_by_chunks(first, table, rows) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.sampled_from(_DUMP_EDGE_VALUES),
+            st.integers(-(2**63), 2**63 - 1),
+            st.integers(-20000, 20000),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    first=st.one_of(st.sampled_from(_DUMP_FIRST_INDICES), st.integers(1, 2**63 - 200)),
+    rows=st.sampled_from([1, 7, 65536]),
+)
+def test_dump_writer_matches_oracle(values, first, rows):
+    # byte for byte the % format, for any int64 values and indices, whole
+    # through the CLI (indices from 1) and chunk by chunk from any first index
+    import etaquad.cli as cli_mod
+
+    table = CoeffTable(LambdaParams(1, 1), len(values), "sparse", values)
+    out = io.StringIO()
+    with (
+        mock.patch.object(cli_mod, "lambda_table", lambda params, n_max, method: table),
+        mock.patch.object(cli_mod, "_DUMP_ROWS", rows),
+        redirect_stdout(out),
+    ):
+        assert main(["lambda", "--a", "1", "--b", "1", "--n-max", str(len(values))]) == 0
+    assert out.getvalue() == oracle_dump_rows(1, values)
+    assert _dump_by_chunks(first, table, rows) == oracle_dump_rows(first, values)
 
 
 def test_lambda_multiplier_past_int64(capsys):

@@ -290,6 +290,42 @@ def test_sparse_loop_order_is_invisible(a, b, limit):
     assert ab.tolist() == lambda_table(LambdaParams(a, b), limit, "newton").values()
 
 
+@st.composite
+def _square_limits(draw):
+    # a = b, half the time with the last diagonal term, at 2*a*T_k, on the
+    # table's last entry limit - 1
+    a = draw(st.one_of(st.integers(min_value=1, max_value=40), st.just(2**70)))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([k for k in range(45) if a * k * (k + 1) < 2000]))
+        return a, a * k * (k + 1) + 1
+    return a, draw(st.integers(min_value=1, max_value=2000))
+
+
+@given(_square_limits())
+@settings(max_examples=80, deadline=None)
+def test_sparse_half_sweep_equals_newton(a_limit):
+    # for a = b the sparse loop visits each pair j < k once, doubled, plus
+    # the diagonal; the table equals the recurrence
+    a, limit = a_limit
+    got = _table_sparse(LambdaParams(a, a), limit)
+    assert got.dtype == np.int64
+    assert got.tolist() == lambda_table(LambdaParams(a, a), limit, "newton").values()
+
+
+def test_sparse_square_matches_reps():
+    # (1,1), the table C3.1 reads, against the representation sums at seeded
+    # indices up to 10^6, at the first, second and last entries, and at diagonal
+    # exponents 2*T_k
+    import random
+
+    table = lambda_table(LambdaParams(1, 1), 10**6)
+    rng = random.Random(15)
+    diagonal = [k * (k + 1) + 1 for k in (1, 2, 99, 999)]
+    indices = [1, 2, 10**6] + diagonal + rng.sample(range(1, 10**6), 40)
+    for n in indices:
+        assert table.value(n) == lambda_from_reps(LambdaParams(1, 1), n - 1), n
+
+
 @pytest.mark.parametrize("c", [2, 3, 4])
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 3)])
 def test_rescaling(c, a, b):
