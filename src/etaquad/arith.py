@@ -176,24 +176,15 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     return False
 
 
-def _no_factor_from_53(n: int) -> bool:
-    """Trial division of n, free of the primes to 47, by 53 and up."""
-    f = 53
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
-
-
 def is_prime(n: int) -> bool:
-    """Exact primality for every n.
+    """Exact primality below 3.3e24, and exact compositeness past it.
 
     Division by the primes to 47 first, then the strong-probable-prime test
     to the bases that _MR_BASES proves enough below n's bound.  Past the
-    last bound (3.3e24) a strong Lucas test follows (together a BPSW test,
-    with no known pseudoprime), and a probable prime is confirmed by trial
-    division.
+    last bound a strong Lucas test follows (together a BPSW test, with no
+    known pseudoprime): n that fails either test is composite, and n that
+    passes both raises ResourceLimitError, since a proof would need trial
+    division to sqrt(n) > 1.8e12 or a primality certificate.
     """
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -207,7 +198,11 @@ def is_prime(n: int) -> bool:
         return False
     if n < bound:
         return True
-    return _strong_lucas_probable_prime(n) and _no_factor_from_53(n)
+    if not _strong_lucas_probable_prime(n):
+        return False
+    raise ResourceLimitError(
+        f"is_prime({n}): a probable prime past {bound}, the last bound of proven primality"
+    )
 
 
 def kronecker(a: int, n: int) -> int:

@@ -7,8 +7,9 @@ class inverses, and the representations of integers by a form.
 One integer's representations come from a single scan over x >= 0
 (``_scan``): a numpy residue filter modulo a few small moduli drops most
 x in chunks, and only the survivors pay the exact ``isqrt`` in Python
-ints, lazily and in ascending x.  ``representations`` adds the mirror
-(-x, -y) of each solution with x > 0, ``normalized_reps`` keeps the
+ints, lazily and in ascending x.  ``representations`` scans whichever
+variable has the shorter range and adds the mirror (-x, -y) of each
+solution where that variable is > 0, ``normalized_reps`` keeps the
 mod-4-normalized solutions that drive the product-series identities, and
 ``find_rep`` takes the first solution with y >= 0.  ``lattice_points`` is
 one numpy sweep over the lattice points of a diagonal form, in chunks of
@@ -107,24 +108,15 @@ def _require_positive_definite(form: QuadForm) -> None:
 def discriminant_info(d: int) -> Discriminant:
     """Validate d and attach its conductor and unit weight.
 
-    The conductor is the largest f with d/f^2 still a discriminant; the
-    unit weight is 6 for d = -3, 4 for d = -4, and 2 below -4.
+    The conductor is the largest f with d/f^2 still a discriminant, found
+    in one numpy pass over f <= sqrt(|d|): f^2 divides d and d/f^2 = 0 or
+    1 (mod 4).  The unit weight is 6 for d = -3, 4 for d = -4, else 2.
     """
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a negative discriminant")
-    conductor = 1
-    f = 2
-    while f * f <= -d:
-        if d % (f * f) == 0 and (d // (f * f)) % 4 in (0, 1):
-            conductor = f
-        f += 1
-    if d == -3:
-        w = 6
-    elif d == -4:
-        w = 4
-    else:
-        w = 2
-    return Discriminant(d, conductor, w)
+    f2 = np.arange(1, isqrt(-d) + 1, dtype=np.int64) ** 2
+    conductor = int(np.flatnonzero((d % f2 == 0) & (d // f2 % 4 < 2))[-1]) + 1
+    return Discriminant(d, conductor, {-3: 6, -4: 4}.get(d, 2))
 
 
 def reduce(form: QuadForm) -> QuadForm:
@@ -158,40 +150,45 @@ def inverse(form: QuadForm) -> QuadForm:
     return reduce(QuadForm(form.a, -form.b, form.c))
 
 
-_CLASS_GROUP_CELLS = 1 << 18  # (a, b) cells per chunk of class_group's mask
+_CLASS_GROUP_CELLS = 1 << 18  # (a, c) cells per chunk of class_group's search
 
 
 def class_group(d: int) -> ClassGroup:
     """Enumerate the reduced primitive forms of discriminant d.
 
     Every (a, b, c) with |b| <= a <= c, b^2 - 4ac = d and gcd(a, b, c) = 1,
-    where b >= 0 on the boundary.  Such a form has 3a^2 <= |d|, so one
-    boolean mask over a <= sqrt(|d|/3) and 0 <= b <= a with b = d (mod 2)
-    marks the (a, b) with 4a | b^2 - d.  Those with c >= a and gcd 1 are
-    the forms with b >= 0; (a, -b, c) joins each with 0 < b < a < c.  The
-    mask is built in bands of a, each of at most _CLASS_GROUP_CELLS cells,
-    so memory stays bounded for large |d|.
+    where b >= 0 on the boundary.  Such a form has 3a^2 <= |d| and
+    |d| <= 4ac <= |d| + a^2, so each a <= sqrt(|d|/3) leaves a window of at
+    most a/4 + 1 values of c >= a, from ceil(|d|/4a), and b is the root of
+    4ac - |d| where `_isqrt_int64` finds that a square.  The rows of a lie
+    end to end in chunks of at most _CLASS_GROUP_CELLS cells (or one longer
+    row), each cell's 4ac - |d| the row's first value plus a multiple of 4a.
+    The hits with gcd 1 are the forms with b >= 0, and (a, -b, c) joins each
+    with 0 < b < a < c.  Cells stay in int64 because 4ac <= 4|d|/3.
     """
     info = discriminant_info(d)
-    a_top = isqrt(-d // 3)
-    b = np.arange(-d % 2, a_top + 1, 2, dtype=np.int64)
-    num = b * b - d
-    # at least 8 bands of rows, so the mask hugs the triangle b <= a
-    rows = max(1, min(_CLASS_GROUP_CELLS // len(b), -(-a_top // 8)))
-    classes: list[tuple[int, int, int]] = []
-    for lo in range(1, a_top + 1, rows):
-        a = np.arange(lo, min(lo + rows, a_top + 1), dtype=np.int64)[:, None]
-        cols = np.searchsorted(b, a[-1, 0], side="right")  # every b <= a in the chunk
-        ia, ib = np.divmod(np.flatnonzero((b[:cols] <= a) & (num[:cols] % (4 * a) == 0)), cols)
-        fa, fb = a[ia, 0], b[ib]
-        fc = num[ib] // (4 * fa)
-        keep = (fc >= fa) & (np.gcd(np.gcd(fa, fb), fc) == 1)
-        for x, y, z in zip(fa[keep].tolist(), fb[keep].tolist(), fc[keep].tolist()):
-            classes.append((x, y, z))
-            if 0 < y < x < z:
-                classes.append((x, -y, z))
-    # tuples sort as QuadForm does, field by field, and much faster
-    return ClassGroup(info, tuple(QuadForm(*abc) for abc in sorted(classes)))
+    a = np.arange(1, isqrt(-d // 3) + 1, dtype=np.int64)
+    c0 = np.maximum(-(d // (4 * a)), a)
+    counts = (a * a - d) // (4 * a) + 1 - c0
+    a, c0, counts = a[counts > 0], c0[counts > 0], counts[counts > 0]
+    ends = np.cumsum(counts)
+    found = []
+    for lo, hi, base in _row_chunks(ends, _CLASS_GROUP_CELLS):
+        step, starts = 4 * a[lo:hi], ends[lo:hi] - counts[lo:hi] - base
+        b2 = np.repeat(step, counts[lo:hi]) * np.arange(ends[hi - 1] - base)
+        b2 += np.repeat(step * (c0[lo:hi] - starts) + d, counts[lo:hi])
+        b = _isqrt_int64(b2)
+        hit = np.flatnonzero(b * b == b2)
+        row = np.searchsorted(starts, hit, side="right") - 1
+        found.append((a[lo + row], b[hit], c0[lo + row] + hit - starts[row]))
+    a, b, c = (np.concatenate(column) for column in zip(*found))
+    keep = np.gcd(np.gcd(a, b), c) == 1
+    mirror = keep & (0 < b) & (b < a) & (a < c)
+    a, c = np.concatenate((a[keep], a[mirror])), np.concatenate((c[keep], c[mirror]))
+    b = np.concatenate((b[keep], -b[mirror]))
+    order = np.lexsort((c, b, a))
+    forms = map(QuadForm, a[order].tolist(), b[order].tolist(), c[order].tolist())
+    return ClassGroup(info, tuple(forms))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -292,14 +289,19 @@ def _scan(form: QuadForm, n: int):
 def representations(form: QuadForm, n: int) -> RepSet:
     """Every integer pair (x, y) with form(x, y) = n.
 
-    The solutions with x >= 0 come from `_scan`; those with x < 0 are the
-    mirrors (-x, -y) of the ones with x > 0.
+    `_scan` walks the first variable up to sqrt(4cn/|d|) for [a, b, c], so
+    when a < c it scans [c, b, a] instead, over y up to sqrt(4an/|d|), and
+    swaps each pair back.  The solutions with the scanned variable >= 0
+    come from the scan; the rest are the mirrors (-x, -y) of those where
+    it is > 0.
     """
     _require_positive_definite(form)
     if n < 1:
         raise ValueError(f"representations needs n >= 1, got {n}")
-    pairs = list(_scan(form, n))
-    pairs += [(-x, -y) for x, y in pairs if x > 0]
+    swap = form.a < form.c
+    half = list(_scan(QuadForm(form.c, form.b, form.a) if swap else form, n))
+    half += [(-u, -v) for u, v in half if u > 0]
+    pairs = [(v, u) for u, v in half] if swap else half
     return RepSet(form, n, tuple(sorted(pairs)))
 
 
@@ -339,6 +341,18 @@ def _isqrt_int64(values: np.ndarray) -> np.ndarray:
     return root
 
 
+def _row_chunks(ends: np.ndarray, cells: int):
+    """(lo, hi, base) for each chunk of consecutive rows lo..hi-1, laid end to
+    end, where ends is the cumulative sum of the row lengths and base the
+    cells before row lo: at most `cells` cells per chunk, or one longer row."""
+    lo = 0
+    while lo < len(ends):
+        base = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cells, side="right")))
+        yield lo, hi, base
+        lo = hi
+
+
 def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Int64 arrays (t, x, y) of every x, y >= 0 with t = a*x^2 + b*y^2 <= t_max
     and keep(t) true, ordered by y and then x.
@@ -362,10 +376,7 @@ def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.nda
     counts = _isqrt_int64((t_max - by2) // a) + 1
     ends = np.cumsum(counts)
     found = []
-    lo = 0
-    while lo < len(y):
-        base = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + _LATTICE_CELLS, side="right")))
+    for lo, hi, base in _row_chunks(ends, _LATTICE_CELLS):
         rows, row_ends = counts[lo:hi], ends[lo:hi] - base
         # x steps by 1 and drops back to 0 where the next row starts
         x = np.ones(int(row_ends[-1]), dtype=np.int64)
@@ -377,5 +388,4 @@ def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.nda
         t += np.repeat(by2[lo:hi], rows)
         hit = np.flatnonzero(keep(t))
         found.append((t[hit], x[hit], lo + np.searchsorted(row_ends, hit, side="right")))
-        lo = hi
     return tuple(np.concatenate(column) for column in zip(*found))

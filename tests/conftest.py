@@ -128,6 +128,18 @@ def oracle_class_group(d: int) -> list[tuple[int, int, int]]:
     return sorted(classes)
 
 
+def oracle_conductor(d: int) -> int:
+    """The largest f with f^2 | d and d/f^2 = 0 or 1 (mod 4), by a loop over
+    every f <= sqrt(|d|)."""
+    conductor = 1
+    f = 2
+    while f * f <= -d:
+        if d % (f * f) == 0 and (d // (f * f)) % 4 in (0, 1):
+            conductor = f
+        f += 1
+    return conductor
+
+
 def coprime_pairs(limit: int):
     for m in range(1, limit + 1):
         for n in range(1, limit + 1):

@@ -6,7 +6,13 @@ from math import gcd, isqrt
 
 import numpy as np
 import pytest
-from conftest import oracle_class_group, oracle_lattice_points, oracle_reps, oracle_scan
+from conftest import (
+    oracle_class_group,
+    oracle_conductor,
+    oracle_lattice_points,
+    oracle_reps,
+    oracle_scan,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +139,21 @@ def test_discriminant_info(d, conductor, weight):
     assert info.unit_weight == weight
 
 
+def test_discriminant_info_matches_conductor_loop():
+    # every d to -20000, then conductors 1000, 2310 and 9973
+    for d in (*range(-3, -20001, -1), -4 * 1000**2, -3 * 2310**2, -3 * 9973**2):
+        if d % 4 in (0, 1):
+            info = discriminant_info(d)
+            assert (info.d, info.conductor) == (d, oracle_conductor(d)), d
+            assert info.unit_weight == {-3: 6, -4: 4}.get(d, 2)
+
+
+@given(st.integers(min_value=20_001, max_value=10**7).filter(lambda n: n % 4 in (0, 3)))
+@settings(max_examples=8, deadline=None)
+def test_discriminant_info_matches_conductor_loop_large(n):
+    assert discriminant_info(-n).conductor == oracle_conductor(-n)
+
+
 def test_reduce_fixes_class_group_members():
     for d in [-12, -20, -24, -28, -40, -60, -84]:
         for form in class_group(d):
@@ -237,7 +258,10 @@ def test_representation_counts_printed():
 
 
 def test_representations_match_box_scan():
-    for a, b, c in ((1, 0, 3), (2, 1, 3), (3, 2, 3), (2, 2, 11), (2, 2, 3)):
+    # a < c scans [c, b, a] over y and swaps back; a >= c scans over x
+    forms = ((1, 0, 3), (2, 1, 3), (3, 2, 3), (2, 2, 11), (2, 2, 3))
+    forms += ((5, 0, 2), (7, 3, 2), (11, 2, 3))
+    for a, b, c in forms:
         for n in range(1, 120):
             assert list(representations(QuadForm(a, b, c), n).pairs) == oracle_reps(a, b, c, n)
 

@@ -8,7 +8,15 @@ import random
 import pytest
 from conftest import oracle_primes
 
-from etaquad import QuadForm, arith, find_rep, is_prime, kronecker, representations, sigma
+from etaquad import (
+    QuadForm,
+    ResourceLimitError,
+    find_rep,
+    is_prime,
+    kronecker,
+    representations,
+    sigma,
+)
 from etaquad.arith import (
     _MR_BASES,
     _SMALL_PRIMES,
@@ -33,7 +41,7 @@ def test_is_prime_matches_sympy():
     last_bound = _MR_BASES[-1][0]
     for _ in range(4000):
         n = rng.randrange(-2, 10 ** rng.randint(1, 30))
-        # past the last bound a prime is confirmed by trial division, O(sqrt n)
+        # past the last bound a prime raises ResourceLimitError (see below)
         if n >= last_bound and isprime(n):
             continue
         assert is_prime(n) == isprime(n), n
@@ -68,13 +76,9 @@ def test_is_prime_below_each_bound():
         assert is_prime(prevprime(bound))
 
 
-def test_is_prime_past_last_bound_skips_trial_division(monkeypatch):
+def test_is_prime_past_last_bound_skips_trial_division():
     # the last bound is itself a strong pseudoprime to every base up to 41
     # (smallest factor 1,287,836,182,261); the strong Lucas test rejects it
-    def no_trial_division(n):
-        raise AssertionError(f"trial division reached for {n}")
-
-    monkeypatch.setattr(arith, "_no_factor_from_53", no_trial_division)
     last_bound = _MR_BASES[-1][0]
     assert all(_strong_probable_prime(last_bound, p) for p in _MR_BASES[-1][1])
     assert not is_prime(last_bound)
@@ -84,9 +88,12 @@ def test_is_prime_past_last_bound_skips_trial_division(monkeypatch):
         p = nextprime(rng.randrange(53, 10**12))
         q = nextprime(last_bound // p + rng.randrange(10**6))
         assert not isprime(p * q) and not is_prime(p * q)
-    # a prime past the bound passes both tests and reaches trial division
-    monkeypatch.setattr(arith, "_no_factor_from_53", lambda n: True)
-    assert is_prime(nextprime(last_bound))
+    # a prime past the bound passes both tests and meets the budget, which
+    # names the bound, before any trial division could start
+    for p in (nextprime(last_bound), nextprime(10**40)):
+        want = rf"^is_prime\({p}\): a probable prime past {last_bound},"
+        with pytest.raises(ResourceLimitError, match=want):
+            is_prime(p)
 
 
 def test_strong_lucas_matches_sympy():

@@ -578,6 +578,17 @@ def test_table_cache_growth_capped_at_budget(monkeypatch):
         cache.get(1, 7, 101)
 
 
+def test_one_prime_past_last_primality_bound_hits_the_budget():
+    # 10^40 + 121 is prime; past 3.3e24 is_prime cannot prove it, so the
+    # verdict stops at the budget at once instead of trial division to 10^20
+    p = 10**40 + 121
+    want = rf"^is_prime\({p}\): a probable prime past 3317044064679887385961981,"
+    with pytest.raises(ResourceLimitError, match=want):
+        verify_construction(make_case("E1.6"), p)
+    with pytest.raises(ResourceLimitError, match="a probable prime past"):
+        verify_thm53(p)
+
+
 # ---------------------------------------------------------------------------
 # the columnar range path against the one-prime loop of _evaluate
 
