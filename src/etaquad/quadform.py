@@ -150,7 +150,7 @@ def inverse(form: QuadForm) -> QuadForm:
     return reduce(QuadForm(form.a, -form.b, form.c))
 
 
-_CLASS_GROUP_CELLS = 1 << 18  # (a, c) cells per chunk of class_group's search
+_CLASS_GROUP_CELLS = 1 << 14  # (a, c) cells per chunk of class_group's search
 
 
 def class_group(d: int) -> ClassGroup:
