@@ -105,17 +105,24 @@ def _require_positive_definite(form: QuadForm) -> None:
         raise ValueError(f"form {form} is not positive definite")
 
 
+_CLASS_GROUP_CELLS = 1 << 14  # cells per chunk of the conductor's pass and class_group's search
+
+
 def discriminant_info(d: int) -> Discriminant:
     """Validate d and attach its conductor and unit weight.
 
     The conductor is the largest f with d/f^2 still a discriminant, found
-    in one numpy pass over f <= sqrt(|d|): f^2 divides d and d/f^2 = 0 or
-    1 (mod 4).  The unit weight is 6 for d = -3, 4 for d = -4, else 2.
+    in one numpy pass over f <= sqrt(|d|), in blocks of _CLASS_GROUP_CELLS
+    values: f^2 divides d and d/f^2 = 0 or 1 (mod 4).  The unit weight is
+    6 for d = -3, 4 for d = -4, else 2.
     """
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a negative discriminant")
-    f2 = np.arange(1, isqrt(-d) + 1, dtype=np.int64) ** 2
-    conductor = int(np.flatnonzero((d % f2 == 0) & (d // f2 % 4 < 2))[-1]) + 1
+    conductor, f_top = 1, isqrt(-d)
+    for lo in range(1, f_top + 1, _CLASS_GROUP_CELLS):
+        f2 = np.arange(lo, min(lo + _CLASS_GROUP_CELLS, f_top + 1), dtype=np.int64) ** 2
+        fits = np.flatnonzero((d % f2 == 0) & (d // f2 % 4 < 2))
+        conductor = lo + int(fits[-1]) if len(fits) else conductor
     return Discriminant(d, conductor, {-3: 6, -4: 4}.get(d, 2))
 
 
@@ -148,9 +155,6 @@ def inverse(form: QuadForm) -> QuadForm:
     if not form.is_primitive():
         raise ValueError(f"form {form} is not primitive")
     return reduce(QuadForm(form.a, -form.b, form.c))
-
-
-_CLASS_GROUP_CELLS = 1 << 14  # (a, c) cells per chunk of class_group's search
 
 
 def class_group(d: int) -> ClassGroup:

@@ -118,6 +118,9 @@ def test_class_group_one_row_per_band(monkeypatch):
     assert len(want) == 1032
     monkeypatch.setattr(qf, "_CLASS_GROUP_CELLS", 1)
     assert _triples(class_group(-4000004)) == want
+    # and the conductor's pass, one f per block
+    for d in (-48, -4 * 1000**2, -3 * 2310**2):
+        assert discriminant_info(d).conductor == oracle_conductor(d)
 
 
 def test_class_group_rejects_bad_discriminants():
