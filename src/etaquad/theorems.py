@@ -23,11 +23,11 @@ method; a one-prime verdict builds none.
 
 Each case is one ``_CASES`` record (summary, parameter conditions, arity)
 whose rule builder gives the identity at concrete parameters as a
-``_Rule``: the ``form`` p = fa*x^2 + fb*y^2, the ``tables`` read, each
-with its index as an affine rule (u*p + v)/8 + w, the ordered
-``hypotheses`` with their reasons, and the ``sign`` rule on (x, y) or the
-runner (``run``) for the left side.  Table sizes for a range follow from
-the index rules at p_max, so adding a case means adding one record.
+``_Rule``: the ``form`` p = fa*x^2 + fb*y^2, the ``reads`` (ta, tb, m),
+each the (ta, tb) coefficient at t = m*p, the ordered ``hypotheses`` with
+their reasons, and the ``sign`` rule on (x, y) or the runner (``run``)
+for the left side.  Table sizes for a range follow from the reads at
+p_max, so adding a case means adding one record.
 
 Two paths evaluate a rule.  The single-prime path (``verify_*``) runs the
 rule's scalar runner, which finds the representations of one prime by an
@@ -55,7 +55,7 @@ import numpy as np
 
 from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
-from .etaseries import TABLE_BUDGET_BYTES, LambdaParams, lambda_at, lambda_from_reps, lambda_table
+from .etaseries import LambdaParams, lambda_at, lambda_from_reps, lambda_table
 from .quadform import QuadForm, find_rep, lattice_points, normalized_reps, representations
 
 HOLDS = "holds"
@@ -70,9 +70,9 @@ class TableCache:
     """Shared read-only coefficient tables, one per (a, b), and the one read
     path of every runner.
 
-    `get` builds or grows a table, geometrically up to the table budget;
-    only `range_report` calls it, to presize the tables its rules read, and
-    every build is spot-audited against the recurrence method on a prefix.
+    `get` builds a table to the asked limit when the held one is shorter;
+    only `range_report` calls it, once per table its rules read, and every
+    build is spot-audited against the recurrence method on a prefix.
     `values` never builds: it slices a held table that covers every index
     it reads, and otherwise calls the lattice kernel `lambda_at`, whose
     first read per (a, b) is audited against the sums over representations.
@@ -86,20 +86,21 @@ class TableCache:
         key = (a, b) if a <= b else (b, a)
         cur = self._tables.get(key)
         if cur is None or cur.limit < min_limit:
-            grown = min(2 * cur.limit if cur is not None else 1, TABLE_BUDGET_BYTES // 8)
-            table = lambda_table(LambdaParams(*key), max(min_limit, grown), "sparse")
-            self._audit(table)
-            self._tables[key] = table
-            cur = table
+            cur = lambda_table(LambdaParams(*key), min_limit, "sparse")
+            self._audit(cur)
+            self._tables[key] = cur
         return cur
 
     def values(self, a: int, b: int, indices) -> np.ndarray:
         """The (a, b) coefficients at a list or int64 array of indices, as int64."""
         if not len(indices):
             return np.zeros(0, dtype=np.int64)
+        wanted = np.asarray(indices)
+        if wanted.min() < 1:
+            raise ValueError(f"indices must be >= 1, got {wanted.min()}")
         key = (a, b) if a <= b else (b, a)
         table = self._tables.get(key)
-        if table is not None and table.limit >= np.max(indices):
+        if table is not None and table.limit >= wanted.max():
             return table.take(indices)
         params = LambdaParams(*key)
         got = lambda_at(params, indices)
@@ -272,8 +273,8 @@ def _run_square(case, p, cache, rule):
         shown = f"{fa}*x^2" if rule.show_a else "x^2"
         suffix = " with odd x" if rule.odd_x else ""
         return _na(case, p, f"p has no representation p = {shown} + {fb}*y^2{suffix}")
-    indices = [_exact_index(affine, p) for _, _, affine in rule.tables]
-    values = [cache.values(ta, tb, [i]).item() for (ta, tb, _), i in zip(rule.tables, indices)]
+    indices = [_exact_index(read, p) for read in rule.reads]
+    values = [cache.values(ta, tb, [i]).item() for (ta, tb, _), i in zip(rule.reads, indices)]
     if len(values) == 2:
         return _decide(case, p, reps, indices[0], {values[0]}, values[1])
     if rule.even_y:
@@ -286,9 +287,8 @@ def _run_product(case, p, cache, rule):
     """x*y equals the coefficient at the unique normalized representation of
     t = m*p, and (2a*x^2 - t)^2 = t^2 - 4ab*L^2 recovers the square."""
     a, b = rule.form
-    ta, tb, affine = rule.tables[0]
-    index = _exact_index(affine, p)
-    t = 8 * (index - 1) + a + b  # t = 8n + a + b, read at n + 1
+    ((ta, tb, m),) = rule.reads
+    index, t = _exact_index(rule.reads[0], p), m * p
     norm = normalized_reps(QuadForm(a, 0, b), t)
     if not norm:
         return _na(case, p, f"{t} has no representation with x = y = 1 (mod 4)")
@@ -302,16 +302,15 @@ def _run_product(case, p, cache, rule):
 
 
 # T5.3's residue classes of p mod 30: the form p = fa*x^2 + fb*y^2, its label,
-# and the multipliers k of the value k*(4*fa*x^2 - 2p) expected at p, 2p, 3p, 5p
+# and the multipliers k of the value k*(4*fa*x^2 - 2p) expected at each read
 _THM53_CLASSES = {
     **dict.fromkeys((1, 19), ((1, 15), "x^2 + 15y^2", (1, 0, 0, 0))),
     **dict.fromkeys((17, 23), ((3, 5), "3x^2 + 5y^2", (0, -1, 3, -5))),
 }
-_THM53_MULTIPLES = (1, 2, 3, 5)
 
 
 def _run_thm53(case, p, cache, rule):
-    ta, tb, _ = rule.tables[0]
+    ta, tb, _ = rule.reads[0]
     cls = _THM53_CLASSES.get(p % 30)
     witness, expected = None, (0, 0, 0, 0)
     if cls is not None:
@@ -321,8 +320,8 @@ def _run_thm53(case, p, cache, rule):
             reason = f"expected representation {label} missing"
             return Verdict(FALSIFIED, case, p, index=p, reason=reason)
         expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
-    reads = [m * p for m in _THM53_MULTIPLES]
-    details = tuple(zip(reads, expected, cache.values(ta, tb, reads).tolist()))
+    indices = [_exact_index(read, p) for read in rule.reads]
+    details = tuple(zip(indices, expected, cache.values(ta, tb, indices).tolist()))
     status = HOLDS if all(want == got for _, want, got in details) else FALSIFIED
     return Verdict(status, case, p, witness=witness, index=p, details=details)
 
@@ -332,7 +331,7 @@ class _Rule:
     """One identity at concrete parameters; see the module docstring."""
 
     form: tuple[int, int]
-    tables: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    reads: tuple[tuple[int, int, int], ...]  # (ta, tb, m): the (ta, tb) coefficient at t = m*p
     hypotheses: tuple[tuple[object, str], ...] = ()
     sign: object = lambda x, y: 0  # the exponent e in (-1)^e (4*fa*x^2 - 2p)
     even_y: bool = False  # every y is even (asserted, not a hypothesis)
@@ -341,20 +340,20 @@ class _Rule:
     run: object = _run_square
 
 
-def _index(affine: tuple[int, int, int], p):
-    """(u*p + v) // 8 + w and whether u*p + v is not divisible by 8, for an
-    int or an int64 array p."""
-    u, v, w = affine
-    num = u * p + v
-    return num // 8 + w, num % 8 != 0
+def _index(read: tuple[int, int, int], p):
+    """The index (m*p - ta - tb) // 8 + 1 of t = m*p in the (ta, tb) table, and
+    whether 8 does not divide m*p - ta - tb, for an int or an int64 array p."""
+    ta, tb, m = read
+    num = m * p - ta - tb
+    return num // 8 + 1, num % 8 != 0
 
 
-def _exact_index(affine: tuple[int, int, int], p: int) -> int:
-    index, inexact = _index(affine, p)
+def _exact_index(read: tuple[int, int, int], p: int) -> int:
+    index, inexact = _index(read, p)
     if inexact:
-        u, v, _ = affine
+        ta, tb, m = read
         raise InternalInconsistencyError(
-            f"index numerator u*p + v = {u * p + v} is not divisible by 8"
+            f"index numerator m*p - ta - tb = {m}*{p} - {ta} - {tb} is not divisible by 8"
         )
     return index
 
@@ -391,7 +390,7 @@ def _t31(a, b, *residue):
     """p = a*x^2 + b*y^2: (-1)^((a+b)/2*x + (b+1)/2) (4a*x^2 - 2p)."""
     return _Rule(
         form=(a, b),
-        tables=((a, b, (a * b + 1, -a - b, 1)),),
+        reads=((a, b, a * b + 1),),
         hypotheses=(*residue, _equals(a, "a"), _equals(b, "b"), _divides(a * b + 1, "a*b + 1")),
         sign=lambda x, y: (a + b) // 2 * x + (b + 1) // 2,
         show_a=True,
@@ -418,7 +417,7 @@ def _over_ab(a, b, *first):
     ab = a * b
     return _Rule(
         form=(1, ab),
-        tables=((a, b, (a + b, -a - b, 1)),),
+        reads=((a, b, a + b),),
         hypotheses=(*first, _equals(ab, "a*b"), _equals(ab + 1, "a*b + 1")),
     )
 
@@ -430,20 +429,17 @@ def _t32ii(a, b, *residue):
 def _c33(a, b, *first):
     """The (a, b) value equals the (1, ab) value at (ab+1)(p-1)/8 + 1."""
     rule = _over_ab(a, b, *first)
-    ab = a * b
-    return replace(rule, tables=rule.tables + ((1, ab, (ab + 1, -ab - 1, 1)),))
+    return replace(rule, reads=rule.reads + ((1, a * b, a * b + 1),))
 
 
-def _plain(fb, index, residue, odd_x=False):
-    """Unsigned 4x^2 - 2p over p = x^2 + fb*y^2, read from the (1, fb) table."""
-    return _Rule(form=(1, fb), tables=((1, fb, index),), hypotheses=(residue,), odd_x=odd_x)
+def _plain(fb, m, residue, odd_x=False):
+    """Unsigned 4x^2 - 2p over p = x^2 + fb*y^2, read from the (1, fb) table at m*p."""
+    return _Rule(form=(1, fb), reads=((1, fb, m),), hypotheses=(residue,), odd_x=odd_x)
 
 
 def _product(a, b, m, *hypotheses):
     """m*p = a*x^2 + b*y^2 with x = y = 1 (mod 4): x*y at (m*p - a - b)/8 + 1."""
-    return _Rule(
-        form=(a, b), tables=((a, b, (m, -a - b, 1)),), hypotheses=hypotheses, run=_run_product
-    )
+    return _Rule(form=(a, b), reads=((a, b, m),), hypotheses=hypotheses, run=_run_product)
 
 
 def _congruent(m, a, b):
@@ -488,7 +484,7 @@ _CASES: dict[str, _CaseSpec] = {
     ),
     "C3.1": _CaseSpec(
         "p = 1 (mod 4) = x^2 + y^2, odd x; 4x^2 - 2p at (p+3)/4",
-        lambda: _plain(1, (2, 6, 0), _residue(4, (1,), "1 (mod 4)"), odd_x=True),
+        lambda: _plain(1, 2, _residue(4, (1,), "1 (mod 4)"), odd_x=True),
     ),
     "C3.2": _CaseSpec(
         "p = 1,9 (mod 20) = x^2 + 5y^2; signed 4x^2 - 2p at (3p+1)/4",
@@ -514,7 +510,7 @@ _CASES: dict[str, _CaseSpec] = {
     ),
     "C3.4": _CaseSpec(
         "odd a; p = x^2 + 16a*y^2; (-1)^y (4x^2 - 2p) at ((a+4)p - a + 4)/8",
-        lambda a: _Rule(form=(1, 16 * a), tables=((a, 4, (a + 4, 4 - a, 0)),), sign=lambda x, y: y),
+        lambda a: _Rule(form=(1, 16 * a), reads=((a, 4, a + 4),), sign=lambda x, y: y),
         _ODD_A,
         arity=1,
     ),
@@ -532,11 +528,11 @@ _CASES: dict[str, _CaseSpec] = {
     ),
     "E1.6": _CaseSpec(
         "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p",
-        lambda: _plain(7, (8, 0, 0), _residue(7, (1, 2, 4), "1, 2 or 4 (mod 7)")),
+        lambda: _plain(7, 8, _residue(7, (1, 2, 4), "1, 2 or 4 (mod 7)")),
     ),
     "E1.8": _CaseSpec(
         "p = 1 (mod 3) = x^2 + 3y^2; 4x^2 - 2p at (p+1)/2 in the (1,3) table",
-        lambda: _plain(3, (4, 4, 0), _residue(3, (1,), "1 (mod 3)")),
+        lambda: _plain(3, 4, _residue(3, (1,), "1 (mod 3)")),
     ),
     "E3.1": _CaseSpec(
         "p = 1 (mod 8) = x^2 + 2y^2; signed value at (3p+5)/8 in the (1,2) table",
@@ -595,7 +591,7 @@ _CASES: dict[str, _CaseSpec] = {
         "(3,5) table values at p, 2p, 3p, 5p against the residue-class case split",
         lambda: _Rule(
             form=(3, 5),
-            tables=((3, 5, (40, 0, 0)),),  # up to the largest read, 5p
+            reads=((3, 5, 8), (3, 5, 16), (3, 5, 24), (3, 5, 40)),  # indices p, 2p, 3p, 5p
             hypotheses=((lambda p: p <= 5, "p <= 5"),),
             run=_run_thm53,
         ),
@@ -691,12 +687,12 @@ class _Range(NamedTuple):
         t, x, y = lattice_points(*form, m * int(self.primes[-1]), keep)
         return np.searchsorted(self.primes, t // m), x, y
 
-    def index(self, affine, where):
+    def index(self, read, where):
         """Each prime's table index; inexact where `where` holds raises, as in
         the scalar runner."""
-        index, inexact = _index(affine, self.primes)
+        index, inexact = _index(read, self.primes)
         for i in np.flatnonzero(where & inexact)[:1]:
-            _exact_index(affine, int(self.primes[i]))
+            _exact_index(read, int(self.primes[i]))
         return index
 
 
@@ -718,7 +714,7 @@ def _cols_square(case, rule, rng, ok):
     live = _marks(pos, n)
     rows = np.flatnonzero(live)
     sides = [
-        rng.cache.values(ta, tb, rng.index(affine, live)[rows]) for ta, tb, affine in rule.tables
+        rng.cache.values(ta, tb, rng.index((ta, tb, m), live)[rows]) for ta, tb, m in rule.reads
     ]
     if len(sides) == 2:
         return live, _marks(rows[sides[0] != sides[1]], n)
@@ -736,14 +732,13 @@ def _cols_square(case, rule, rng, ok):
 
 def _cols_product(case, rule, rng, ok):
     a, b = rule.form
-    ((ta, tb, affine),) = rule.tables
-    m = affine[0]  # t = 8(index - 1) + a + b = m*p
+    ((ta, tb, m),) = rule.reads
     primes, n = rng.primes, len(rng.primes)
     if m * int(primes[-1]) < a + b:
         # odd x and y give t >= a + b, so no prime of the range has a point
         # (and a + b, past every t, need not fit int64)
         return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    index = rng.index(affine, ok)  # the scalar runner checks it before any representation
+    index = rng.index(rule.reads[0], ok)  # the scalar runner checks it before any representation
     pos, x, y = rng.sweep(rule.form, m)
     keep = ok[pos] & (x % 2 == 1) & (y % 2 == 1)
     pos, x, y = pos[keep], x[keep], y[keep]
@@ -758,9 +753,10 @@ def _cols_product(case, rule, rng, ok):
 
 
 def _cols_thm53(case, rule, rng, ok):
-    ((ta, tb, _),) = rule.tables
     primes, n = rng.primes, len(rng.primes)
-    got = np.stack([rng.cache.values(ta, tb, m * primes) * ok for m in _THM53_MULTIPLES])
+    got = np.stack(
+        [rng.cache.values(ta, tb, rng.index((ta, tb, m), ok)) * ok for ta, tb, m in rule.reads]
+    )
     want = np.zeros_like(got)
     missing = np.zeros(n, dtype=bool)
     for cls in dict.fromkeys(_THM53_CLASSES.values()):
@@ -809,11 +805,14 @@ def range_report(
     flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)
     rng = _Range(np.flatnonzero(flags)[1:].astype(np.int64), flags, cache)  # every prime but 2
     swept = instances if len(rng.primes) else []
-    # every index rule is increasing in p, so p_max sizes each table once and
-    # every read below, the scalar runner's included, slices a held table
-    for inst in swept:
-        for ta, tb, affine in inst._rule.tables:
-            cache.get(ta, tb, max(_index(affine, p_max)[0], 1))
+    # every index is increasing in p, so one build per table to its largest
+    # index at p_max serves every read below, the scalar runner's included
+    limits = {}  # (ta, tb) with ta <= tb -> the table's largest index
+    for ta, tb, m in (read for inst in swept for read in inst._rule.reads):
+        key = (min(ta, tb), max(ta, tb))
+        limits[key] = max(limits.get(key, 1), _index((ta, tb, m), p_max)[0])
+    for key, limit in limits.items():
+        cache.get(*key, limit)
     checked = skipped = 0
     suspects = []  # (prime position, instance position)
     for k, inst in enumerate(swept):

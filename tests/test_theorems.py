@@ -566,16 +566,40 @@ def test_table_build_audited_against_recurrence(monkeypatch):
 
 def test_table_cache_growth_capped_at_budget(monkeypatch):
     import etaquad.etaseries as es
-    import etaquad.theorems as th
 
     monkeypatch.setattr(es, "TABLE_BUDGET_BYTES", 8 * 100)
-    monkeypatch.setattr(th, "TABLE_BUDGET_BYTES", 8 * 100)
     cache = TableCache()
     assert cache.get(1, 7, 60).limit == 60
-    # doubling to 120 would exceed the budget, but 70 fits: grow to the cap
-    assert cache.get(1, 7, 70).limit == 100
+    # a longer limit builds exactly that far, with no headroom past it
+    assert cache.get(1, 7, 70).limit == 70
+    assert cache.get(1, 7, 100).limit == 100
     with pytest.raises(ResourceLimitError, match="^table to 101 needs 808 bytes"):
         cache.get(1, 7, 101)
+    assert cache.get(7, 1, 1).limit == 100
+
+
+@pytest.mark.parametrize("bad, got", [([0], 0), (np.array([-3]), -3)])
+def test_values_rejects_an_index_below_one(bad, got):
+    # the same ValueError whether the kernel or a held table would answer
+    cache = TableCache()
+    want = f"^indices must be >= 1, got {got}$"
+    with pytest.raises(ValueError, match=want):
+        cache.values(1, 7, bad)
+    cache.get(1, 7, 100)
+    with pytest.raises(ValueError, match=want):
+        cache.values(7, 1, bad)
+
+
+@pytest.mark.parametrize("p", [31, 37])  # 31 = 1 (mod 30) is a class prime, 37 is not
+def test_thm53_reads_its_four_indices_at_once(p):
+    class CountingValues(TableCache):
+        def values(self, a, b, indices):
+            calls.append((a, b, list(indices)))
+            return super().values(a, b, indices)
+
+    calls = []
+    assert verify_thm53(p, CountingValues()).holds
+    assert calls == [(3, 5, [p, 2 * p, 3 * p, 5 * p])]
 
 
 def test_one_prime_past_last_primality_bound_hits_the_budget():
@@ -749,6 +773,21 @@ def test_range_repeated_normalized_point_raises(monkeypatch):
     with pytest.raises(InternalInconsistencyError) as columnar:
         range_report("T4.1", 100, [(1, 2)])
     want = "normalized representation of 11 by [1, 0, 2] is not unique: [(-3, 1), (-3, 1)]"
+    assert str(columnar.value) == str(scalar.value) == want
+
+
+def test_off_lattice_index_raises(monkeypatch):
+    import etaquad.theorems as th
+
+    # 9p - 8 = p (mod 8) is odd, so a read at t = 9p never has an exact index
+    real_rule = th._built_rule
+    off = lambda case_id, params: replace(real_rule(case_id, params), reads=((1, 7, 9),))
+    monkeypatch.setattr(th, "_built_rule", off)
+    with pytest.raises(InternalInconsistencyError) as scalar:
+        verify_construction(make_case("E1.6"), 11)
+    with pytest.raises(InternalInconsistencyError) as columnar:
+        range_report("E1.6", 100)
+    want = "index numerator m*p - ta - tb = 9*11 - 1 - 7 is not divisible by 8"
     assert str(columnar.value) == str(scalar.value) == want
 
 
