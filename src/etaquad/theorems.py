@@ -36,17 +36,19 @@ columnar path: one sieve, one ``lattice_points`` sweep of the rule's form
 over every prime of the range, the hypotheses as boolean masks, and each
 table read once as an array, so a range costs about O(P) array work
 instead of O(P^1.5 / log P) Python steps.  Each scalar runner has one
-columnar counterpart that reads the same ``_Rule`` fields.  Every prime
-the columns cannot settle as holding or not applicable (its sides differ,
-its left side depends on the representation, an expected representation
-is missing) goes through the scalar runner in the one-prime loop's
-order, so the scalar path stays the oracle and every falsified
-``Verdict`` is the one it gives.
+columnar counterpart that reads the same ``_Rule`` fields and compares
+every lattice point with the coefficients read at that point's prime (the
+square identities try each sign of x and y).  Every prime the columns
+cannot settle as holding or not applicable (some point disagrees with its
+read, an expected representation is missing) goes through the scalar
+runner in the one-prime loop's order, so the scalar path stays the oracle
+and every falsified ``Verdict`` is the one it gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
@@ -134,10 +136,17 @@ class ConstructionCase:
     case_id: str
     a: int | None = None
     b: int | None = None
-    _rule: _Rule = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         spec = _spec(self.case_id)
+        for name in ("a", "b"):
+            value = getattr(self, name)
+            try:
+                # stored as Python ints, so products of large parameters never wrap
+                object.__setattr__(self, name, None if value is None else operator.index(value))
+            except TypeError:
+                message = f"case {self.case_id} needs integer parameters, got {value!r}"
+                raise ValueError(message) from None
         given = sum(v is not None for v in (self.a, self.b))
         if given != spec.arity:
             raise ValueError(
@@ -150,11 +159,10 @@ class ConstructionCase:
         for fails, message in spec.conditions:
             if fails(self.a, self.b):
                 raise ValueError(message)
-        object.__setattr__(self, "_rule", _built_rule(self.case_id, self.params()))
 
-    def __reduce__(self):
-        # the rule holds closures, which do not pickle; rebuild it instead
-        return (ConstructionCase, (self.case_id, self.a, self.b))
+    @property
+    def _rule(self) -> _Rule:
+        return _built_rule(self.case_id, self.params())
 
     def params(self) -> tuple[int, ...]:
         return tuple(v for v in (self.a, self.b) if v is not None)
@@ -467,7 +475,11 @@ class _CaseSpec:
     summary: str
     rule: object  # the case's parameters -> its _Rule
     conditions: tuple[tuple[object, str], ...] = ()  # (fails(a, b), message), in order
-    arity: int = 0
+
+    @property
+    def arity(self) -> int:
+        # the builder's named parameters; a *residue tail is not counted
+        return self.rule.__code__.co_argcount
 
 
 _ODD_A = ((lambda a, b: a % 2 == 0, "requires odd a"),)
@@ -480,7 +492,6 @@ _CASES: dict[str, _CaseSpec] = {
         "odd a,b; p = a*x^2 + b*y^2; signed 4a*x^2 - 2p at ((ab+1)p-a-b)/8 + 1",
         _t31,
         _ODD_PAIR,
-        arity=2,
     ),
     "C3.1": _CaseSpec(
         "p = 1 (mod 4) = x^2 + y^2, odd x; 4x^2 - 2p at (p+3)/4",
@@ -494,37 +505,31 @@ _CASES: dict[str, _CaseSpec] = {
         "odd coprime a,b; p = x^2 + ab*y^2; signed 4x^2 - 2p at (a+b)(p-1)/8 + 1",
         lambda a, b: replace(_over_ab(a, b), sign=lambda x, y: (a * b + 1) // 2 * y),
         _ODD_PAIR + _COPRIME,
-        arity=2,
     ),
     "T3.2ii": _CaseSpec(
         "odd a, even b (8 exc.), coprime; p = 1 (mod 8) = x^2 + ab*y^2",
         _t32ii,
         _ODD_EVEN + _COPRIME,
-        arity=2,
     ),
     "C3.3": _CaseSpec(
         "coefficient equality between the (a,b) and (1,ab) tables, odd coprime a,b",
         _c33,
         _ODD_PAIR + _COPRIME,
-        arity=2,
     ),
     "C3.4": _CaseSpec(
         "odd a; p = x^2 + 16a*y^2; (-1)^y (4x^2 - 2p) at ((a+4)p - a + 4)/8",
         lambda a: _Rule(form=(1, 16 * a), reads=((a, 4, a + 4),), sign=lambda x, y: y),
         _ODD_A,
-        arity=1,
     ),
     "C3.5": _CaseSpec(
         "table equality as C3.3 for odd a, even b (8 exc.), coprime, p = 1 (mod 8)",
         lambda a, b: _c33(a, b, _ONE_MOD_8),
         _ODD_EVEN + _COPRIME,
-        arity=2,
     ),
     "T3.3": _CaseSpec(
         "odd a, even b (8 exc.); p = a (mod 8) = a*x^2 + b*y^2; signed 4a*x^2 - 2p",
         _t33,
         _ODD_EVEN,
-        arity=2,
     ),
     "E1.6": _CaseSpec(
         "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p",
@@ -562,7 +567,6 @@ _CASES: dict[str, _CaseSpec] = {
         "p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
         lambda a, b: _product(a, b, 1, _congruent(1, a, b)),
         ((lambda a, b: a % 8 == 0 or b % 8 == 0, "requires a and b not divisible by 8"),),
-        arity=2,
     ),
     "T4.2": _CaseSpec(
         "2p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
@@ -575,7 +579,6 @@ _CASES: dict[str, _CaseSpec] = {
             # same degeneracy the ab != 3 hypothesis excludes in T4.3
             (lambda a, b: a * b == 1, "requires a*b > 1"),
         ),
-        arity=2,
     ),
     "T4.3": _CaseSpec(
         "4p = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at (4p-a-b)/8 + 1 plus square recovery",
@@ -585,7 +588,6 @@ _CASES: dict[str, _CaseSpec] = {
             (lambda a, b: a * b == 3, "requires a*b != 3"),
             (lambda a, b: (a + b) % 8 != 4, "requires a + b = 4 (mod 8)"),
         ),
-        arity=2,
     ),
     "T5.3": _CaseSpec(
         "(3,5) table values at p, 2p, 3p, 5p against the residue-class case split",
@@ -667,8 +669,12 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 # once.  A columnar runner reads the same _Rule fields as its scalar runner
 # and returns two boolean arrays over the prime positions: `live` where the
 # verdict is not not_applicable, and `suspect` where it may be anything but
-# holds, so that the scalar runner must decide it.  An internal fault that
-# the sweep shows raises at once, through the scalar runner's own check.
+# holds, so that the scalar runner must decide it.  It reads the coefficients
+# at each lattice point's prime, computes the value that point expects, and
+# marks the prime suspect wherever any of its points disagrees; it folds no
+# points into per-prime values, so a check touches only the points it is
+# given.  An internal fault that the sweep shows raises at once, through the
+# scalar runner's own check.
 
 
 class _Range(NamedTuple):
@@ -712,22 +718,18 @@ def _cols_square(case, rule, rng, ok):
     keep = ok[pos] & (x % 2 == 1) if rule.odd_x else ok[pos]
     pos, x, y = pos[keep], x[keep], y[keep]
     live = _marks(pos, n)
-    rows = np.flatnonzero(live)
     sides = [
-        rng.cache.values(ta, tb, rng.index((ta, tb, m), live)[rows]) for ta, tb, m in rule.reads
+        rng.cache.values(ta, tb, rng.index((ta, tb, m), live)[pos]) for ta, tb, m in rule.reads
     ]
     if len(sides) == 2:
-        return live, _marks(rows[sides[0] != sides[1]], n)
+        return live, _marks(pos[sides[0] != sides[1]], n)
     if rule.even_y:
         for i in np.unique(pos[y % 2 == 1])[:1]:
             _require_even_y(_points_of(i, pos, x, y), case, int(primes[i]))
-    # the left side at each point, over its four sign variants
+    # each point stands for its four sign variants, and each must give the side
     base = _square_lhs(rule.form[0], x, primes[pos])
-    lhs = np.stack([_sign(rule.sign(sx * x, sy * y)) * base for sx in (1, -1) for sy in (1, -1)])
-    low, high = np.full(n, np.iinfo(np.int64).max), np.full(n, np.iinfo(np.int64).min)
-    np.minimum.at(low, pos, lhs.min(axis=0))
-    np.maximum.at(high, pos, lhs.max(axis=0))
-    return live, _marks(rows[(low[rows] != high[rows]) | (low[rows] != sides[0])], n)
+    bad = [_sign(rule.sign(sx * x, sy * y)) * base != sides[0] for sx in (1, -1) for sy in (1, -1)]
+    return live, _marks(pos[np.logical_or.reduce(bad)], n)
 
 
 def _cols_product(case, rule, rng, ok):
@@ -744,32 +746,29 @@ def _cols_product(case, rule, rng, ok):
     pos, x, y = pos[keep], x[keep], y[keep]
     # each point with odd x, y has one sign variant with x = y = 1 (mod 4)
     x, y = np.where(x % 4 == 1, x, -x), np.where(y % 4 == 1, y, -y)
-    targets, first, hits = np.unique(pos, return_index=True, return_counts=True)
-    for i in targets[hits > 1][:1]:
+    for i in np.flatnonzero(np.bincount(pos, minlength=n) > 1)[:1]:
         _require_unique(sorted(_points_of(i, pos, x, y)), m * int(primes[i]), a, b)
-    t, lam, x, y = m * primes[targets], rng.cache.values(ta, tb, index[targets]), x[first], y[first]
-    lhs_ok, quad_ok = _product_checks(a, b, x, y, t, lam)
-    return _marks(targets, n), _marks(targets[~(lhs_ok & quad_ok)], n)
+    lam = rng.cache.values(ta, tb, index[pos])
+    lhs_ok, quad_ok = _product_checks(a, b, x, y, m * primes[pos], lam)
+    return _marks(pos, n), _marks(pos[~(lhs_ok & quad_ok)], n)
 
 
 def _cols_thm53(case, rule, rng, ok):
     primes, n = rng.primes, len(rng.primes)
     got = np.stack(
-        [rng.cache.values(ta, tb, rng.index((ta, tb, m), ok)) * ok for ta, tb, m in rule.reads]
+        [rng.cache.values(ta, tb, rng.index((ta, tb, m), ok)) for ta, tb, m in rule.reads]
     )
-    want = np.zeros_like(got)
-    missing = np.zeros(n, dtype=bool)
+    residue = primes % 30
+    # off the classes every read is 0
+    suspect = ok & ~np.isin(residue, list(_THM53_CLASSES)) & got.any(axis=0)
     for cls in dict.fromkeys(_THM53_CLASSES.values()):
         (fa, fb), _, mults = cls
-        member = ok & np.isin(primes % 30, [r for r, c in _THM53_CLASSES.items() if c == cls])
-        # find_rep's witness: the representation with the smallest x >= 0
+        member = ok & np.isin(residue, [r for r, c in _THM53_CLASSES.items() if c == cls])
         pos, x, _ = rng.sweep((fa, fb))
-        smallest = np.full(n, np.iinfo(np.int64).max)
-        np.minimum.at(smallest, pos, x)
-        found = member & (smallest < np.iinfo(np.int64).max)
-        missing |= member & ~found
-        want[:, found] = np.outer(mults, _square_lhs(fa, smallest[found], primes[found]))
-    return ok, missing | (ok & (want != got).any(axis=0))
+        pos, x = pos[member[pos]], x[member[pos]]
+        bad = (np.outer(mults, _square_lhs(fa, x, primes[pos])) != got[:, pos]).any(axis=0)
+        suspect |= (member & ~_marks(pos, n)) | _marks(pos[bad], n)
+    return ok, suspect
 
 
 _COLUMNAR = {_run_square: _cols_square, _run_product: _cols_product, _run_thm53: _cols_thm53}
@@ -799,7 +798,7 @@ def range_report(
         raise ValueError(f"case {case_id} needs a parameter grid")
     # ConstructionCase rejects a combo of the wrong length; an empty grid gives no instance
     entries = [()] if grid is None else grid
-    combos = {(entry,) if isinstance(entry, int) else tuple(entry) for entry in entries}
+    combos = {(entry,) if np.ndim(entry) == 0 else tuple(entry) for entry in entries}
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
     cache = cache or _SHARED_CACHE
     flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)

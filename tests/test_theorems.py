@@ -76,6 +76,32 @@ def test_case_rule_built_once():
     assert e16[0] == e16[1] and e16[0].status == HOLDS and e16[2].status == NOT_APPLICABLE
 
 
+def test_case_arity():
+    two = {"C3.3", "C3.5", "T3.1", "T3.2i", "T3.2ii", "T3.3", "T4.1", "T4.2", "T4.3"}
+    want = {c: 2 if c in two else 1 if c == "C3.4" else 0 for c in case_ids()}
+    assert len(want) == 22 and sum(v == 0 for v in want.values()) == 12
+    assert {c: case_arity(c) for c in case_ids()} == want
+
+
+def test_case_parameters_are_python_ints():
+    for a, b in ((np.int64(3), np.int64(5)), (3, np.int32(5))):
+        case = make_case("T3.1", a, b)
+        assert case == make_case("T3.1", int(a), int(b))
+        assert type(case.a) is int and type(case.b) is int
+    assert verify_construction(make_case("T3.1", np.int64(3), np.int64(5)), 17).holds
+    # the product a*b past int64 stays exact rather than wrapping
+    big = make_case("T4.1", np.int64(2**62 + 1), np.int64(3))
+    assert big.a * big.b == 3 * 2**62 + 3
+    for case_id, a, b in (("T3.1", 3.0, 5.0), ("T3.1", 3, "5"), ("C3.4", 1.5, None)):
+        with pytest.raises(ValueError, match=f"^case {case_id} needs integer parameters"):
+            make_case(case_id, a, b)
+    numpy_grid = range_report("C3.4", 100, grid=np.array([1, 3]), cache=TableCache())
+    assert numpy_grid == range_report("C3.4", 100, grid=[1, 3], cache=TableCache())
+    assert numpy_grid.params == ((1,), (3,))
+    pairs = range_report("T3.1", 100, grid=np.array([[1, 3], [3, 5]]), cache=TableCache())
+    assert pairs == range_report("T3.1", 100, grid=[(1, 3), (3, 5)], cache=TableCache())
+
+
 def test_verify_construction_examples():
     v = verify_construction(make_case("T3.1", 1, 3), 7)
     assert v.status == HOLDS and v.index == 4 and v.lhs == v.rhs == 2
@@ -177,11 +203,14 @@ def test_product_square_recovery_failure(monkeypatch):
     assert v.witness == (1, -3) and v.reason == "square recovery identity failed"
 
 
-def test_sign_rule_dependence_is_falsified():
-    case = make_case("T3.1", 1, 1)
+def test_sign_rule_dependence_is_falsified(monkeypatch):
+    import etaquad.theorems as th
+
     # a constant sign leaves 4x^2 - 2p depending on which of x^2 + y^2 = 5 is used
-    object.__setattr__(case, "_rule", replace(case._rule, sign=lambda x, y: 0))
-    v = verify_construction(case, 5)
+    real_rule = th._built_rule
+    unsigned = lambda case_id, params: replace(real_rule(case_id, params), sign=lambda x, y: 0)
+    monkeypatch.setattr(th, "_built_rule", unsigned)
+    v = verify_construction(make_case("T3.1", 1, 1), 5)
     assert v.status == FALSIFIED and v.witness == (1, 2) and v.lhs == -6
     assert v.reason == "left side depends on the representation: [-6, 6]"
 
@@ -789,6 +818,19 @@ def test_off_lattice_index_raises(monkeypatch):
         range_report("E1.6", 100)
     want = "index numerator m*p - ta - tb = 9*11 - 1 - 7 is not divisible by 8"
     assert str(columnar.value) == str(scalar.value) == want
+
+
+def test_range_tries_every_sign_variant(monkeypatch):
+    import etaquad.theorems as th
+
+    # the sign of x flips the left side, so every checked prime is falsified,
+    # which a range check must see from the sweep's points with x >= 0 alone
+    real_rule = th._built_rule
+    by_x = lambda case_id, params: replace(real_rule(case_id, params), sign=lambda x, y: x < 0)
+    monkeypatch.setattr(th, "_built_rule", by_x)
+    report = range_report("E1.6", 200, cache=TableCache())
+    assert (report.checked, report.skipped, report.falsified) == _scalar_report("E1.6", 200)
+    assert report.checked > 0 and len(report.falsified) == report.checked
 
 
 def test_range_odd_y_raises(monkeypatch):
