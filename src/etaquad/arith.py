@@ -9,6 +9,7 @@ after construction and safe to share between threads.
 from __future__ import annotations
 
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -186,6 +187,7 @@ def is_prime(n: int) -> bool:
     passes both raises ResourceLimitError, since a proof would need trial
     division to sqrt(n) > 1.8e12 or a primality certificate.
     """
+    n = index(n)  # a Python int, so the modular steps never wrap
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

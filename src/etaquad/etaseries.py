@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
-from operator import mul
+from operator import index, mul
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -70,6 +70,13 @@ class LambdaParams:
     b: int
 
     def __post_init__(self):
+        try:
+            # stored as Python ints, so products of large multipliers never wrap
+            object.__setattr__(self, "a", index(self.a))
+            object.__setattr__(self, "b", index(self.b))
+        except TypeError:
+            message = f"factor multipliers must be integers, got ({self.a!r}, {self.b!r})"
+            raise ValueError(message) from None
         if self.a < 1 or self.b < 1:
             raise ValueError(f"factor multipliers must be positive, got ({self.a}, {self.b})")
 
@@ -83,10 +90,15 @@ class JacobiTerm(NamedTuple):
     coefficient: int
 
 
+def _sign(e):
+    """(-1)^e, for an int or an int64 array e."""
+    return 1 - 2 * (e % 2)
+
+
 def _jacobi_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents k(k+1)/2 <= limit and coefficients (-1)^k (2k+1), k = 0, 1, ..."""
     k = np.arange((isqrt(8 * limit + 1) + 1) // 2 if limit >= 0 else 0, dtype=np.int64)
-    return k * (k + 1) // 2, np.where(k % 2 == 0, 2 * k + 1, -(2 * k + 1))
+    return k * (k + 1) // 2, _sign(k) * (2 * k + 1)
 
 
 def jacobi_cube(limit: int) -> list[JacobiTerm]:
@@ -261,6 +273,7 @@ def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> Co
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    limit = index(limit)  # a Python int, so the budget check below cannot wrap
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
     if 8 * limit > TABLE_BUDGET_BYTES:
@@ -375,7 +388,7 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
         for i, x, y in zip(rows.tolist(), u[cols].tolist(), v[rows, cols].tolist()):
             x, y = int(x), int(y)
             if y % 2:
-                sums[i] += x * y if x % 4 == y % 4 else -x * y
+                sums[i] += _sign(x // 2 + y // 2) * x * y
     return np.array(sums, dtype=np.int64)  # numpy raises OverflowError outside int64
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import index
 
 import numpy as np
 
@@ -299,6 +300,8 @@ def representations(form: QuadForm, n: int) -> RepSet:
     come from the scan; the rest are the mirrors (-x, -y) of those where
     it is > 0.
     """
+    # Python ints, so that 4cn and the pairs never wrap as numpy integers would
+    form, n = QuadForm(index(form.a), index(form.b), index(form.c)), index(n)
     _require_positive_definite(form)
     if n < 1:
         raise ValueError(f"representations needs n >= 1, got {n}")
@@ -325,6 +328,7 @@ def find_rep(a: int, b: int, m: int) -> tuple[int, int] | None:
 
     Deterministic: the solution with the smallest x (y is then fixed).
     """
+    a, b, m = index(a), index(b), index(m)
     if a < 1 or b < 1 or m < 1:
         raise ValueError(f"find_rep needs positive arguments, got ({a}, {b}, {m})")
     return next(((x, y) for x, y in _scan(QuadForm(a, 0, b), m) if y >= 0), None)

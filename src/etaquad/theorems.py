@@ -19,7 +19,9 @@ read goes through ``TableCache.values``: it slices a held table that
 covers the indices and otherwise sums over lattice points (``lambda_at``,
 O(sqrt p) work per index).  Only ``range_report`` builds tables, presized
 per (a, b) with the sparse method and spot-audited against the recurrence
-method; a one-prime verdict builds none.
+method; a one-prime verdict builds none.  A call given no cache makes its
+own, so its tables are released when it returns and no call reads what
+an earlier one left behind.
 
 Each case is one ``_CASES`` record (summary, parameter conditions, arity)
 whose rule builder gives the identity at concrete parameters as a
@@ -57,7 +59,7 @@ import numpy as np
 
 from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
-from .etaseries import LambdaParams, lambda_at, lambda_from_reps, lambda_table
+from .etaseries import LambdaParams, _sign, lambda_at, lambda_from_reps, lambda_table
 from .quadform import QuadForm, find_rep, lattice_points, normalized_reps, representations
 
 HOLDS = "holds"
@@ -69,8 +71,9 @@ _AUDIT_PREFIX = 128
 
 
 class TableCache:
-    """Shared read-only coefficient tables, one per (a, b), and the one read
-    path of every runner.
+    """One run's read-only coefficient tables, one per (a, b), and the one
+    read path of every runner.  It holds its tables for as long as its
+    caller holds it, and never evicts.
 
     `get` builds a table to the asked limit when the held one is shorter;
     only `range_report` calls it, once per table its rules read, and every
@@ -124,9 +127,6 @@ class TableCache:
             raise InternalInconsistencyError(
                 f"sparse/recurrence mismatch at index {n} for {table.params}"
             )
-
-
-_SHARED_CACHE = TableCache()
 
 
 @dataclass(frozen=True)
@@ -209,11 +209,6 @@ class RangeReport:
     @property
     def ok(self) -> bool:
         return not self.falsified
-
-
-def _sign(e):
-    """(-1)^e, for an int or an int64 array e."""
-    return 1 - 2 * (e % 2)
 
 
 def _square_lhs(fa, x, p):
@@ -309,25 +304,25 @@ def _run_product(case, p, cache, rule):
     return Verdict(status, case, p, witness=(x, y), index=index, lhs=x * y, rhs=lam, reason=reason)
 
 
-# T5.3's residue classes of p mod 30: the form p = fa*x^2 + fb*y^2, its label,
-# and the multipliers k of the value k*(4*fa*x^2 - 2p) expected at each read
-_THM53_CLASSES = {
-    **dict.fromkeys((1, 19), ((1, 15), "x^2 + 15y^2", (1, 0, 0, 0))),
-    **dict.fromkeys((17, 23), ((3, 5), "3x^2 + 5y^2", (0, -1, 3, -5))),
-}
+# T5.3's residue classes of p mod 30, each with the form p = fa*x^2 + fb*y^2,
+# its label, and the multipliers k of the value k*(4*fa*x^2 - 2p) expected at
+# each read
+_THM53_CLASSES = (
+    ((1, 19), (1, 15), "x^2 + 15y^2", (1, 0, 0, 0)),
+    ((17, 23), (3, 5), "3x^2 + 5y^2", (0, -1, 3, -5)),
+)
 
 
 def _run_thm53(case, p, cache, rule):
     ta, tb, _ = rule.reads[0]
-    cls = _THM53_CLASSES.get(p % 30)
     witness, expected = None, (0, 0, 0, 0)
-    if cls is not None:
-        (fa, fb), label, mults = cls
-        witness = find_rep(fa, fb, p)
-        if witness is None:
-            reason = f"expected representation {label} missing"
-            return Verdict(FALSIFIED, case, p, index=p, reason=reason)
-        expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
+    for residues, (fa, fb), label, mults in _THM53_CLASSES:
+        if p % 30 in residues:
+            witness = find_rep(fa, fb, p)
+            if witness is None:
+                reason = f"expected representation {label} missing"
+                return Verdict(FALSIFIED, case, p, index=p, reason=reason)
+            expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
     indices = [_exact_index(read, p) for read in rule.reads]
     details = tuple(zip(indices, expected, cache.values(ta, tb, indices).tolist()))
     status = HOLDS if all(want == got for _, want, got in details) else FALSIFIED
@@ -640,7 +635,7 @@ def _verify_kind(run, kind: str, case: ConstructionCase, p: int, cache: TableCac
         raise ValueError(f"case {case.case_id} is not a {kind} case")
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
-    return _evaluate(case, p, cache or _SHARED_CACHE)
+    return _evaluate(case, p, cache or TableCache())
 
 
 def verify_construction(case: ConstructionCase, p: int, cache: TableCache | None = None) -> Verdict:
@@ -661,7 +656,7 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
     """
     if p <= 5 or not is_prime(p):
         raise ValueError(f"need a prime p > 5, got {p}")
-    return _evaluate(ConstructionCase("T5.3"), p, cache or _SHARED_CACHE)
+    return _evaluate(ConstructionCase("T5.3"), p, cache or TableCache())
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +740,7 @@ def _cols_product(case, rule, rng, ok):
     keep = ok[pos] & (x % 2 == 1) & (y % 2 == 1)
     pos, x, y = pos[keep], x[keep], y[keep]
     # each point with odd x, y has one sign variant with x = y = 1 (mod 4)
-    x, y = np.where(x % 4 == 1, x, -x), np.where(y % 4 == 1, y, -y)
+    x, y = _sign(x // 2) * x, _sign(y // 2) * y
     for i in np.flatnonzero(np.bincount(pos, minlength=n) > 1)[:1]:
         _require_unique(sorted(_points_of(i, pos, x, y)), m * int(primes[i]), a, b)
     lam = rng.cache.values(ta, tb, index[pos])
@@ -758,16 +753,14 @@ def _cols_thm53(case, rule, rng, ok):
     got = np.stack(
         [rng.cache.values(ta, tb, rng.index((ta, tb, m), ok)) for ta, tb, m in rule.reads]
     )
-    residue = primes % 30
-    # off the classes every read is 0
-    suspect = ok & ~np.isin(residue, list(_THM53_CLASSES)) & got.any(axis=0)
-    for cls in dict.fromkeys(_THM53_CLASSES.values()):
-        (fa, fb), _, mults = cls
-        member = ok & np.isin(residue, [r for r, c in _THM53_CLASSES.items() if c == cls])
+    # off the classes every read is 0; each class replaces that test on its members
+    suspect = ok & got.any(axis=0)
+    for residues, (fa, fb), _, mults in _THM53_CLASSES:
+        member = ok & np.isin(primes % 30, residues)
         pos, x, _ = rng.sweep((fa, fb))
         pos, x = pos[member[pos]], x[member[pos]]
         bad = (np.outer(mults, _square_lhs(fa, x, primes[pos])) != got[:, pos]).any(axis=0)
-        suspect |= (member & ~_marks(pos, n)) | _marks(pos[bad], n)
+        suspect = (suspect & ~member) | (member & ~_marks(pos, n)) | _marks(pos[bad], n)
     return ok, suspect
 
 
@@ -800,7 +793,7 @@ def range_report(
     entries = [()] if grid is None else grid
     combos = {(entry,) if np.ndim(entry) == 0 else tuple(entry) for entry in entries}
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
-    cache = cache or _SHARED_CACHE
+    cache = cache or TableCache()
     flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)
     rng = _Range(np.flatnonzero(flags)[1:].astype(np.int64), flags, cache)  # every prime but 2
     swept = instances if len(rng.primes) else []

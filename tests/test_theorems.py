@@ -25,11 +25,14 @@ from etaquad import (
     closed_form,
     find_rep,
     gauss_doubling,
+    is_prime,
     jacobsthal,
+    lambda_at,
     lambda_from_reps,
     lambda_table,
     make_case,
     range_report,
+    representations,
     verify_construction,
     verify_product,
     verify_thm53,
@@ -100,6 +103,23 @@ def test_case_parameters_are_python_ints():
     assert numpy_grid.params == ((1,), (3,))
     pairs = range_report("T3.1", 100, grid=np.array([[1, 3], [3, 5]]), cache=TableCache())
     assert pairs == range_report("T3.1", 100, grid=[(1, 3), (3, 5)], cache=TableCache())
+
+
+def test_numpy_and_non_integer_arguments_at_the_boundary():
+    # numpy integers are taken as Python ints where they enter, so no product
+    # wraps, and a non-integer multiplier is refused
+    rep = find_rep(np.int64(1), np.int64(1), np.int64(2**62 + 1))
+    assert rep == (1, 2**31) and all(type(v) is int for v in rep)
+    with pytest.raises(ResourceLimitError, match="exact-float ceiling"):
+        lambda_at(LambdaParams(np.int64(2**62), np.int64(2**62)), [1])
+    pairs = representations(QuadForm(np.int64(1), 0, np.int64(1)), 25).pairs
+    assert pairs == representations(QuadForm(1, 0, 1), 25).pairs
+    assert len(pairs) == 12 and all(type(v) is int for pair in pairs for v in pair)
+    with pytest.raises(ValueError, match="factor multipliers must be integers"):
+        LambdaParams(1.5, 2)
+    with pytest.raises(ResourceLimitError, match="budget is"):
+        lambda_table(LambdaParams(1, 1), np.int64(2**61))
+    assert is_prime(np.int64(2**61 - 1))
 
 
 def test_verify_construction_examples():
@@ -501,6 +521,40 @@ def test_single_prime_verdicts_build_no_table():
     assert cache._tables == {}
 
 
+def test_default_range_releases_its_tables():
+    # a range given no cache makes its own, so the (3,5) table it builds to
+    # index 5*10^5 (about 4 MB) is gone once the report is returned
+    import gc
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert range_report("T5.3", 10**5).ok
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
+def test_uncached_verdict_reads_alike_after_a_range(monkeypatch):
+    import etaquad.theorems as th
+
+    # a one-prime verdict given no cache reads through the kernel whatever ran
+    # before it, even a range whose table covered its index
+    kernel_reads = []
+    kernel = th.lambda_at
+    monkeypatch.setattr(th, "lambda_at", lambda params, n: kernel_reads.append(n) or kernel(params, n))
+    p = 9949  # the largest prime below 10^4 that is 1, 2 or 4 (mod 7)
+    alone = verify_construction(make_case("E1.6"), p)
+    reads_alone = len(kernel_reads)
+    range_report("E1.6", 10**4)
+    after = verify_construction(make_case("E1.6"), p)
+    assert alone == after and alone.holds
+    assert reads_alone == len(kernel_reads) - reads_alone == 1
+
+
 def test_values_slice_a_held_table(monkeypatch):
     import etaquad.theorems as th
 
@@ -752,6 +806,17 @@ def test_range_fallback_counts_as_scalar_loop(monkeypatch):
         assert report.skipped > 0
         want = _scalar_report(case_id, 3000, grid)
         assert (report.checked, report.skipped, report.falsified) == want
+
+
+@pytest.mark.parametrize("case_id", case_ids())
+def test_holding_range_leaves_no_prime_to_the_scalar_runner(monkeypatch, case_id):
+    import etaquad.theorems as th
+
+    # where the identity holds, the columns settle every prime themselves
+    monkeypatch.setattr(th, "_evaluate", lambda inst, p, cache: pytest.fail(f"{inst} at {p}"))
+    grid = _ADMISSIBLE[case_id][:2] if case_arity(case_id) else None
+    report = range_report(case_id, 3000, grid, cache=TableCache())
+    assert report.ok and report.checked > 0
 
 
 @pytest.mark.parametrize(
