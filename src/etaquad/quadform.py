@@ -249,7 +249,7 @@ def _square_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 # the residue filter of `_scan`: a few pairwise coprime moduli and their tables
 _FILTER = [(m, *_square_tables(m)) for m in (64, 63, 65, 11)]
-_SCAN_CHUNK = (1 << 10, 1 << 16)  # first and largest chunk of x in `_scan`
+_SCAN_CHUNK = 1 << 16  # values of x per chunk in `_scan`
 
 
 def _scan(form: QuadForm, n: int):
@@ -260,24 +260,22 @@ def _scan(form: QuadForm, n: int):
     c*y^2 + b*x*y + (a*x^2 - n) = 0, whose discriminant d*x^2 + 4cn must be
     a square.  A residue filter drops most x first: for each modulus m of
     `_FILTER`, a boolean mask over x mod m marks where d*x^2 + 4cn is a
-    square mod m.  x is walked in chunks, from 2^10 doubling to 2^16, so an
-    early exit stays cheap and memory stays one chunk; each chunk ANDs the
-    masks from its start, and only the x that survive pay the exact `isqrt`
-    and root recovery, in Python ints.  Offsets within a chunk are small,
-    so nothing needs to fit int64.
+    square mod m.  x is walked in chunks of `_SCAN_CHUNK`, so memory stays
+    one chunk; each chunk ANDs the masks from its start, and only the x that
+    survive pay the exact `isqrt` and root recovery, in Python ints.
+    Offsets within a chunk are small, so nothing needs to fit int64.
     """
     b, c = form.b, form.c
     d, k = form.discriminant(), 4 * c * n
     x_end = isqrt(k // -d) + 1
-    # each mask repeated over one largest chunk plus one period, sliced per chunk
-    span = min(x_end, _SCAN_CHUNK[1])
+    # each mask repeated over one chunk plus one period, sliced per chunk
+    span = min(x_end, _SCAN_CHUNK)
     masks = []
     for m, scaled, is_square_plus in _FILTER:
         mask = is_square_plus[k % m][scaled[d % m]]
         masks.append((m, mask.reshape(1, m).repeat(span // m + 2, 0).ravel()))
-    lo, size = 0, _SCAN_CHUNK[0]
-    while lo < x_end:
-        length = min(size, x_end - lo)
+    for lo in range(0, x_end, _SCAN_CHUNK):
+        length = min(_SCAN_CHUNK, x_end - lo)
         keep = np.logical_and.reduce([mask[lo % m : lo % m + length] for m, mask in masks])
         for x in (lo + off for off in keep.nonzero()[0].tolist()):
             disc_y = d * x * x + k
@@ -288,7 +286,6 @@ def _scan(form: QuadForm, n: int):
                 num = -b * x + root
                 if num % (2 * c) == 0:
                     yield x, num // (2 * c)
-        lo, size = lo + length, min(2 * size, _SCAN_CHUNK[1])
 
 
 def representations(form: QuadForm, n: int) -> RepSet:

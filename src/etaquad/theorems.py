@@ -23,13 +23,14 @@ method; a one-prime verdict builds none.  A call given no cache makes its
 own, so its tables are released when it returns and no call reads what
 an earlier one left behind.
 
-Each case is one ``_CASES`` record (summary, parameter conditions, arity)
-whose rule builder gives the identity at concrete parameters as a
-``_Rule``: the ``form`` p = fa*x^2 + fb*y^2, the ``reads`` (ta, tb, m),
-each the (ta, tb) coefficient at t = m*p, the ordered ``hypotheses`` with
-their reasons, and the ``sign`` rule on (x, y) or the runner (``run``)
-for the left side.  Table sizes for a range follow from the reads at
-p_max, so adding a case means adding one record.
+Each case is one ``_CASES`` record (summary, rule builder, parameter
+conditions; its arity is the builder's parameter count) whose builder
+gives the identity at concrete parameters as a ``_Rule``: the ``form``
+p = fa*x^2 + fb*y^2, the ``reads`` (ta, tb, m), each the (ta, tb)
+coefficient at t = m*p, the ordered ``hypotheses`` with their reasons,
+and the ``sign`` rule on (x, y) or the runner (``run``) for the left
+side.  Table sizes for a range follow from the reads at p_max, so adding
+a case means adding one record.
 
 Two paths evaluate a rule.  The single-prime path (``verify_*``) runs the
 rule's scalar runner, which finds the representations of one prime by an
@@ -402,17 +403,8 @@ def _t31(a, b, *residue):
 
 def _t33(a, b, *residue):
     """T3.1's form and index for even b: (-1)^((a-1)/2 + y/2) (4a*x^2 - 2p)."""
-    return replace(
-        _t31(a, b),
-        hypotheses=(
-            *residue,
-            _residue(8, (a % 8,), "a (mod 8)"),
-            _equals(a, "a"),
-            _divides(a * b + 1, "a*b + 1"),
-        ),
-        sign=lambda x, y: (a - 1) // 2 + y // 2,
-        even_y=True,
-    )
+    rule = _t31(a, b, *residue, _residue(8, (a % 8,), "a (mod 8)"))
+    return replace(rule, sign=lambda x, y: (a - 1) // 2 + y // 2, even_y=True)
 
 
 def _over_ab(a, b, *first):
@@ -433,11 +425,6 @@ def _c33(a, b, *first):
     """The (a, b) value equals the (1, ab) value at (ab+1)(p-1)/8 + 1."""
     rule = _over_ab(a, b, *first)
     return replace(rule, reads=rule.reads + ((1, a * b, a * b + 1),))
-
-
-def _plain(fb, m, residue, odd_x=False):
-    """Unsigned 4x^2 - 2p over p = x^2 + fb*y^2, read from the (1, fb) table at m*p."""
-    return _Rule(form=(1, fb), reads=((1, fb, m),), hypotheses=(residue,), odd_x=odd_x)
 
 
 def _product(a, b, m, *hypotheses):
@@ -490,7 +477,7 @@ _CASES: dict[str, _CaseSpec] = {
     ),
     "C3.1": _CaseSpec(
         "p = 1 (mod 4) = x^2 + y^2, odd x; 4x^2 - 2p at (p+3)/4",
-        lambda: _plain(1, 2, _residue(4, (1,), "1 (mod 4)"), odd_x=True),
+        lambda: replace(_t31(1, 1, _residue(4, (1,), "1 (mod 4)")), odd_x=True),
     ),
     "C3.2": _CaseSpec(
         "p = 1,9 (mod 20) = x^2 + 5y^2; signed 4x^2 - 2p at (3p+1)/4",
@@ -528,11 +515,11 @@ _CASES: dict[str, _CaseSpec] = {
     ),
     "E1.6": _CaseSpec(
         "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p",
-        lambda: _plain(7, 8, _residue(7, (1, 2, 4), "1, 2 or 4 (mod 7)")),
+        lambda: _t31(1, 7, _residue(7, (1, 2, 4), "1, 2 or 4 (mod 7)")),
     ),
     "E1.8": _CaseSpec(
         "p = 1 (mod 3) = x^2 + 3y^2; 4x^2 - 2p at (p+1)/2 in the (1,3) table",
-        lambda: _plain(3, 4, _residue(3, (1,), "1 (mod 3)")),
+        lambda: _t31(1, 3, _residue(3, (1,), "1 (mod 3)")),
     ),
     "E3.1": _CaseSpec(
         "p = 1 (mod 8) = x^2 + 2y^2; signed value at (3p+5)/8 in the (1,2) table",
@@ -618,12 +605,12 @@ def _spec(case_id: str) -> _CaseSpec:
 
 
 def case_summary(case_id: str) -> str:
-    return _CASES[case_id].summary
+    return _spec(case_id).summary
 
 
 def case_arity(case_id: str) -> int:
     """Number of parameters the case takes (0, 1, or 2)."""
-    return _CASES[case_id].arity
+    return _spec(case_id).arity
 
 
 def make_case(case_id: str, a: int | None = None, b: int | None = None) -> ConstructionCase:

@@ -3,6 +3,7 @@ counts, including the numeric checks of the multiplicative counting
 rules the verification harness relies on."""
 
 from math import gcd, isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +30,12 @@ from etaquad import (
     reduce,
     representations,
 )
-from etaquad.quadform import _SCAN_CHUNK, _isqrt_int64, _scan
+from etaquad import quadform
+from etaquad.quadform import _isqrt_int64, _scan
 
 GROUP_DISCS = [-12, -20, -23, -24, -28, -40, -52, -60, -84]
+# the scan's chunk size in the chunk tests, small so that their x stay small
+CHUNK = 1 << 10
 
 
 def test_reduce_examples():
@@ -274,12 +278,11 @@ def _with_mirrors(scan):
 @st.composite
 def _form_and_point(draw):
     """A positive definite form, some with a coefficient past int64, and a
-    point (x0, y0) with x0 past the second chunk of the scan."""
+    point (x0, y0) with x0 past the third chunk of CHUNK values."""
     coeff = st.one_of(st.integers(1, 40), st.integers(2**63, 2**70))
     a, c = draw(coeff), draw(coeff)
     b = draw(st.integers(-min(a, c), min(a, c)))  # b^2 <= ac < 4ac
-    first = _SCAN_CHUNK[0]
-    x0 = draw(st.integers(3 * first, 8 * first))
+    x0 = draw(st.integers(3 * CHUNK, 8 * CHUNK))
     # c*y0^2 <= a*x0^2, so the scan stays below about 2*x0
     bound = isqrt(a * x0 * x0 // c)
     y0 = draw(st.integers(-bound, bound))
@@ -292,19 +295,21 @@ def test_scan_matches_unfiltered_loop(case):
     form, n, point = case
     want = oracle_scan(form.a, form.b, form.c, n)
     assert point in want
-    assert list(_scan(form, n)) == want
-    assert representations(form, n).pairs == _with_mirrors(want)
+    with mock.patch.object(quadform, "_SCAN_CHUNK", CHUNK):
+        assert list(_scan(form, n)) == want
+        assert representations(form, n).pairs == _with_mirrors(want)
 
 
 def test_scan_solutions_at_chunk_boundaries():
-    first = _SCAN_CHUNK[0]
-    # the first two chunks end at x = first and x = 3 * first
-    for x0 in (first - 1, first, first + 1, 3 * first - 1, 3 * first, 3 * first + 1):
-        for a, b, c in ((1, 0, 2), (2, 1, 3)):
-            n = a * x0 * x0 + b * x0 * 5 + c * 25
-            want = oracle_scan(a, b, c, n)
-            assert (x0, 5) in want
-            assert representations(QuadForm(a, b, c), n).pairs == _with_mirrors(want)
+    # the chunks end at x = k * CHUNK; these straddle the ends of the first and third
+    with mock.patch.object(quadform, "_SCAN_CHUNK", CHUNK):
+        for k in (1, 3):
+            for x0 in (k * CHUNK - 1, k * CHUNK, k * CHUNK + 1):
+                for a, b, c in ((1, 0, 2), (2, 1, 3)):
+                    n = a * x0 * x0 + b * x0 * 5 + c * 25
+                    want = oracle_scan(a, b, c, n)
+                    assert (x0, 5) in want
+                    assert representations(QuadForm(a, b, c), n).pairs == _with_mirrors(want)
 
 
 def test_find_rep_stops_at_first_solution():

@@ -48,6 +48,8 @@ def test_case_registry():
         make_case("T3.1", 1)  # needs both parameters
     with pytest.raises(ValueError):
         make_case("T3.1", 2, 3)  # a must be odd
+    with pytest.raises(ValueError, match="needs a positive parameter b"):
+        make_case("T3.1", 1, 0)
     with pytest.raises(ValueError):
         make_case("E1.6", 1, 7)  # fixed-parameter case
     with pytest.raises(ValueError):
@@ -84,6 +86,30 @@ def test_case_arity():
     want = {c: 2 if c in two else 1 if c == "C3.4" else 0 for c in case_ids()}
     assert len(want) == 22 and sum(v == 0 for v in want.values()) == 12
     assert {c: case_arity(c) for c in case_ids()} == want
+
+
+def test_unknown_case_id_is_a_value_error():
+    for lookup in (case_summary, case_arity, make_case):
+        with pytest.raises(ValueError, match=r"^unknown case 'X9'; known: C3\.1, "):
+            lookup("X9")
+
+
+@pytest.mark.parametrize(
+    "case_id, pair, checked, skipped",
+    [
+        ("C3.1", (1, 1), 4783, 4808),
+        ("E1.6", (1, 7), 4777, 4814),
+        ("E1.8", (1, 3), 4784, 4807),
+        ("C3.2", (1, 5), 2371, 7220),
+    ],
+)
+def test_fixed_square_case_checks_its_t31_primes(case_id, pair, checked, skipped):
+    # each fixed square case is T3.1 at one pair, restricted to a residue class
+    # that holds exactly the primes T3.1 checks there
+    fixed = range_report(case_id, 10**5)
+    general = range_report("T3.1", 10**5, grid=[pair])
+    assert (fixed.checked, fixed.skipped, fixed.falsified) == (checked, skipped, ())
+    assert (general.checked, general.skipped, general.falsified) == (checked, skipped, ())
 
 
 def test_case_parameters_are_python_ints():
