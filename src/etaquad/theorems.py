@@ -14,14 +14,14 @@ an implementation bug.  When a prime admits several representations,
 the identity is evaluated on every one of them and any disagreement is
 reported as a falsification with witnesses.
 
-Coefficient values come through one ``TableCache`` per run, and every
-read goes through ``TableCache.values``: it slices a held table that
-covers the indices and otherwise sums over lattice points (``lambda_at``,
-O(sqrt p) work per index).  Only ``range_report`` builds tables, presized
-per (a, b) with the sparse method and spot-audited against the recurrence
-method; a one-prime verdict builds none.  A call given no cache makes its
-own, so its tables are released when it returns and no call reads what
-an earlier one left behind.
+Every coefficient read goes through ``TableCache.values``: it slices a
+held table that covers the indices and otherwise sums over lattice points
+(``lambda_at``, O(sqrt p) work per index).  Only ``range_report`` builds
+tables, presized per (a, b) with the sparse method and spot-audited
+against the recurrence method; a one-prime verdict builds none.  A
+one-prime call, and each instance of a range, given no cache makes its
+own, so its tables are released when it is done and nothing reads what
+an earlier call or instance left behind.
 
 Each case is one ``_CASES`` record (summary, rule builder, parameter
 conditions; its arity is the builder's parameter count) whose builder
@@ -34,18 +34,19 @@ a case means adding one record.
 
 Two paths evaluate a rule.  The single-prime path (``verify_*``) runs the
 rule's scalar runner, which finds the representations of one prime by an
-O(sqrt p) scan and builds its ``Verdict``.  ``range_report`` takes the
-columnar path: one sieve, one ``lattice_points`` sweep of the rule's form
-over every prime of the range, the hypotheses as boolean masks, and each
-table read once as an array, so a range costs about O(P) array work
-instead of O(P^1.5 / log P) Python steps.  Each scalar runner has one
-columnar counterpart that reads the same ``_Rule`` fields and compares
-every lattice point with the coefficients read at that point's prime (the
-square identities try each sign of x and y).  Every prime the columns
-cannot settle as holding or not applicable (some point disagrees with its
-read, an expected representation is missing) goes through the scalar
-runner in the one-prime loop's order, so the scalar path stays the oracle
-and every falsified ``Verdict`` is the one it gives.
+O(sqrt p) scan and builds its ``Verdict``.  ``range_report`` sieves once
+and takes the columnar path for one instance at a time: one
+``lattice_points`` sweep of the rule's form, the hypotheses as boolean
+masks, and each table read once as an array, so a range costs about O(P)
+array work instead of O(P^1.5 / log P) Python steps.  Each scalar runner
+has one columnar counterpart that reads the same ``_Rule`` fields and
+compares every lattice point with the coefficients read at that point's
+prime (the square identities try each sign of x and y).  Every prime the
+columns cannot settle as holding or not applicable (some point disagrees
+with its read, an expected representation is missing) goes through the
+scalar runner, so the scalar path stays the oracle and every falsified
+``Verdict`` is the one it gives.  A fault raises at the first (instance,
+prime) that has one, as an instance-major loop of the scalar runner does.
 """
 
 from __future__ import annotations
@@ -315,7 +316,6 @@ _THM53_CLASSES = (
 
 
 def _run_thm53(case, p, cache, rule):
-    ta, tb, _ = rule.reads[0]
     witness, expected = None, (0, 0, 0, 0)
     for residues, (fa, fb), label, mults in _THM53_CLASSES:
         if p % 30 in residues:
@@ -325,8 +325,12 @@ def _run_thm53(case, p, cache, rule):
                 return Verdict(FALSIFIED, case, p, index=p, reason=reason)
             expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
     indices = [_exact_index(read, p) for read in rule.reads]
-    details = tuple(zip(indices, expected, cache.values(ta, tb, indices).tolist()))
-    status = HOLDS if all(want == got for _, want, got in details) else FALSIFIED
+    tables = [read[:2] for read in rule.reads]
+    got = {}  # each read from its own table, with one values call per table
+    for t in dict.fromkeys(tables):
+        got[t] = iter(cache.values(*t, [i for u, i in zip(tables, indices) if u == t]).tolist())
+    details = tuple(zip(indices, expected, [next(got[t]) for t in tables]))
+    status = HOLDS if all(want == have for _, want, have in details) else FALSIFIED
     return Verdict(status, case, p, witness=witness, index=p, details=details)
 
 
@@ -336,8 +340,8 @@ class _Rule:
 
     form: tuple[int, int]
     reads: tuple[tuple[int, int, int], ...]  # (ta, tb, m): the (ta, tb) coefficient at t = m*p
+    sign: object  # the exponent e in (-1)^e (4*fa*x^2 - 2p); None where no runner reads it
     hypotheses: tuple[tuple[object, str], ...] = ()
-    sign: object = lambda x, y: 0  # the exponent e in (-1)^e (4*fa*x^2 - 2p)
     even_y: bool = False  # every y is even (asserted, not a hypothesis)
     odd_x: bool = False  # only the representations with odd x count
     show_a: bool = False  # reasons write the form as a*x^2 even for a = 1
@@ -407,29 +411,30 @@ def _t33(a, b, *residue):
     return replace(rule, sign=lambda x, y: (a - 1) // 2 + y // 2, even_y=True)
 
 
-def _over_ab(a, b, *first):
+def _over_ab(a, b, sign, *first):
     """p = x^2 + ab*y^2, read from the (a, b) table (T3.2, C3.3 and C3.5)."""
     ab = a * b
     return _Rule(
         form=(1, ab),
         reads=((a, b, a + b),),
+        sign=sign,
         hypotheses=(*first, _equals(ab, "a*b"), _equals(ab + 1, "a*b + 1")),
     )
 
 
 def _t32ii(a, b, *residue):
-    return replace(_over_ab(a, b, *residue, _ONE_MOD_8), sign=lambda x, y: y // 2, even_y=True)
+    return replace(_over_ab(a, b, lambda x, y: y // 2, *residue, _ONE_MOD_8), even_y=True)
 
 
 def _c33(a, b, *first):
     """The (a, b) value equals the (1, ab) value at (ab+1)(p-1)/8 + 1."""
-    rule = _over_ab(a, b, *first)
+    rule = _over_ab(a, b, None, *first)
     return replace(rule, reads=rule.reads + ((1, a * b, a * b + 1),))
 
 
-def _product(a, b, m, *hypotheses):
+def _product(a, b, m, *hyps):
     """m*p = a*x^2 + b*y^2 with x = y = 1 (mod 4): x*y at (m*p - a - b)/8 + 1."""
-    return _Rule(form=(a, b), reads=((a, b, m),), hypotheses=hypotheses, run=_run_product)
+    return _Rule(form=(a, b), reads=((a, b, m),), sign=None, hypotheses=hyps, run=_run_product)
 
 
 def _congruent(m, a, b):
@@ -485,7 +490,7 @@ _CASES: dict[str, _CaseSpec] = {
     ),
     "T3.2i": _CaseSpec(
         "odd coprime a,b; p = x^2 + ab*y^2; signed 4x^2 - 2p at (a+b)(p-1)/8 + 1",
-        lambda a, b: replace(_over_ab(a, b), sign=lambda x, y: (a * b + 1) // 2 * y),
+        lambda a, b: _over_ab(a, b, lambda x, y: (a * b + 1) // 2 * y),
         _ODD_PAIR + _COPRIME,
     ),
     "T3.2ii": _CaseSpec(
@@ -576,6 +581,7 @@ _CASES: dict[str, _CaseSpec] = {
         lambda: _Rule(
             form=(3, 5),
             reads=((3, 5, 8), (3, 5, 16), (3, 5, 24), (3, 5, 40)),  # indices p, 2p, 3p, 5p
+            sign=None,
             hypotheses=((lambda p: p <= 5, "p <= 5"),),
             run=_run_thm53,
         ),
@@ -647,16 +653,15 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# range aggregation: each instance evaluated over every prime of the range at
-# once.  A columnar runner reads the same _Rule fields as its scalar runner
-# and returns two boolean arrays over the prime positions: `live` where the
-# verdict is not not_applicable, and `suspect` where it may be anything but
-# holds, so that the scalar runner must decide it.  It reads the coefficients
-# at each lattice point's prime, computes the value that point expects, and
-# marks the prime suspect wherever any of its points disagrees; it folds no
-# points into per-prime values, so a check touches only the points it is
-# given.  An internal fault that the sweep shows raises at once, through the
-# scalar runner's own check.
+# range aggregation: one instance over every prime of the range at once.  A
+# columnar runner reads the same _Rule fields as its scalar runner and returns
+# two boolean arrays over the prime positions: `live` where the verdict is not
+# not_applicable, and `suspect` where the scalar runner must decide it.  It
+# compares each lattice point with the coefficients read at its prime and
+# marks the prime suspect wherever any point disagrees; it folds no points
+# into per-prime values, so a check touches only the points it is given.  An
+# internal fault that the sweep shows raises at once, through the scalar
+# runner's own check.
 
 
 class _Range(NamedTuple):
@@ -764,10 +769,11 @@ def range_report(
 
     ``grid`` is an iterable of parameter tuples for parametrized cases
     ((a, b) pairs, or single values for one-parameter cases) and must be
-    omitted for the fixed-parameter ones.  Evaluation order is primes
-    ascending, parameters lexicographic, so reports are deterministic.
+    omitted for the fixed-parameter ones.  Instances run one at a time in
+    lexicographic order, each through ``cache`` or, given none, its own.
     Hypothesis failures are counted as skipped; falsifying verdicts are
-    collected in full.
+    collected in full in the one-prime loop's order (primes ascending, then
+    parameters).  A fault raises at the first (instance, prime) with one.
     """
     spec = _spec(case_id)
     if p_max < 0:
@@ -780,44 +786,38 @@ def range_report(
     entries = [()] if grid is None else grid
     combos = {(entry,) if np.ndim(entry) == 0 else tuple(entry) for entry in entries}
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
-    cache = cache or TableCache()
     flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)
-    rng = _Range(np.flatnonzero(flags)[1:].astype(np.int64), flags, cache)  # every prime but 2
-    swept = instances if len(rng.primes) else []
-    # every index is increasing in p, so one build per table to its largest
-    # index at p_max serves every read below, the scalar runner's included
-    limits = {}  # (ta, tb) with ta <= tb -> the table's largest index
-    for ta, tb, m in (read for inst in swept for read in inst._rule.reads):
-        key = (min(ta, tb), max(ta, tb))
-        limits[key] = max(limits.get(key, 1), _index((ta, tb, m), p_max)[0])
-    for key, limit in limits.items():
-        cache.get(*key, limit)
+    primes = np.flatnonzero(flags)[1:].astype(np.int64)  # every prime but 2
     checked = skipped = 0
-    suspects = []  # (prime position, instance position)
-    for k, inst in enumerate(swept):
+    falsified = []  # (prime position, instance position, verdict)
+    for k, inst in enumerate(instances if len(primes) else []):
         rule = inst._rule
-        ok = np.ones(len(rng.primes), dtype=bool)
+        rng = _Range(primes, flags, cache or TableCache())  # drops the last one's tables
+        # every index is increasing in p, so one build per table to its largest
+        # index at p_max serves every read below, the scalar runner's included
+        limits = {}  # (ta, tb) with ta <= tb -> the table's largest index
+        for ta, tb, m in rule.reads:
+            key = (min(ta, tb), max(ta, tb))
+            limits[key] = max(limits.get(key, 1), _index((ta, tb, m), p_max)[0])
+        for key, limit in limits.items():
+            rng.cache.get(*key, limit)
+        ok = np.ones(len(primes), dtype=bool)
         for fails, _ in rule.hypotheses:
-            ok &= ~fails(rng.primes)
+            ok &= ~fails(primes)
         live, suspect = _COLUMNAR[rule.run](inst, rule, rng, ok)
         checked += int(np.count_nonzero(live & ~suspect))
         skipped += int(np.count_nonzero(~live & ~suspect))
-        suspects += [(i, k) for i in np.flatnonzero(suspect).tolist()]
-    # the scalar runner decides the rest, in the order of the one-prime loop
-    falsified: list[Verdict] = []
-    for i, k in sorted(suspects):
-        verdict = _evaluate(instances[k], int(rng.primes[i]), cache)
-        if verdict.status == NOT_APPLICABLE:
-            skipped += 1
-        else:
-            checked += 1
+        for i in np.flatnonzero(suspect).tolist():  # the scalar runner decides the rest
+            verdict = _evaluate(inst, int(primes[i]), rng.cache)
+            checked += verdict.status != NOT_APPLICABLE
+            skipped += verdict.status == NOT_APPLICABLE
             if verdict.status == FALSIFIED:
-                falsified.append(verdict)
+                falsified.append((i, k, verdict))
     return RangeReport(
         case_id=case_id,
         params=tuple(inst.params() for inst in instances),
         p_max=p_max,
         checked=checked,
         skipped=skipped,
-        falsified=tuple(falsified),
+        falsified=tuple(verdict for _, _, verdict in sorted(falsified)),
     )

@@ -172,6 +172,20 @@ def test_tables_presized_once():
             assert cache.asked == {(a, b): limit for a, b, limit in builds}
 
 
+def test_grid_builds_each_table_once_through_the_callers_cache():
+    # a whole GRID as one range builds each table once, in the caller's cache,
+    # to the largest limit its instances ask for one at a time
+    want = load("table_limits.json")
+    for case_id, grid in GRID.items():
+        cache = CountingCache()
+        range_report(case_id, 2048, grid, cache=cache)
+        limits = {}
+        for params in grid:
+            for a, b, limit in want[label(case_id, params)]["2048"]:
+                limits[a, b] = max(limits.get((a, b), 0), limit)
+        assert sorted(cache.builds) == sorted((*key, limit) for key, limit in limits.items())
+
+
 def test_presized_limit_examples():
     assert presized("E1.6", (), 1000).builds == [(1, 7, 1000)]
     assert presized("T5.3", (), 100).builds == [(3, 5, 500)]

@@ -18,6 +18,7 @@ from etaquad import (
     LambdaParams,
     ResourceLimitError,
     QuadForm,
+    RangeReport,
     TableCache,
     case_arity,
     case_ids,
@@ -79,6 +80,20 @@ def test_case_rule_built_once():
     assert verify_thm53(31) == verify_thm53(31)
     e16 = [verify_construction(make_case("E1.6"), p) for p in (11, 11, 13)]
     assert e16[0] == e16[1] and e16[0].status == HOLDS and e16[2].status == NOT_APPLICABLE
+
+
+def test_rule_states_its_sign():
+    import etaquad.theorems as th
+
+    # a rule has no default sign, so a square rule that forgets one is not built;
+    # exactly the one-read square rules state one, the others pass None
+    with pytest.raises(TypeError, match="sign"):
+        th._Rule(form=(1, 7), reads=((1, 7, 8),))
+    for case_id in case_ids():
+        params = _ADMISSIBLE[case_id][0] if case_arity(case_id) else ()
+        rule = make_case(case_id, *params)._rule
+        square = rule.run is th._run_square and len(rule.reads) == 1
+        assert (rule.sign is not None) == square, case_id
 
 
 def test_case_arity():
@@ -564,6 +579,24 @@ def test_default_range_releases_its_tables():
     assert held < 2**20
 
 
+def test_default_grid_range_holds_one_instance_tables_at_a_time():
+    # a grid given no cache gives each instance its own, so the peak is about
+    # the largest instance's tables ((15,15): about 2.2 MB at 10^4), not the
+    # sum over all 36 instances (about 24 MB)
+    import tracemalloc
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            assert range_report("T3.1", 10**4, grid).ok
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    odd_pairs = [(a, b) for a in range(1, 16, 2) for b in range(a, 16, 2)]
+    assert peak(odd_pairs) < 2 * peak([(15, 15)])
+
+
 def test_uncached_verdict_reads_alike_after_a_range(monkeypatch):
     import etaquad.theorems as th
 
@@ -727,23 +760,25 @@ def test_one_prime_past_last_primality_bound_hits_the_budget():
 
 
 def _scalar_report(case_id, p_max, grid=None, cache=None):
-    """(checked, skipped, falsified) from one _evaluate call per odd prime and
-    instance, in range_report's order."""
+    """(checked, skipped, falsified) from one _evaluate call per instance and
+    odd prime, instance-major, so it raises the first fault in (instance,
+    prime) order; falsified verdicts in the one-prime loop's order."""
     import etaquad.theorems as th
 
     combos = [()] if grid is None else sorted({tuple(c) for c in grid})
     instances = [make_case(case_id, *combo) for combo in combos]
+    primes = oracle_primes(p_max)[1:]
     cache = cache or TableCache()
     checked = skipped = 0
     falsified = []
-    for p in oracle_primes(p_max)[1:]:
-        for inst in instances:
+    for k, inst in enumerate(instances):
+        for p in primes:
             v = th._evaluate(inst, p, cache)
             skipped += v.status == NOT_APPLICABLE
             checked += v.status != NOT_APPLICABLE
             if v.status == FALSIFIED:
-                falsified.append(v)
-    return checked, skipped, tuple(falsified)
+                falsified.append((p, k, v))
+    return checked, skipped, tuple(v for _, _, v in sorted(falsified))
 
 
 def _admissible(case_id):
@@ -959,3 +994,63 @@ def test_thm53_range_class_prime_missing_from_sweep(monkeypatch):
         "expected representation x^2 + 15y^2 missing",
         "expected representation 3x^2 + 5y^2 missing",
     }
+
+
+# ---------------------------------------------------------------------------
+# one oracle for both range paths: on every rule, true or false, a range
+# reports what the instance-major loop of _scalar_report finds, or raises
+# what it raises first
+
+
+def _mutations(rule):
+    """A fixed catalogue of faults in one rule, as (name, mutated rule)."""
+    (ta, tb, m), *rest = rule.reads
+    hyps = rule.hypotheses
+    out = [
+        ("m + 8", replace(rule, reads=((ta, tb, m + 8), *rest))),
+        ("ta + 8", replace(rule, reads=((ta + 8, tb, m), *rest))),
+        ("odd_x", replace(rule, odd_x=not rule.odd_x)),
+        ("even_y", replace(rule, even_y=not rule.even_y)),
+        ("show_a", replace(rule, show_a=not rule.show_a)),
+        ("form swapped", replace(rule, form=rule.form[::-1])),
+    ]
+    for i, (_, why) in enumerate(hyps):
+        out.append((f"no {why!r}", replace(rule, hypotheses=hyps[:i] + hyps[i + 1 :])))
+    if rule.sign is not None:
+        sign = rule.sign
+        out.append(("sign + 1", replace(rule, sign=lambda x, y: sign(x, y) + 1)))
+        out.append(("sign x < 0", replace(rule, sign=lambda x, y: x < 0)))  # not even in x
+    return out
+
+
+def _outcome(run):
+    try:
+        return run()
+    except Exception as exc:  # a fault must be the same fault on both paths
+        return type(exc), str(exc)
+
+
+def test_range_report_equals_instance_major_loop_on_mutated_rules(monkeypatch):
+    import etaquad.theorems as th
+
+    p_max = 400
+    real_rule = th._built_rule
+    differ = []
+    runs = 0
+    for case_id in case_ids():
+        grid = None
+        if case_arity(case_id):
+            grid = [_ADMISSIBLE[case_id][0], _ADMISSIBLE[case_id][-1]]
+        combos = [()] if grid is None else grid
+        names = [name for name, _ in _mutations(real_rule(case_id, combos[0]))]
+        for name in names:
+            mutated = {c: dict(_mutations(real_rule(case_id, c)))[name] for c in combos}
+            monkeypatch.setattr(th, "_built_rule", lambda cid, params: mutated[params])
+            report = _outcome(lambda: range_report(case_id, p_max, grid))
+            if isinstance(report, RangeReport):
+                report = (report.checked, report.skipped, report.falsified)
+            want = _outcome(lambda: _scalar_report(case_id, p_max, grid))
+            if report != want:
+                differ.append((case_id, name, report, want))
+            runs += 1
+    assert runs > 200 and differ == []
