@@ -8,7 +8,7 @@ conditions that indicate an implementation bug rather than bad input.
 
 
 class ResourceLimitError(RuntimeError):
-    """A requested computation exceeds a configured memory budget."""
+    """A requested computation exceeds a configured memory or work budget."""
 
 
 class PartitionCapError(ValueError):

@@ -14,23 +14,37 @@ mod-4-normalized solutions that drive the product-series identities, and
 ``find_rep`` takes the first solution with y >= 0.  ``lattice_points`` is
 one numpy sweep over the lattice points of a diagonal form, in chunks of
 consecutive rows, that lists the representations of many integers at once.
+``class_group`` tests the c-window of each a for 4ac + d a square, in
+numpy chunks with one float square test per cell, after a parity rule on
+a and c has dropped the cells that cannot hit when d is odd.
+``representations`` and ``class_group`` check a work budget (scan length,
+cell count) before they start and raise ResourceLimitError past it;
+``find_rep`` has none, as it stops at its first solution.
 
 Value semantics throughout: forms, class groups and representation sets
-are immutable once built.
+are immutable once built.  A form is a named tuple (a, b, c), built at
+tuple cost, and equals the plain tuple of its coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, isqrt
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import ResourceLimitError
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    """The form a*x^2 + b*x*y + c*y^2, written [a, b, c]."""
+
+class QuadForm(NamedTuple):
+    """The form a*x^2 + b*x*y + c*y^2, written [a, b, c].
+
+    A named tuple: immutable, ordered and hashed as the tuple (a, b, c),
+    which it also equals.
+    """
 
     a: int
     b: int
@@ -58,6 +72,10 @@ class QuadForm:
 
     def __str__(self) -> str:
         return f"[{self.a}, {self.b}, {self.c}]"
+
+
+# QuadForm._make without its Python-level length check, for trusted triples
+_form_from_tuple = partial(tuple.__new__, QuadForm)
 
 
 @dataclass(frozen=True)
@@ -107,6 +125,12 @@ def _require_positive_definite(form: QuadForm) -> None:
 
 
 _CLASS_GROUP_CELLS = 1 << 14  # cells per chunk of the conductor's pass and class_group's search
+CLASS_GROUP_CELL_BUDGET = 1 << 30  # cells class_group may search: ~7 s on 2 cores
+
+
+def _require_discriminant(d: int) -> None:
+    if d >= 0 or d % 4 not in (0, 1):
+        raise ValueError(f"{d} is not a negative discriminant")
 
 
 def discriminant_info(d: int) -> Discriminant:
@@ -117,8 +141,7 @@ def discriminant_info(d: int) -> Discriminant:
     values: f^2 divides d and d/f^2 = 0 or 1 (mod 4).  The unit weight is
     6 for d = -3, 4 for d = -4, else 2.
     """
-    if d >= 0 or d % 4 not in (0, 1):
-        raise ValueError(f"{d} is not a negative discriminant")
+    _require_discriminant(d)
     conductor, f_top = 1, isqrt(-d)
     for lo in range(1, f_top + 1, _CLASS_GROUP_CELLS):
         f2 = np.arange(lo, min(lo + _CLASS_GROUP_CELLS, f_top + 1), dtype=np.int64) ** 2
@@ -165,34 +188,68 @@ def class_group(d: int) -> ClassGroup:
     where b >= 0 on the boundary.  Such a form has 3a^2 <= |d| and
     |d| <= 4ac <= |d| + a^2, so each a <= sqrt(|d|/3) leaves a window of at
     most a/4 + 1 values of c >= a, from ceil(|d|/4a), and b is the root of
-    4ac - |d| where `_isqrt_int64` finds that a square.  The rows of a lie
-    end to end in chunks of at most _CLASS_GROUP_CELLS cells (or one longer
-    row), each cell's 4ac - |d| the row's first value plus a multiple of 4a.
-    The hits with gcd 1 are the forms with b >= 0, and (a, -b, c) joins each
-    with 0 < b < a < c.  Cells stay in int64 because 4ac <= 4|d|/3.
+    the cell 4ac - |d| where that is a square.
+
+    For odd d, b is odd, so b^2 = 1 (mod 8) and ac = (1 - d)/4 (mod 2).
+    If d = 5 (mod 8) only odd a with odd c remain, about a quarter of the
+    cells; if d = 1 (mod 8) odd a take only even c and even a every c,
+    about three quarters.  An odd a walks its window in steps of 2 from its
+    first c of the right parity.  Even d has no parity rule.
+
+    The rows lie end to end in chunks of at most _CLASS_GROUP_CELLS cells
+    (or one longer row), each cell its row's offset plus its step times its
+    place in the chunk, built in float64.  Every cell is an integer
+    v <= a^2 <= |d|/3, and the cell ceiling CLASS_GROUP_CELL_BUDGET, checked
+    before any work, keeps |d| (so every term) far below 2^52.  There a
+    perfect square has an exact root, and any other integer a root more
+    than half an ulp from every integer, so v is a square exactly when
+    sqrt(v) is integral.  The hits with gcd 1 are the forms with b >= 0
+    (every hit has gcd 1 when the conductor is 1, as g^2 divides d), and
+    (a, -b, c) joins each with 0 < b < a < c.
     """
+    _require_discriminant(d)
+    a_top = isqrt(-d // 3)
+    cells = a_top * (a_top + 1) // 8 + a_top  # the sum of the windows' a/4 + 1
+    if cells > CLASS_GROUP_CELL_BUDGET:
+        raise ResourceLimitError(
+            f"class group of {d} may search {cells} cells, budget is {CLASS_GROUP_CELL_BUDGET}"
+        )
     info = discriminant_info(d)
-    a = np.arange(1, isqrt(-d // 3) + 1, dtype=np.int64)
+    a = np.arange(1, a_top + 1, dtype=np.int64)
     c0 = np.maximum(-(d // (4 * a)), a)
-    counts = (a * a - d) // (4 * a) + 1 - c0
-    a, c0, counts = a[counts > 0], c0[counts > 0], counts[counts > 0]
+    step = np.ones_like(a)
+    if d % 2:
+        ac_parity = (1 - d) // 4 % 2
+        step[::2] = 2  # the rows of odd a
+        c0[::2] += (c0[::2] - ac_parity) % 2
+        if ac_parity:
+            a, c0, step = a[::2], c0[::2], step[::2]
+    counts = ((a * a - d) // (4 * a) - c0) // step + 1
+    live = counts > 0
+    a, c0, step, counts = a[live], c0[live], step[live], counts[live]
     ends = np.cumsum(counts)
+    cell_step, first = 4 * a * step, 4 * a * c0 + d
     found = []
     for lo, hi, base in _row_chunks(ends, _CLASS_GROUP_CELLS):
-        step, starts = 4 * a[lo:hi], ends[lo:hi] - counts[lo:hi] - base
-        b2 = np.repeat(step, counts[lo:hi]) * np.arange(ends[hi - 1] - base)
-        b2 += np.repeat(step * (c0[lo:hi] - starts) + d, counts[lo:hi])
-        b = _isqrt_int64(b2)
-        hit = np.flatnonzero(b * b == b2)
+        rows, starts = counts[lo:hi], ends[lo:hi] - counts[lo:hi] - base
+        # cell i of the chunk, in row r: first[r] + cell_step[r] * (i - starts[r])
+        v = np.repeat(cell_step[lo:hi].astype(np.float64), rows)
+        v *= np.arange(len(v), dtype=np.float64)
+        v += np.repeat((first[lo:hi] - cell_step[lo:hi] * starts).astype(np.float64), rows)
+        root = np.sqrt(v)
+        hit = np.flatnonzero(root == np.floor(root))
         row = np.searchsorted(starts, hit, side="right") - 1
-        found.append((a[lo + row], b[hit], c0[lo + row] + hit - starts[row]))
+        c = c0[lo + row] + step[lo + row] * (hit - starts[row])
+        found.append((a[lo + row], root[hit].astype(np.int64), c))
     a, b, c = (np.concatenate(column) for column in zip(*found))
-    keep = np.gcd(np.gcd(a, b), c) == 1
-    mirror = keep & (0 < b) & (b < a) & (a < c)
-    a, c = np.concatenate((a[keep], a[mirror])), np.concatenate((c[keep], c[mirror]))
-    b = np.concatenate((b[keep], -b[mirror]))
-    order = np.lexsort((c, b, a))
-    forms = map(QuadForm, a[order].tolist(), b[order].tolist(), c[order].tolist())
+    if info.conductor > 1:
+        keep = np.gcd(np.gcd(a, b), c) == 1
+        a, b, c = a[keep], b[keep], c[keep]
+    mirror = (0 < b) & (b < a) & (a < c)
+    a, c = np.concatenate((a, a[mirror])), np.concatenate((c, c[mirror]))
+    b = np.concatenate((b, -b[mirror]))
+    order = np.lexsort((b, a))  # b fixes c for given a
+    forms = map(_form_from_tuple, zip(a[order].tolist(), b[order].tolist(), c[order].tolist()))
     return ClassGroup(info, tuple(forms))
 
 
@@ -250,6 +307,7 @@ def _square_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
 # the residue filter of `_scan`: a few pairwise coprime moduli and their tables
 _FILTER = [(m, *_square_tables(m)) for m in (64, 63, 65, 11)]
 _SCAN_CHUNK = 1 << 16  # values of x per chunk in `_scan`
+REPS_SCAN_BUDGET = 1 << 30  # values `representations` may scan: up to ~14 s on 2 cores
 
 
 def _scan(form: QuadForm, n: int):
@@ -295,7 +353,8 @@ def representations(form: QuadForm, n: int) -> RepSet:
     when a < c it scans [c, b, a] instead, over y up to sqrt(4an/|d|), and
     swaps each pair back.  The solutions with the scanned variable >= 0
     come from the scan; the rest are the mirrors (-x, -y) of those where
-    it is > 0.
+    it is > 0.  A scan longer than REPS_SCAN_BUDGET values raises
+    ResourceLimitError before it starts.
     """
     # Python ints, so that 4cn and the pairs never wrap as numpy integers would
     form, n = QuadForm(index(form.a), index(form.b), index(form.c)), index(n)
@@ -303,6 +362,11 @@ def representations(form: QuadForm, n: int) -> RepSet:
     if n < 1:
         raise ValueError(f"representations needs n >= 1, got {n}")
     swap = form.a < form.c
+    length = isqrt(4 * min(form.a, form.c) * n // -form.discriminant()) + 1
+    if length > REPS_SCAN_BUDGET:
+        raise ResourceLimitError(
+            f"representations of {n} by {form} scan {length} values, budget is {REPS_SCAN_BUDGET}"
+        )
     half = list(_scan(QuadForm(form.c, form.b, form.a) if swap else form, n))
     half += [(-u, -v) for u, v in half if u > 0]
     pairs = [(v, u) for u, v in half] if swap else half

@@ -405,6 +405,12 @@ def test_resource_limit_exit_4(capsys):
             ["lambda", "--a", "1", "--b", "1", "--n-max", str(10**10), "--method", "multinomial"],
             "table to 10000000000 needs",
         ),
+        # representations and class_group check their work budgets before they start
+        (
+            ["reps", "--form", "1,0,1", "--n", str(10**30 + 1)],
+            f"representations of {10**30 + 1} by [1, 0, 1] scan {10**15 + 1} values",
+        ),
+        (["classgroup", "--disc", str(-(10**14))], f"class group of {-(10**14)} may search"),
     ):
         tracemalloc.start()
         try:

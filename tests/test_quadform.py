@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from etaquad import (
     QuadForm,
+    ResourceLimitError,
     class_group,
     compose,
     discriminant_info,
@@ -115,16 +116,71 @@ def test_class_group_matches_double_loop_large(n):
 
 
 def test_class_group_one_row_per_band(monkeypatch):
-    # a cell budget that leaves one row of a per band gives the same classes
+    # a cell budget that leaves one row of a per band gives the same classes,
+    # for even d and for both parity classes of odd d (d = 5 and 1 mod 8)
     import etaquad.quadform as qf
 
-    want = _triples(class_group(-4000004))
-    assert len(want) == 1032
+    sizes = {-4000004: 1032, -4000003: 248, -4000007: 1352}
+    want = {d: _triples(class_group(d)) for d in sizes}
+    assert {d: len(forms) for d, forms in want.items()} == sizes
     monkeypatch.setattr(qf, "_CLASS_GROUP_CELLS", 1)
-    assert _triples(class_group(-4000004)) == want
+    for d in sizes:
+        assert _triples(class_group(d)) == want[d], d
     # and the conductor's pass, one f per block
     for d in (-48, -4 * 1000**2, -3 * 2310**2):
         assert discriminant_info(d).conductor == oracle_conductor(d)
+
+
+def test_float_square_test_is_exact_below_2_52():
+    # class_group's test: below 2^52, v is a square exactly when sqrt(v) is integral
+    m = np.array([2, 3, 1 << 13, (1 << 26) - 3, (1 << 26) - 1], dtype=np.float64)
+    v = np.concatenate((m * m - 1, m * m, m * m + 1))
+    assert v.max() < 2.0**52
+    root = np.sqrt(v)
+    assert (root == np.floor(root)).tolist() == [False] * 5 + [True] * 5 + [False] * 5
+
+
+def test_budgets_raise_before_any_work(monkeypatch):
+    # representations: the scan over the shorter variable, isqrt(4*min(a, c)*n/|d|) + 1 values
+    with pytest.raises(ResourceLimitError, match="scan 1000000000000001 values"):
+        representations(QuadForm(1, 0, 1), 10**30 + 1)
+    monkeypatch.setattr(quadform, "REPS_SCAN_BUDGET", 1001)
+    assert representations(QuadForm(1, 0, 1), 10**6).count == 28  # scans 1001 values
+    with pytest.raises(ResourceLimitError):
+        representations(QuadForm(1, 0, 1), 1002**2)
+    with pytest.raises(ResourceLimitError):
+        representations(QuadForm(1, 0, 7), 7 * 1002**2)  # scans y of [7, 0, 1]
+    # find_rep has no budget: it stops at its first solution
+    assert find_rep(1, 1, 10**40 + 1) == (1, 10**20)
+    # class_group: the sum over a <= isqrt(|d|/3) of a/4 + 1 cells
+    with pytest.raises(ResourceLimitError, match="class group of -100000000000000 may search"):
+        class_group(-(10**14))
+    monkeypatch.setattr(quadform, "CLASS_GROUP_CELL_BUDGET", 258 * 259 // 8 + 258)
+    assert len(class_group(-200000)) == 200  # a <= 258
+    with pytest.raises(ResourceLimitError):
+        class_group(-201244)  # a <= 259
+    # a bad discriminant is a ValueError before it is a resource limit
+    with pytest.raises(ValueError, match="not a negative discriminant"):
+        class_group(-(10**14) - 1)
+
+
+def test_quadform_value_semantics():
+    # what callers rely on: immutable, ordered and hashed as (a, b, c)
+    form = QuadForm(2, -1, 3)
+    with pytest.raises(AttributeError):
+        form.a = 5
+    with pytest.raises(AttributeError):
+        form.d = 5
+    forms = [QuadForm(2, 1, 3), QuadForm(1, 1, 6), QuadForm(2, -1, 3), QuadForm(1, 0, 6)]
+    assert sorted(forms) == [QuadForm(1, 0, 6), QuadForm(1, 1, 6), form, QuadForm(2, 1, 3)]
+    assert hash(QuadForm(2, -1, 3)) == hash(form) and len({form, QuadForm(2, -1, 3)}) == 1
+    assert form == (2, -1, 3)  # a form also equals the plain tuple
+    assert repr(form) == "QuadForm(a=2, b=-1, c=3)" and str(form) == "[2, -1, 3]"
+    assert (form.a, form.b, form.c) == tuple(form)
+    assert class_group(-23).principal() == QuadForm(1, 1, 6)
+    assert class_group(-60).principal() == QuadForm(1, 0, 15)
+    assert class_group(-4).principal() == QuadForm(1, 0, 1)
+    assert all(isinstance(f, QuadForm) for f in class_group(-4000003))
 
 
 def test_class_group_rejects_bad_discriminants():
