@@ -5,11 +5,13 @@ Four independent routes to the same table, the METHODS of lambda_table:
 * ``sparse``   -- the cube of each factor collapses onto triangular-number
                   exponents with odd coefficients, so the product is a
                   sparse double sum; O(N/sqrt(ab)) term visits, one
-                  Python step per term of the larger multiplier; for
+                  np.add.at per term of the larger multiplier; for
                   a = b, a square, each pair off the diagonal is
                   visited once, so half as many visits.
 * ``newton``   -- an O(N^2) recurrence driven by weighted divisor sums,
-                  with an exact divisibility check at every step.
+                  with an exact divisibility check at every step; each
+                  inner sum is one np.dot in float64, int64 or Python
+                  ints, the narrowest that its size bound allows.
 * ``naive``    -- truncated polynomial multiplication, factor by factor,
                   cube by cube, as whole-array steps by 1 - q^s; the
                   simplest possible ground truth, O(N^2 (1/a + 1/b)) in
@@ -28,8 +30,11 @@ outside int64 raises OverflowError instead of wrapping.  Every table
 must fit TABLE_BUDGET_BYTES (8 bytes per entry), checked before it is
 allocated, and within it the sparse route's a-priori bound on every
 partial sum, and so on every coefficient, fits in int64.  The newton
-route checks its own bound on the inner sums step by step and continues
-them in big-int arithmetic when it fails.
+route bounds every product and partial sum of its inner sums by
+sum(c_k) * max|L| so far and widens its working dtype as that bound
+grows: float64 below EXACT_FLOAT_CEILING = 2^52, where each of them is
+an integer that float64 holds exactly, so np.dot is exact in any order
+of summation; then int64 up to _INT64_SAFE; then Python ints.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
-from operator import index, mul
+from operator import index
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -52,7 +57,7 @@ _INT64_SAFE = (1 << 62) - 1
 # starting below 2^59 stays below 2^62 and inside int64
 _NAIVE_INT64_HEADROOM = 1 << 59
 
-# lambda_at scans in float64, exact for values below this
+# lambda_at scans and newton sums in float64, exact for integers below this
 EXACT_FLOAT_CEILING = 1 << 52
 _KERNEL_CELLS = 1 << 16  # scan values times indices per chunk of lambda_at
 
@@ -190,15 +195,25 @@ def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
         row_ends = np.minimum(row_ends, np.arange(len(bases)))
         coef_k = 2 * coef_k
     for base, ck, end in zip(bases.tolist(), coef_k.tolist(), row_ends.tolist()):
-        # indices within one k are distinct, so fancy += is well defined
-        vals[base + row[:end]] += ck * coef[:end]
+        # one gather-add-scatter pass into the view that starts at base
+        np.add.at(vals[base:], row[:end], ck * coef[:end])
     return vals
 
 
 def _table_newton(params: LambdaParams, limit: int) -> np.ndarray:
     """Recurrence: n*L[n] = -3 * (c_n + sum_{k<n} c_k L[n-k]), L[0] = 1,
     where c_k = a*sigma(k/a) + b*sigma(k/b) and L[i] is the coefficient
-    of q^(i+1).  The division by n must be exact at every step."""
+    of q^(i+1).  The division by n must be exact at every step.
+
+    Every product c_k L[j] and every partial sum of an inner sum is an
+    integer of size at most csum * max|L| (csum = sum of c_k), so the
+    working dtype follows that bound as max|L| grows: float64 while it
+    is below EXACT_FLOAT_CEILING = 2^52, where every such integer is a
+    float and np.dot is exact in any order of summation, then int64
+    while it is at most _INT64_SAFE, then Python ints (dtype object).
+    The weights are held reversed, so each inner sum is one np.dot of
+    two forward, contiguous slices.
+    """
     a, b = params.a, params.b
     sig = divisor_sums(limit - 1)
     c = np.zeros(limit, dtype=np.int64)
@@ -207,24 +222,29 @@ def _table_newton(params: LambdaParams, limit: int) -> np.ndarray:
         c[::m] += m * sig[: (limit - 1) // m + 1]
     # c_k <= 2*sigma(k), so within the table budget this sum stays far below 2^62
     csum = int(c.sum())
+    rev = c[::-1].copy()  # rev[limit - 1 - k] = c_k
     vals = np.zeros(limit, dtype=np.int64)
     vals[0] = 1
-    max_abs = 1
+    max_abs, dtype = 1, None
     for n in range(1, limit):
-        # while csum * max|L| fits int64, so does every partial sum of the
-        # inner sum, and so does q: |q| <= 3 * csum * max|L| / n for n >= 2
-        # and q = -3 * c_1 at n = 1, so q needs no check of its own
-        if csum * max_abs <= _INT64_SAFE:
-            inner = int(np.dot(c[1:n], vals[n - 1 : 0 : -1]))
-        else:
-            inner = sum(map(mul, c[1:n].tolist(), vals[n - 1 : 0 : -1].tolist()))
-        q, r = divmod(-3 * (int(c[n]) + inner), n)
+        if dtype is None:  # the first step, or |L[n-1]| is a new maximum
+            bound = csum * max_abs
+            if bound > _INT64_SAFE:
+                dtype = object
+            else:
+                dtype = np.int64 if bound >= EXACT_FLOAT_CEILING else np.float64
+            rev, vals = rev.astype(dtype, copy=False), vals.astype(dtype, copy=False)
+        inner = int(np.dot(rev[limit - n : limit - 1], vals[1:n]))
+        # |q| <= 3 * csum * max|L| / n for n >= 2 and q = -3 * c_1 at n = 1,
+        # so q is exact in a float64 store and fits an int64 one
+        q, r = divmod(-3 * (int(rev[limit - 1 - n]) + inner), n)
         if r:
             raise InternalInconsistencyError(
                 f"recurrence division inexact at n={n} for (a, b)=({a}, {b})"
             )
-        vals[n] = q  # numpy raises OverflowError on a q outside int64
-        max_abs = max(max_abs, abs(q))
+        vals[n] = q
+        if abs(q) > max_abs:
+            max_abs, dtype = abs(q), None
     return vals
 
 

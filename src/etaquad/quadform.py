@@ -124,7 +124,7 @@ def _require_positive_definite(form: QuadForm) -> None:
         raise ValueError(f"form {form} is not positive definite")
 
 
-_CLASS_GROUP_CELLS = 1 << 14  # cells per chunk of the conductor's pass and class_group's search
+_CLASS_GROUP_CELLS = 1 << 14  # cells per chunk of class_group's search
 CLASS_GROUP_CELL_BUDGET = 1 << 30  # cells class_group may search: ~7 s on 2 cores
 
 
@@ -136,17 +136,26 @@ def _require_discriminant(d: int) -> None:
 def discriminant_info(d: int) -> Discriminant:
     """Validate d and attach its conductor and unit weight.
 
-    The conductor is the largest f with d/f^2 still a discriminant, found
-    in one numpy pass over f <= sqrt(|d|), in blocks of _CLASS_GROUP_CELLS
-    values: f^2 divides d and d/f^2 = 0 or 1 (mod 4).  The unit weight is
-    6 for d = -3, 4 for d = -4, else 2.
+    The conductor is the largest f with d/f^2 still a discriminant.  With
+    F^2 the largest square dividing d, d/F^2 is squarefree, so it is F
+    when d/F^2 = 1 (mod 4) and F/2 otherwise (d/F^2 = 2 or 3 (mod 4)
+    forces F even).  F comes from trial division by each p with p^3 at
+    most the cofactor left; what is then left has at most two prime
+    factors, so one square test finds its square part.  The unit weight
+    is 6 for d = -3, 4 for d = -4, else 2.
     """
     _require_discriminant(d)
-    conductor, f_top = 1, isqrt(-d)
-    for lo in range(1, f_top + 1, _CLASS_GROUP_CELLS):
-        f2 = np.arange(lo, min(lo + _CLASS_GROUP_CELLS, f_top + 1), dtype=np.int64) ** 2
-        fits = np.flatnonzero((d % f2 == 0) & (d // f2 % 4 < 2))
-        conductor = lo + int(fits[-1]) if len(fits) else conductor
+    rest, root, p = -d, 1, 2
+    while p * p * p <= rest:
+        while rest % (p * p) == 0:
+            rest //= p * p
+            root *= p
+        if rest % p == 0:
+            rest //= p
+        p += 1 if p == 2 else 2
+    s = isqrt(rest)
+    root *= s if s * s == rest else 1
+    conductor = root if d // (root * root) % 4 < 2 else root // 2
     return Discriminant(d, conductor, {-3: 6, -4: 4}.get(d, 2))
 
 

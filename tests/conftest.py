@@ -140,6 +140,18 @@ def oracle_conductor(d: int) -> int:
     return conductor
 
 
+def oracle_conductor_pass(d: int) -> int:
+    """The same conductor from one numpy pass over every f <= sqrt(|d|), in
+    blocks of 2^14 values: the search `discriminant_info` made before it
+    found the square part of d by trial division."""
+    cells, conductor, f_top = 1 << 14, 1, isqrt(-d)
+    for lo in range(1, f_top + 1, cells):
+        f2 = np.arange(lo, min(lo + cells, f_top + 1), dtype=np.int64) ** 2
+        fits = np.flatnonzero((d % f2 == 0) & (d // f2 % 4 < 2))
+        conductor = lo + int(fits[-1]) if len(fits) else conductor
+    return conductor
+
+
 def coprime_pairs(limit: int):
     for m in range(1, limit + 1):
         for n in range(1, limit + 1):

@@ -384,6 +384,56 @@ def test_newton_resume_midstream(monkeypatch):
         assert table._vals.dtype == np.int64 and not table._vals.flags.writeable
 
 
+def test_newton_float_tier_midstream(monkeypatch):
+    # the recurrence runs in float64 while sum(c) * max|L[0..n-1]| is below
+    # the float ceiling, in int64 up to the safety bound, then in Python
+    # ints; each step's dtype is read off its np.dot, and the table must
+    # agree with the oracle wherever the tiers switch
+    import etaquad.etaseries as es
+    from etaquad.arith import weighted_sigma
+
+    want = oracle_product_table(2, 3, 120)
+    steps = []
+
+    class DotSpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def dot(self, x, y):
+            steps.append(x.dtype)
+            return np.dot(x, y)
+
+    monkeypatch.setattr(es, "np", DotSpy())
+
+    def peak(n):
+        return max(abs(v) for v in want[:n])
+
+    def csum(limit):
+        return sum(weighted_sigma(2, 3, k) for k in range(1, limit))
+
+    def build(limit):
+        steps.clear()
+        table = lambda_table(LambdaParams(2, 3), limit, "newton")
+        assert table.values() == want[:limit]
+        assert table._vals.dtype == np.int64 and not table._vals.flags.writeable
+        return steps
+
+    records = [1] + [n for n in range(2, 120) if peak(n) > peak(n - 1)]
+    mid, last = records[len(records) // 2], records[-1]
+    # float64 to int64 at the first step, one mid-table, and the last step
+    for start, limit in ((1, 120), (mid, 120), (last, last + 1)):
+        monkeypatch.setattr(es, "EXACT_FLOAT_CEILING", csum(limit) * peak(start))
+        assert start == 1 or csum(limit) * peak(start - 1) < es.EXACT_FLOAT_CEILING
+        assert build(limit) == [np.float64] * (start - 1) + [np.int64] * (limit - start)
+    # and one table through all three: int64 from the second record, objects from mid
+    second = records[1]
+    monkeypatch.setattr(es, "EXACT_FLOAT_CEILING", csum(120) * peak(second))
+    monkeypatch.setattr(es, "_INT64_SAFE", csum(120) * peak(mid) - 1)
+    assert build(120) == (
+        [np.float64] * (second - 1) + [np.int64] * (mid - second) + [object] * (120 - mid)
+    )
+
+
 @given(
     st.integers(min_value=1, max_value=12),
     st.integers(min_value=1, max_value=12),

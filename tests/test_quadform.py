@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     oracle_class_group,
     oracle_conductor,
+    oracle_conductor_pass,
     oracle_lattice_points,
     oracle_reps,
     oracle_scan,
@@ -126,7 +127,7 @@ def test_class_group_one_row_per_band(monkeypatch):
     monkeypatch.setattr(qf, "_CLASS_GROUP_CELLS", 1)
     for d in sizes:
         assert _triples(class_group(d)) == want[d], d
-    # and the conductor's pass, one f per block
+    # the conductor does not depend on the chunk size
     for d in (-48, -4 * 1000**2, -3 * 2310**2):
         assert discriminant_info(d).conductor == oracle_conductor(d)
 
@@ -213,6 +214,20 @@ def test_discriminant_info_matches_conductor_loop():
 @settings(max_examples=8, deadline=None)
 def test_discriminant_info_matches_conductor_loop_large(n):
     assert discriminant_info(-n).conductor == oracle_conductor(-n)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=3, max_value=10**12),
+        # a large square part f^2, and a cofactor that may hold a prime square
+        st.builds(lambda m, f: m * f * f, st.integers(1, 10**4), st.integers(1, 10**4)),
+        st.builds(lambda m, f: m * f * f, st.integers(1, 100), st.integers(10**3, 10**5)),
+    ).filter(lambda n: n % 4 in (0, 3))
+)
+@settings(max_examples=200, deadline=None)
+def test_discriminant_info_matches_conductor_pass(n):
+    # trial division to the cube root agrees with the numpy pass over every f
+    assert discriminant_info(-n).conductor == oracle_conductor_pass(-n)
 
 
 def test_reduce_fixes_class_group_members():
