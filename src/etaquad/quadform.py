@@ -19,7 +19,8 @@ numpy chunks with one float square test per cell, after a parity rule on
 a and c has dropped the cells that cannot hit when d is odd.
 ``representations`` and ``class_group`` check a work budget (scan length,
 cell count) before they start and raise ResourceLimitError past it;
-``find_rep`` has none, as it stops at its first solution.
+``find_rep``, which stops at its first solution, raises once its scan
+reaches x = REPS_SCAN_BUDGET without one.
 
 Value semantics throughout: forms, class groups and representation sets
 are immutable once built.  A form is a named tuple (a, b, c), built at
@@ -316,7 +317,7 @@ def _square_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
 # the residue filter of `_scan`: a few pairwise coprime moduli and their tables
 _FILTER = [(m, *_square_tables(m)) for m in (64, 63, 65, 11)]
 _SCAN_CHUNK = 1 << 16  # values of x per chunk in `_scan`
-REPS_SCAN_BUDGET = 1 << 30  # values `representations` may scan: up to ~14 s on 2 cores
+REPS_SCAN_BUDGET = 1 << 30  # values of x a scan may walk: up to ~14 s on 2 cores
 
 
 def _scan(form: QuadForm, n: int):
@@ -330,7 +331,10 @@ def _scan(form: QuadForm, n: int):
     square mod m.  x is walked in chunks of `_SCAN_CHUNK`, so memory stays
     one chunk; each chunk ANDs the masks from its start, and only the x that
     survive pay the exact `isqrt` and root recovery, in Python ints.
-    Offsets within a chunk are small, so nothing needs to fit int64.
+    Offsets within a chunk are small, so nothing needs to fit int64.  A
+    chunk that would start at x >= REPS_SCAN_BUDGET raises ResourceLimitError
+    instead; `representations` checks the whole length first, so only
+    `find_rep` meets it.
     """
     b, c = form.b, form.c
     d, k = form.discriminant(), 4 * c * n
@@ -342,6 +346,10 @@ def _scan(form: QuadForm, n: int):
         mask = is_square_plus[k % m][scaled[d % m]]
         masks.append((m, mask.reshape(1, m).repeat(span // m + 2, 0).ravel()))
     for lo in range(0, x_end, _SCAN_CHUNK):
+        if lo >= REPS_SCAN_BUDGET:
+            raise ResourceLimitError(
+                f"scan for {n} by {form} reached x = {lo} of {x_end}, budget is {REPS_SCAN_BUDGET}"
+            )
         length = min(_SCAN_CHUNK, x_end - lo)
         keep = np.logical_and.reduce([mask[lo % m : lo % m + length] for m, mask in masks])
         for x in (lo + off for off in keep.nonzero()[0].tolist()):
@@ -396,7 +404,9 @@ def normalized_reps(form: QuadForm, n: int) -> list[tuple[int, int]]:
 def find_rep(a: int, b: int, m: int) -> tuple[int, int] | None:
     """Some nonnegative (x, y) with m = a*x^2 + b*y^2, or None.
 
-    Deterministic: the solution with the smallest x (y is then fixed).
+    Deterministic: the solution with the smallest x (y is then fixed).  A
+    scan that reaches x = REPS_SCAN_BUDGET without one raises
+    ResourceLimitError.
     """
     a, b, m = index(a), index(b), index(m)
     if a < 1 or b < 1 or m < 1:

@@ -72,6 +72,11 @@ FALSIFIED = "falsified"
 _AUDIT_PREFIX = 128
 
 
+def _table_key(a: int, b: int) -> tuple[int, int]:
+    """The key of the (a, b) table: L(a, b) = L(b, a), so the pair ascending."""
+    return (a, b) if a <= b else (b, a)
+
+
 class TableCache:
     """One run's read-only coefficient tables, one per (a, b), and the one
     read path of every runner.  It holds its tables for as long as its
@@ -90,7 +95,7 @@ class TableCache:
         self._kernel_audited: set[tuple[int, int]] = set()
 
     def get(self, a: int, b: int, min_limit: int):
-        key = (a, b) if a <= b else (b, a)
+        key = _table_key(a, b)
         cur = self._tables.get(key)
         if cur is None or cur.limit < min_limit:
             cur = lambda_table(LambdaParams(*key), min_limit, "sparse")
@@ -105,7 +110,7 @@ class TableCache:
         wanted = np.asarray(indices)
         if wanted.min() < 1:
             raise ValueError(f"indices must be >= 1, got {wanted.min()}")
-        key = (a, b) if a <= b else (b, a)
+        key = _table_key(a, b)
         table = self._tables.get(key)
         if table is not None and table.limit >= wanted.max():
             return table.take(indices)
@@ -278,7 +283,7 @@ def _run_square(case, p, cache, rule):
         shown = f"{fa}*x^2" if rule.show_a else "x^2"
         suffix = " with odd x" if rule.odd_x else ""
         return _na(case, p, f"p has no representation p = {shown} + {fb}*y^2{suffix}")
-    indices = [_exact_index(read, p) for read in rule.reads]
+    indices = [_index(read, p) for read in rule.reads]
     values = [cache.values(ta, tb, [i]).item() for (ta, tb, _), i in zip(rule.reads, indices)]
     if len(values) == 2:
         return _decide(case, p, reps, indices[0], {values[0]}, values[1])
@@ -293,7 +298,7 @@ def _run_product(case, p, cache, rule):
     t = m*p, and (2a*x^2 - t)^2 = t^2 - 4ab*L^2 recovers the square."""
     a, b = rule.form
     ((ta, tb, m),) = rule.reads
-    index, t = _exact_index(rule.reads[0], p), m * p
+    index, t = _index(rule.reads[0], p), m * p
     norm = normalized_reps(QuadForm(a, 0, b), t)
     if not norm:
         return _na(case, p, f"{t} has no representation with x = y = 1 (mod 4)")
@@ -316,6 +321,13 @@ _THM53_CLASSES = (
 
 
 def _run_thm53(case, p, cache, rule):
+    # reads first, as in the columnar runner: past the kernel's ceiling they raise before find_rep
+    indices = [_index(read, p) for read in rule.reads]
+    tables = [_table_key(*read[:2]) for read in rule.reads]
+    got = {}  # each read from its own table, with one values call per table
+    for t in dict.fromkeys(tables):
+        got[t] = iter(cache.values(*t, [i for u, i in zip(tables, indices) if u == t]).tolist())
+    values = [next(got[t]) for t in tables]
     witness, expected = None, (0, 0, 0, 0)
     for residues, (fa, fb), label, mults in _THM53_CLASSES:
         if p % 30 in residues:
@@ -324,12 +336,7 @@ def _run_thm53(case, p, cache, rule):
                 reason = f"expected representation {label} missing"
                 return Verdict(FALSIFIED, case, p, index=p, reason=reason)
             expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
-    indices = [_exact_index(read, p) for read in rule.reads]
-    tables = [read[:2] for read in rule.reads]
-    got = {}  # each read from its own table, with one values call per table
-    for t in dict.fromkeys(tables):
-        got[t] = iter(cache.values(*t, [i for u, i in zip(tables, indices) if u == t]).tolist())
-    details = tuple(zip(indices, expected, [next(got[t]) for t in tables]))
+    details = tuple(zip(indices, expected, values))
     status = HOLDS if all(want == have for _, want, have in details) else FALSIFIED
     return Verdict(status, case, p, witness=witness, index=p, details=details)
 
@@ -348,22 +355,19 @@ class _Rule:
     run: object = _run_square
 
 
-def _index(read: tuple[int, int, int], p):
-    """The index (m*p - ta - tb) // 8 + 1 of t = m*p in the (ta, tb) table, and
-    whether 8 does not divide m*p - ta - tb, for an int or an int64 array p."""
+def _index(read: tuple[int, int, int], p, where=True):
+    """The index (m*p - ta - tb) // 8 + 1 of t = m*p in the (ta, tb) table, for
+    an int or an int64 array p.  At the first p where `where` holds and 8 does
+    not divide m*p - ta - tb, it raises."""
     ta, tb, m = read
     num = m * p - ta - tb
-    return num // 8 + 1, num % 8 != 0
-
-
-def _exact_index(read: tuple[int, int, int], p: int) -> int:
-    index, inexact = _index(read, p)
-    if inexact:
-        ta, tb, m = read
+    inexact = where & (num % 8 != 0)
+    if inexact is not False and np.any(inexact):  # an int p gives a bool, spared np.any
+        p = int(np.ravel(p)[np.argmax(inexact)])
         raise InternalInconsistencyError(
             f"index numerator m*p - ta - tb = {m}*{p} - {ta} - {tb} is not divisible by 8"
         )
-    return index
+    return num // 8 + 1
 
 
 # each hypothesis is (fails(p), reason), where fails takes an int or an int64 array
@@ -660,8 +664,8 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 # compares each lattice point with the coefficients read at its prime and
 # marks the prime suspect wherever any point disagrees; it folds no points
 # into per-prime values, so a check touches only the points it is given.  An
-# internal fault that the sweep shows raises at once, through the scalar
-# runner's own check.
+# internal fault that the columns show raises at once, through the check the
+# scalar runner makes (`_index`, `_require_even_y`, `_require_unique`).
 
 
 class _Range(NamedTuple):
@@ -680,14 +684,6 @@ class _Range(NamedTuple):
         t, x, y = lattice_points(*form, m * int(self.primes[-1]), keep)
         return np.searchsorted(self.primes, t // m), x, y
 
-    def index(self, read, where):
-        """Each prime's table index; inexact where `where` holds raises, as in
-        the scalar runner."""
-        index, inexact = _index(read, self.primes)
-        for i in np.flatnonzero(where & inexact)[:1]:
-            _exact_index(read, int(self.primes[i]))
-        return index
-
 
 def _marks(positions, n):
     mask = np.zeros(n, dtype=bool)
@@ -705,9 +701,7 @@ def _cols_square(case, rule, rng, ok):
     keep = ok[pos] & (x % 2 == 1) if rule.odd_x else ok[pos]
     pos, x, y = pos[keep], x[keep], y[keep]
     live = _marks(pos, n)
-    sides = [
-        rng.cache.values(ta, tb, rng.index((ta, tb, m), live)[pos]) for ta, tb, m in rule.reads
-    ]
+    sides = [rng.cache.values(*read[:2], _index(read, primes, live)[pos]) for read in rule.reads]
     if len(sides) == 2:
         return live, _marks(pos[sides[0] != sides[1]], n)
     if rule.even_y:
@@ -727,7 +721,7 @@ def _cols_product(case, rule, rng, ok):
         # odd x and y give t >= a + b, so no prime of the range has a point
         # (and a + b, past every t, need not fit int64)
         return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    index = rng.index(rule.reads[0], ok)  # the scalar runner checks it before any representation
+    index = _index(rule.reads[0], primes, ok)  # read before any point, as the scalar runner does
     pos, x, y = rng.sweep(rule.form, m)
     keep = ok[pos] & (x % 2 == 1) & (y % 2 == 1)
     pos, x, y = pos[keep], x[keep], y[keep]
@@ -742,9 +736,7 @@ def _cols_product(case, rule, rng, ok):
 
 def _cols_thm53(case, rule, rng, ok):
     primes, n = rng.primes, len(rng.primes)
-    got = np.stack(
-        [rng.cache.values(ta, tb, rng.index((ta, tb, m), ok)) for ta, tb, m in rule.reads]
-    )
+    got = np.stack([rng.cache.values(*read[:2], _index(read, primes, ok)) for read in rule.reads])
     # off the classes every read is 0; each class replaces that test on its members
     suspect = ok & got.any(axis=0)
     for residues, (fa, fb), _, mults in _THM53_CLASSES:
@@ -795,10 +787,10 @@ def range_report(
         rng = _Range(primes, flags, cache or TableCache())  # drops the last one's tables
         # every index is increasing in p, so one build per table to its largest
         # index at p_max serves every read below, the scalar runner's included
-        limits = {}  # (ta, tb) with ta <= tb -> the table's largest index
-        for ta, tb, m in rule.reads:
-            key = (min(ta, tb), max(ta, tb))
-            limits[key] = max(limits.get(key, 1), _index((ta, tb, m), p_max)[0])
+        limits = {}  # table key -> the table's largest index, in read order
+        for read in rule.reads:
+            key = _table_key(*read[:2])
+            limits[key] = max(limits.get(key, 1), _index(read, p_max, False))
         for key, limit in limits.items():
             rng.cache.get(*key, limit)
         ok = np.ones(len(primes), dtype=bool)

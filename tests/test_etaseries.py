@@ -358,41 +358,10 @@ def test_newton_table_dtype_paths():
     assert isinstance(newton._vals, np.ndarray) and newton._vals.dtype == np.int64
 
 
-def test_newton_resume_midstream(monkeypatch):
-    # the big-int inner sums must agree no matter where they take over:
-    # step n switches when sum(c) * max|L[0..n-1]| first exceeds the
-    # safety bound, so a switch can only happen where |L[n-1]| is a new
-    # running maximum
+def _dot_dtypes(monkeypatch):
+    """The working dtype of each newton step, read off its np.dot."""
     import etaquad.etaseries as es
-    from etaquad.arith import weighted_sigma
 
-    want = oracle_product_table(2, 3, 120)
-    csum = sum(weighted_sigma(2, 3, k) for k in range(1, 120))
-
-    def peak(n):
-        return max(abs(v) for v in want[:n])
-
-    records = [1] + [n for n in range(2, 120) if peak(n) > peak(n - 1)]
-    # the first step, one mid-table, and the last step of a table cut
-    # right after the last record (L[114]; the entries above stay smaller)
-    mid, last = records[len(records) // 2], records[-1]
-    for start, limit in ((1, 120), (mid, 120), (last, last + 1)):
-        monkeypatch.setattr(es, "_INT64_SAFE", csum * peak(start) - 1)
-        assert start == 1 or csum * peak(start - 1) <= es._INT64_SAFE
-        table = lambda_table(LambdaParams(2, 3), limit, "newton")
-        assert table.values() == want[:limit]
-        assert table._vals.dtype == np.int64 and not table._vals.flags.writeable
-
-
-def test_newton_float_tier_midstream(monkeypatch):
-    # the recurrence runs in float64 while sum(c) * max|L[0..n-1]| is below
-    # the float ceiling, in int64 up to the safety bound, then in Python
-    # ints; each step's dtype is read off its np.dot, and the table must
-    # agree with the oracle wherever the tiers switch
-    import etaquad.etaseries as es
-    from etaquad.arith import weighted_sigma
-
-    want = oracle_product_table(2, 3, 120)
     steps = []
 
     class DotSpy:
@@ -404,6 +373,53 @@ def test_newton_float_tier_midstream(monkeypatch):
             return np.dot(x, y)
 
     monkeypatch.setattr(es, "np", DotSpy())
+    return steps
+
+
+def test_newton_resume_midstream(monkeypatch):
+    # the big-int inner sums must agree no matter where they take over:
+    # step n switches when sum(c) * max|L[0..n-1]| first exceeds the
+    # safety bound, so a switch can only happen where |L[n-1]| is a new
+    # running maximum; sum(c) runs over the table being built, so it is
+    # taken per limit
+    import etaquad.etaseries as es
+    from etaquad.arith import weighted_sigma
+
+    want = oracle_product_table(2, 3, 120)
+    steps = _dot_dtypes(monkeypatch)
+
+    def peak(n):
+        return max(abs(v) for v in want[:n])
+
+    def csum(limit):
+        return sum(weighted_sigma(2, 3, k) for k in range(1, limit))
+
+    records = [1] + [n for n in range(2, 120) if peak(n) > peak(n - 1)]
+    # the first step, one mid-table, and the last step of a table cut
+    # right after the last record (L[114]; the entries above stay smaller)
+    mid, last = records[len(records) // 2], records[-1]
+    for start, limit in ((1, 120), (mid, 120), (last, last + 1)):
+        monkeypatch.setattr(es, "_INT64_SAFE", csum(limit) * peak(start) - 1)
+        assert start == 1 or csum(limit) * peak(start - 1) <= es._INT64_SAFE
+        steps.clear()
+        table = lambda_table(LambdaParams(2, 3), limit, "newton")
+        assert table.values() == want[:limit]
+        assert table._vals.dtype == np.int64 and not table._vals.flags.writeable
+        # the switch fires at step `start`, the last record's included; the
+        # patched bound is far below 2^52, so every step before it is float64
+        assert steps == [np.float64] * (start - 1) + [object] * (limit - start)
+
+
+def test_newton_float_tier_midstream(monkeypatch):
+    # the recurrence runs in float64 while sum(c) * max|L[0..n-1]| is below
+    # the float ceiling, in int64 up to the safety bound, then in Python
+    # ints; each step's dtype is read off its np.dot, and the table must
+    # agree with the oracle wherever the tiers switch
+    import etaquad.etaseries as es
+    from etaquad.arith import weighted_sigma
+
+    want = oracle_product_table(2, 3, 120)
+    steps = _dot_dtypes(monkeypatch)
 
     def peak(n):
         return max(abs(v) for v in want[:n])

@@ -151,7 +151,7 @@ def test_budgets_raise_before_any_work(monkeypatch):
         representations(QuadForm(1, 0, 1), 1002**2)
     with pytest.raises(ResourceLimitError):
         representations(QuadForm(1, 0, 7), 7 * 1002**2)  # scans y of [7, 0, 1]
-    # find_rep has no budget: it stops at its first solution
+    # find_rep checks its budget as it scans, so a first solution below it returns
     assert find_rep(1, 1, 10**40 + 1) == (1, 10**20)
     # class_group: the sum over a <= isqrt(|d|/3) of a/4 + 1 cells
     with pytest.raises(ResourceLimitError, match="class group of -100000000000000 may search"):
@@ -386,6 +386,23 @@ def test_scan_solutions_at_chunk_boundaries():
 def test_find_rep_stops_at_first_solution():
     # the scan would run to x = 10**20; the first x that solves is 1
     assert find_rep(1, 1, 10**40 + 1) == (1, 10**20)
+
+
+def test_find_rep_stops_at_the_scan_budget(monkeypatch):
+    monkeypatch.setattr(quadform, "_SCAN_CHUNK", 64)
+    monkeypatch.setattr(quadform, "REPS_SCAN_BUDGET", 256)
+    # 10^6 + 3 = 3 (mod 4) is no sum of two squares: the scan would walk x to 1000
+    want = r"^scan for 1000003 by \[1, 0, 1\] reached x = 256 of 1001, budget is 256$"
+    with pytest.raises(ResourceLimitError, match=want):
+        find_rep(1, 1, 10**6 + 3)
+    # the bound is on x: 186701 = 301^2 + 310^2 has its first solution past it
+    with pytest.raises(ResourceLimitError, match=r"reached x = 256 of 433,"):
+        find_rep(1, 1, 186701)
+    # a solution below the budget returns, from the first chunk or a later one
+    assert find_rep(1, 1, 10**40 + 1) == (1, 10**20)
+    assert find_rep(1, 1, 82837) == (201, 206)
+    monkeypatch.setattr(quadform, "REPS_SCAN_BUDGET", 1001)
+    assert find_rep(1, 1, 10**6 + 3) is None
 
 
 def test_representations_validation():

@@ -755,6 +755,18 @@ def test_one_prime_past_last_primality_bound_hits_the_budget():
         verify_thm53(p)
 
 
+def test_thm53_reads_before_its_representation_search(monkeypatch):
+    import etaquad.theorems as th
+
+    # 10^20 + 547 = 17 (mod 30) is prime; its read at 5p is past lambda_at's
+    # 2^52 ceiling, which must raise before an O(sqrt p) find_rep starts
+    p = 10**20 + 547
+    assert is_prime(p) and p % 30 == 17
+    monkeypatch.setattr(th, "find_rep", lambda *args: pytest.fail(f"find_rep{args} ran"))
+    with pytest.raises(ResourceLimitError, match="past the exact-float ceiling 2\\^52"):
+        verify_thm53(p)
+
+
 # ---------------------------------------------------------------------------
 # the columnar range path against the one-prime loop of _evaluate
 
