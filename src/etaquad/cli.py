@@ -89,23 +89,28 @@ _DUMP_ROWS = 1 << 16
 
 
 @functools.cache  # built at the first dump, so other commands never pay for it
-def _digit_cells() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The four ASCII digits of each group 0..9999 as one little-endian
-    uint32 cell, three ways: every digit; leading zeros as NUL bytes but
-    the last digit kept, so 0 is written as "0"; leading zeros as NUL and
-    0 all NUL, for a group above the number's highest digit."""
+def _digit_cells() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of each group 0..9999 as one little-endian uint32
+    cell, in two 20,000-entry tables.  Entry g holds all four digits of g,
+    for a group with more digits above it; entry 10000 + g holds g with its
+    leading zeros as NUL bytes, for the leading group.  The tables differ
+    only at entry 10000: the first, for a number's lowest group, writes 0 as
+    "0"; the second, for its higher groups, writes it as four NULs, since a
+    higher group with nothing above it and no digit of its own lies past
+    the number's highest digit."""
     n = np.arange(10000, dtype=np.uint32)
     full = np.zeros_like(n)
-    blank = np.zeros_like(n)
+    lead = np.zeros_like(n)
     for j, place in enumerate((1000, 100, 10, 1)):
         digit = (ord("0") + n // place % 10) << (8 * j)
         full |= digit
-        blank |= np.where(n >= place, digit, 0)
-    padded = blank.copy()
-    padded[0] = ord("0") << 24
-    for cells in (full, padded, blank):
+        lead |= np.where(n >= place, digit, 0)
+    higher = np.concatenate([full, lead])
+    lowest = higher.copy()
+    lowest[10000] = ord("0") << 24
+    for cells in (lowest, higher):
         cells.setflags(write=False)  # shared by every dump
-    return full, padded, blank
+    return lowest, higher
 
 
 def _groups(top: int) -> int:
@@ -113,39 +118,50 @@ def _groups(top: int) -> int:
     return -(-len(str(top)) // 4)
 
 
-def _write_digits(field: np.ndarray, mags: np.ndarray, top: int) -> None:
+def _write_digits(rows: np.ndarray, offset: int, width: int, mags: np.ndarray, top: int) -> None:
     """Write the uint64 magnitudes mags, none above top, as decimal digits
-    into the cell columns of field, lowest group in the last column."""
-    full, lead, blank = _digit_cells()
-    for col in range(field.shape[1] - 1, -1, -1):
+    into the `width` four-byte cells that start at byte offset of each row
+    of the uint8 array rows, lowest group in the last cell."""
+    table, higher = _digit_cells()
+    for col in range(width - 1, -1, -1):
         if top < 1 << 32:  # uint32 division is about three times as fast
             mags = mags.astype(np.uint32, copy=False)
-        mags, group = np.divmod(mags, 10000)
+        # floor division and a product: np.divmod costs about ten times as much
+        rest = mags // 10000
+        # below 10^4, so read as signed it adds exactly to the int64 offset
+        # below, where uint64 + int64 would promote to float64
+        group = (mags - rest * 10000).view(np.int64 if mags.itemsize == 8 else np.int32)
         top //= 10000
+        # the cell column as an unaligned uint32 view, one row's bytes apart
+        cells = np.ndarray(len(rows), "<u4", rows, offset + 4 * col, (rows.strides[0],))
         # a group is the leading one where nothing is left above it
-        field[:, col] = lead[group] if top == 0 else np.where(mags, full[group], lead[group])
-        lead = blank
+        cells[:] = table.take(group + 10000 * (rest == 0))
+        mags = rest
+        table = higher
 
 
 def _dump_text(indices: np.ndarray, values: np.ndarray) -> str:
     """The rows "n<TAB>value\\n" for int64 arrays of indices n >= 1 and values.
 
-    Each row is laid out as fixed-width cells of four bytes: the index
-    digits, TAB and the sign (or NUL), the value digits, and the newline,
-    with NUL for every digit a shorter number lacks; dropping the NULs
-    leaves the rows.
+    Each row is a run of bytes of one fixed width: the index digits in
+    four-byte cells, TAB, the sign ("-" or NUL), the value digits in
+    four-byte cells, and the newline, with NUL for every digit a shorter
+    number lacks; dropping the NULs leaves the rows.  With 7-digit indices
+    and 8-digit values a row is 19 bytes.
     """
     negative = values < 0
-    # -(-2^63) wraps to -2^63, whose bits read as uint64 are 2^63
-    mags = np.where(negative, -values, values).view(np.uint64)
+    # |-2^63| wraps to -2^63, whose bits read as uint64 are 2^63
+    mags = np.abs(values).view(np.uint64)
     index_top, value_top = int(indices.max()), int(mags.max())
-    width = _groups(index_top)
-    cells = np.empty((len(values), width + _groups(value_top) + 2), dtype="<u4")
-    _write_digits(cells[:, :width], indices.view(np.uint64), index_top)
-    cells[:, width] = ord("\t") | negative * (ord("-") << 8)  # TAB, then "-" or NUL
-    _write_digits(cells[:, width + 1 : -1], mags, value_top)
-    cells[:, -1] = ord("\n")
-    return cells.tobytes().translate(None, b"\0").decode("ascii")
+    index_width, value_width = _groups(index_top), _groups(value_top)
+    tab = 4 * index_width
+    rows = np.empty((len(values), tab + 4 * value_width + 3), dtype=np.uint8)
+    _write_digits(rows, 0, index_width, indices.view(np.uint64), index_top)
+    rows[:, tab] = ord("\t")
+    rows[:, tab + 1] = negative * np.uint8(ord("-"))
+    _write_digits(rows, tab + 2, value_width, mags, value_top)
+    rows[:, -1] = ord("\n")
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _run_lambda(args) -> int:

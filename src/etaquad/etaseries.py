@@ -255,17 +255,24 @@ def _table_naive(params: LambdaParams, limit: int) -> np.ndarray:
     whole-array step whose right side reads the previous polynomial.  The
     array stays int64 while _NAIVE_INT64_HEADROOM bounds it and turns into
     Python ints (dtype object) for the rest of the product once it does not.
+    A cube at most multiplies max|vals| by 8, so `bound` tracks it from
+    above, and max|vals| is computed only when the bound reaches the
+    headroom: the array turns at the same factor as with a max per factor.
     """
     a, b = params.a, params.b
     vals = np.zeros(limit, dtype=np.int64)
     vals[0] = 1
+    bound = 1  # >= max|vals|
     for step, k_top in ((a, (limit - 1) // a), (b, (limit - 1) // b)):
         for k in range(1, k_top + 1):
             s = step * k
-            if vals.dtype != object and max(vals.max(), -vals.min()) >= _NAIVE_INT64_HEADROOM:
-                vals = vals.astype(object)
+            if vals.dtype != object and bound >= _NAIVE_INT64_HEADROOM:
+                bound = max(int(vals.max()), -int(vals.min()))
+                if bound >= _NAIVE_INT64_HEADROOM:
+                    vals = vals.astype(object)
             for _ in range(3):
                 vals[s:] = vals[s:] - vals[:-s]
+            bound *= 8
     return vals
 
 

@@ -317,6 +317,8 @@ def _square_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
 # the residue filter of `_scan`: a few pairwise coprime moduli and their tables
 _FILTER = [(m, *_square_tables(m)) for m in (64, 63, 65, 11)]
 _SCAN_CHUNK = 1 << 16  # values of x per chunk in `_scan`
+# filter survivors of a chunk above which `_scan` tests squares in int64 first
+_SCAN_SQUARES_MIN = 16
 REPS_SCAN_BUDGET = 1 << 30  # values of x a scan may walk: up to ~14 s on 2 cores
 
 
@@ -330,17 +332,22 @@ def _scan(form: QuadForm, n: int):
     `_FILTER`, a boolean mask over x mod m marks where d*x^2 + 4cn is a
     square mod m.  x is walked in chunks of `_SCAN_CHUNK`, so memory stays
     one chunk; each chunk ANDs the masks from its start, and only the x that
-    survive pay the exact `isqrt` and root recovery, in Python ints.
-    Offsets within a chunk are small, so nothing needs to fit int64.  A
-    chunk that would start at x >= REPS_SCAN_BUDGET raises ResourceLimitError
-    instead; `representations` checks the whole length first, so only
-    `find_rep` meets it.
+    survive pay the exact `isqrt` and root recovery, in Python ints.  A
+    chunk with more than `_SCAN_SQUARES_MIN` survivors first keeps only the
+    x where d*x^2 + 4cn is a square, in one int64 pass, when 4cn and -d are
+    below 2^62; past that, and for fewer survivors, nothing needs to fit
+    int64.  A chunk that would start at x >= REPS_SCAN_BUDGET raises
+    ResourceLimitError instead; `representations` checks the whole length
+    first, so only `find_rep` meets it.
     """
     b, c = form.b, form.c
     d, k = form.discriminant(), 4 * c * n
     x_end = isqrt(k // -d) + 1
     # each mask repeated over one chunk plus one period, sliced per chunk
     span = min(x_end, _SCAN_CHUNK)
+    # d*x^2 + 4cn lies in [0, 4cn] for every x scanned, so with 4cn and -d
+    # below 2^62 it and each product on the way are exact in int64
+    fits = k < 1 << 62 and -d < 1 << 62
     masks = []
     for m, scaled, is_square_plus in _FILTER:
         mask = is_square_plus[k % m][scaled[d % m]]
@@ -352,7 +359,12 @@ def _scan(form: QuadForm, n: int):
             )
         length = min(_SCAN_CHUNK, x_end - lo)
         keep = np.logical_and.reduce([mask[lo % m : lo % m + length] for m, mask in masks])
-        for x in (lo + off for off in keep.nonzero()[0].tolist()):
+        offs = keep.nonzero()[0]
+        if fits and len(offs) > _SCAN_SQUARES_MIN:
+            xs = offs + lo
+            disc_y = d * xs * xs + k
+            offs = offs[_isqrt_int64(disc_y) ** 2 == disc_y]
+        for x in (lo + off for off in offs.tolist()):
             disc_y = d * x * x + k
             s = isqrt(disc_y)
             if s * s != disc_y:

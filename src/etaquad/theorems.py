@@ -630,6 +630,7 @@ def make_case(case_id: str, a: int | None = None, b: int | None = None) -> Const
 def _verify_kind(run, kind: str, case: ConstructionCase, p: int, cache: TableCache | None):
     if case._rule.run is not run:
         raise ValueError(f"case {case.case_id} is not a {kind} case")
+    p = operator.index(p)  # a Python int, so that m*p cannot wrap as a numpy integer would
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     return _evaluate(case, p, cache or TableCache())
@@ -651,6 +652,7 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
     Off the residue classes the values must vanish; on them they are
     fixed quadratic expressions in the representation of p.
     """
+    p = operator.index(p)  # a Python int, so that m*p cannot wrap as a numpy integer would
     if p <= 5 or not is_prime(p):
         raise ValueError(f"need a prime p > 5, got {p}")
     return _evaluate(ConstructionCase("T5.3"), p, cache or TableCache())

@@ -163,6 +163,65 @@ def test_naive_promotes_on_its_own():
     assert vals.tolist() == lambda_table(params, 3000, "sparse").values()
 
 
+def _naive_turn_reference(params, limit, headroom):
+    # the naive loop with max|vals| taken before every factor: the number of
+    # factors multiplied in when the array turns into Python ints, and the table
+    a, b = params.a, params.b
+    vals = np.zeros(limit, dtype=np.int64)
+    vals[0] = 1
+    turned, factors = None, 0
+    for step, k_top in ((a, (limit - 1) // a), (b, (limit - 1) // b)):
+        for k in range(1, k_top + 1):
+            s = step * k
+            if vals.dtype != object and max(vals.max(), -vals.min()) >= headroom:
+                vals, turned = vals.astype(object), factors
+            for _ in range(3):
+                vals[s:] = vals[s:] - vals[:-s]
+            factors += 1
+    return turned, vals.tolist()
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 5)])
+def test_naive_turns_at_the_same_factor(a, b, monkeypatch):
+    # the tracked bound turns the array at the same factor as a max per factor
+    import etaquad.etaseries as es
+
+    log = []
+
+    class Steps(np.ndarray):
+        # logs each whole-array step and the turn into Python ints
+        def __setitem__(self, key, value):
+            log.append("step")
+            super().__setitem__(key, value)
+
+        def astype(self, dtype, *args, **kwargs):
+            log.append("turn")
+            return super().astype(dtype, *args, **kwargs)
+
+    class Numpy:
+        # numpy as etaseries sees it, with zeros handing out Steps arrays
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def zeros(*args, **kwargs):
+            return np.zeros(*args, **kwargs).view(Steps)
+
+    params, limit = LambdaParams(a, b), 300
+    monkeypatch.setattr(es, "np", Numpy())
+    # max|vals| grows by less than 8 per factor, but by more than 2 at some
+    # factors: a bound doubled per factor turns late at 3, 7 and 50
+    for headroom in (1, 3, 7, 50, 1000, 10**5, 1 << 59):
+        monkeypatch.setattr(es, "_NAIVE_INT64_HEADROOM", headroom)
+        log.clear()
+        vals = es._table_naive(params, limit)
+        steps = log.index("turn") if "turn" in log else None
+        turned = None if steps is None else log[:steps].count("step") // 3
+        assert (turned, vals.tolist()) == _naive_turn_reference(params, limit, headroom)
+        assert log.count("turn") == (turned is not None)
+    assert turned is None  # 2^59 is never reached here
+
+
 @pytest.mark.parametrize("a,b", [(2**70, 1), (1, 2**70)], ids=["a", "b"])
 def test_multiplier_past_int64(a, b):
     # a multiplier >= limit meets only k = 0, so no route may put it in int64;

@@ -383,6 +383,32 @@ def test_scan_solutions_at_chunk_boundaries():
                     assert representations(QuadForm(a, b, c), n).pairs == _with_mirrors(want)
 
 
+@pytest.mark.parametrize("squares_min", [0, 16, 10**9], ids=["always", "default", "never"])
+def test_scan_int64_square_pass_at_its_edge(squares_min, monkeypatch):
+    # the int64 square test runs only while 4cn and -d are below 2^62; with
+    # a = 2^40 - 1 the scan over x is about 1000 values long, and 4cn lands
+    # on either side of 2^62 as y0 moves by one
+    monkeypatch.setattr(quadform, "_SCAN_SQUARES_MIN", squares_min)
+    a, x0 = (1 << 40) - 1, 1000
+    for b in (0, 1):  # the forms [a, b, 1]
+
+        def k_at(y):
+            return 4 * (a * x0 * x0 + b * x0 * y + y * y)
+
+        y_edge = isqrt((1 << 60) - a * x0 * x0)
+        while k_at(y_edge) >= 1 << 62:
+            y_edge -= 1
+        while k_at(y_edge + 1) < 1 << 62:
+            y_edge += 1  # now the last y0 with 4cn < 2^62
+        for y0 in (y_edge - 1, y_edge, y_edge + 1, y_edge + 2):
+            n = k_at(y0) // 4
+            want = oracle_scan(a, b, 1, n)
+            assert (x0, y0) in want
+            assert list(_scan(QuadForm(a, b, 1), n)) == want
+    # a small 4cn with -d = 2^64, past int64: the scan stays in Python ints
+    assert list(_scan(QuadForm(1 << 62, 0, 1), 25)) == [(0, -5), (0, 5)]
+
+
 def test_find_rep_stops_at_first_solution():
     # the scan would run to x = 10**20; the first x that solves is 1
     assert find_rep(1, 1, 10**40 + 1) == (1, 10**20)

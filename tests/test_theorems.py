@@ -1,7 +1,7 @@
 """Verdict machinery: single-prime checks, closed forms, range reports."""
 
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -161,6 +161,34 @@ def test_numpy_and_non_integer_arguments_at_the_boundary():
     with pytest.raises(ResourceLimitError, match="budget is"):
         lambda_table(LambdaParams(1, 1), np.int64(2**61))
     assert is_prime(np.int64(2**61 - 1))
+
+
+def _fields_are_python_ints(value):
+    # no numpy integer anywhere in a verdict's fields, nested tuples included
+    if isinstance(value, tuple):
+        return all(_fields_are_python_ints(v) for v in value)
+    return not isinstance(value, np.generic)
+
+
+def test_numpy_prime_gives_the_python_int_result():
+    # p is taken as a Python int where it enters, so m*p at a read cannot
+    # wrap in int64: past lambda_at's ceiling both types raise its error
+    runs = [
+        lambda p: verify_thm53(p),
+        lambda p: verify_construction(make_case("T3.1", 1, 3), p),
+        lambda p: verify_product(make_case("T4.1", 1, 2), p),
+    ]
+    for run in runs[:2]:
+        raised = []
+        for p in (10**18 + 3, np.int64(10**18 + 3)):
+            with pytest.raises(ResourceLimitError, match="exact-float ceiling") as info:
+                run(p)
+            raised.append(str(info.value))
+        assert raised[0] == raised[1]
+    for run, p in zip(runs, (13, 37, 19)):  # a prime where each holds
+        v = run(np.int64(p))
+        assert v == run(p) and v.status == HOLDS
+        assert _fields_are_python_ints(tuple(getattr(v, f.name) for f in fields(v)))
 
 
 def test_verify_construction_examples():
