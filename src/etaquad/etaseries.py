@@ -200,10 +200,53 @@ def _table_sparse(params: LambdaParams, limit: int) -> np.ndarray:
     return vals
 
 
+def _newton_weights(params: LambdaParams, limit: int) -> np.ndarray:
+    """The recurrence's weights c_k = a*sigma(k/a) + b*sigma(k/b) for
+    k = 0..limit-1 (c_0 = 0), as int64; sigma of a non-integer is 0.
+
+    L[0] = 1 and n*L[n] = -3 * sum_{k=1..n} c_k L[n-k] for n >= 1 (L[i] the
+    coefficient of q^(i+1)) has exactly one solution, the table: `newton`
+    builds it step by step, and `_recurrence_break` checks a held prefix.
+    """
+    a, b = params.a, params.b
+    sig = divisor_sums(limit - 1)
+    c = np.zeros(limit, dtype=np.int64)
+    # as in _table_sparse, a multiplier >= limit meets only k = 0 (sigma(0) = 0)
+    for m in (min(a, limit), min(b, limit)):
+        c[::m] += m * sig[: (limit - 1) // m + 1]
+    return c
+
+
+def _recurrence_break(params: LambdaParams, prefix) -> int | None:
+    """The first index n (1-based, entry n the coefficient of q^n) where the
+    int64 array `prefix` leaves the newton recurrence, or None if it keeps it.
+
+    The recurrence's residual n*L[n] + 3 * sum_{k=1..n} c_k L[n-k] (and
+    L[0] - 1 at n = 0) is one convolution of the prefix with the weights.
+    Where the prefix first differs from the unique solution, at L[n], every
+    residual before n is 0 and the one at n is n times the difference, so
+    the first nonzero residual names the first wrong entry.  As in newton,
+    csum * max|L| bounds every partial sum of the convolution (csum = sum of
+    c_k); the residual adds three times that and n*L[n] < P*max|L| for a
+    prefix of P entries, so the residual is taken in int64 while
+    (3*csum + P) * max|L| is at most _INT64_SAFE, and in Python ints otherwise.
+    """
+    vals, size = np.asarray(prefix, dtype=np.int64), len(prefix)
+    c = _newton_weights(params, size)
+    n = np.arange(size, dtype=np.int64)
+    peak = max(int(vals.max()), -int(vals.min()))
+    if (3 * int(c.sum()) + size) * peak > _INT64_SAFE:
+        vals, c, n = vals.astype(object), c.astype(object), n.astype(object)
+    residual = n * vals + 3 * np.convolve(c, vals)[:size]
+    residual[0] = vals[0] - 1
+    bad = np.flatnonzero(residual)
+    return int(bad[0]) + 1 if len(bad) else None
+
+
 def _table_newton(params: LambdaParams, limit: int) -> np.ndarray:
     """Recurrence: n*L[n] = -3 * (c_n + sum_{k<n} c_k L[n-k]), L[0] = 1,
-    where c_k = a*sigma(k/a) + b*sigma(k/b) and L[i] is the coefficient
-    of q^(i+1).  The division by n must be exact at every step.
+    with the weights c_k of `_newton_weights`, where L[i] is the
+    coefficient of q^(i+1).  The division by n must be exact at every step.
 
     Every product c_k L[j] and every partial sum of an inner sum is an
     integer of size at most csum * max|L| (csum = sum of c_k), so the
@@ -215,11 +258,7 @@ def _table_newton(params: LambdaParams, limit: int) -> np.ndarray:
     two forward, contiguous slices.
     """
     a, b = params.a, params.b
-    sig = divisor_sums(limit - 1)
-    c = np.zeros(limit, dtype=np.int64)
-    # as in _table_sparse, a multiplier >= limit meets only k = 0 (sigma(0) = 0)
-    for m in (min(a, limit), min(b, limit)):
-        c[::m] += m * sig[: (limit - 1) // m + 1]
+    c = _newton_weights(params, limit)
     # c_k <= 2*sigma(k), so within the table budget this sum stays far below 2^62
     csum = int(c.sum())
     rev = c[::-1].copy()  # rev[limit - 1 - k] = c_k

@@ -120,6 +120,12 @@ class RepSet:
         return len(self.pairs)
 
 
+def _int_form(form: QuadForm) -> QuadForm:
+    """The form with Python-int fields, so that no product of them wraps as a
+    numpy integer's would."""
+    return QuadForm(index(form.a), index(form.b), index(form.c))
+
+
 def _require_positive_definite(form: QuadForm) -> None:
     if not form.is_positive_definite():
         raise ValueError(f"form {form} is not positive definite")
@@ -145,6 +151,7 @@ def discriminant_info(d: int) -> Discriminant:
     factors, so one square test finds its square part.  The unit weight
     is 6 for d = -3, 4 for d = -4, else 2.
     """
+    d = index(d)  # a Python int, as the record's field
     _require_discriminant(d)
     rest, root, p = -d, 1, 2
     while p * p * p <= rest:
@@ -167,6 +174,7 @@ def reduce(form: QuadForm) -> QuadForm:
     obtained by alternating translations (normalize b into (-a, a]) and
     the swap step until the conditions hold.
     """
+    form = _int_form(form)
     _require_positive_definite(form)
     a, b, c = form.a, form.b, form.c
     while True:
@@ -185,6 +193,7 @@ def reduce(form: QuadForm) -> QuadForm:
 
 def inverse(form: QuadForm) -> QuadForm:
     """Reduced representative of the inverse class, i.e. of [a, -b, c]."""
+    form = _int_form(form)
     _require_positive_definite(form)
     if not form.is_primitive():
         raise ValueError(f"form {form} is not primitive")
@@ -286,6 +295,7 @@ def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
     give the united form [a1*a2/d1^2, B, C] with B = b2 (mod 2*a2/d1),
     which is then reduced.
     """
+    f1, f2 = _int_form(f1), _int_form(f2)
     _require_positive_definite(f1)
     _require_positive_definite(f2)
     if f1.discriminant() != f2.discriminant():
@@ -386,7 +396,7 @@ def representations(form: QuadForm, n: int) -> RepSet:
     ResourceLimitError before it starts.
     """
     # Python ints, so that 4cn and the pairs never wrap as numpy integers would
-    form, n = QuadForm(index(form.a), index(form.b), index(form.c)), index(n)
+    form, n = _int_form(form), index(n)
     _require_positive_definite(form)
     if n < 1:
         raise ValueError(f"representations needs n >= 1, got {n}")

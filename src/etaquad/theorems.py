@@ -17,11 +17,11 @@ reported as a falsification with witnesses.
 Every coefficient read goes through ``TableCache.values``: it slices a
 held table that covers the indices and otherwise sums over lattice points
 (``lambda_at``, O(sqrt p) work per index).  Only ``range_report`` builds
-tables, presized per (a, b) with the sparse method and spot-audited
-against the recurrence method; a one-prime verdict builds none.  A
-one-prime call, and each instance of a range, given no cache makes its
-own, so its tables are released when it is done and nothing reads what
-an earlier call or instance left behind.
+tables, presized per (a, b) with the sparse method and audited on a
+prefix, whose entries must satisfy the newton recurrence; a one-prime
+verdict builds none.  A one-prime call, and each instance of a range,
+given no cache makes its own, so its tables are released when it is done
+and nothing reads what an earlier call or instance left behind.
 
 Each case is one ``_CASES`` record (summary, rule builder, parameter
 conditions; its arity is the builder's parameter count) whose builder
@@ -38,10 +38,14 @@ O(sqrt p) scan and builds its ``Verdict``.  ``range_report`` sieves once
 and takes the columnar path for one instance at a time: one
 ``lattice_points`` sweep of the rule's form, the hypotheses as boolean
 masks, and each table read once as an array, so a range costs about O(P)
-array work instead of O(P^1.5 / log P) Python steps.  Each scalar runner
-has one columnar counterpart that reads the same ``_Rule`` fields and
-compares every lattice point with the coefficients read at that point's
-prime (the square identities try each sign of x and y).  Every prime the
+array work instead of O(P^1.5 / log P) Python steps.  The columns are
+keyed by the prime, not by its position among the primes: one byte of
+state per integer to p_max marks where the hypotheses hold, the sweep
+keeps the points whose prime it marks, and each point's reads are taken
+at its prime.  Each scalar runner has one columnar counterpart that reads
+the same ``_Rule`` fields and compares every lattice point with the
+coefficients read at that point's prime (the square identities try each
+sign of x and y).  Every prime the
 columns cannot settle as holding or not applicable (some point disagrees
 with its read, an expected representation is missing) goes through the
 scalar runner, so the scalar path stays the oracle and every falsified
@@ -61,7 +65,14 @@ import numpy as np
 
 from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
-from .etaseries import LambdaParams, _sign, lambda_at, lambda_from_reps, lambda_table
+from .etaseries import (
+    LambdaParams,
+    _recurrence_break,
+    _sign,
+    lambda_at,
+    lambda_from_reps,
+    lambda_table,
+)
 from .quadform import QuadForm, find_rep, lattice_points, normalized_reps, representations
 
 HOLDS = "holds"
@@ -83,8 +94,11 @@ class TableCache:
     caller holds it, and never evicts.
 
     `get` builds a table to the asked limit when the held one is shorter;
-    only `range_report` calls it, once per table its rules read, and every
-    build is spot-audited against the recurrence method on a prefix.
+    only `range_report` calls it, once per table its rules read.  Every
+    build is audited on its first _AUDIT_PREFIX entries: they must satisfy
+    the newton recurrence, checked by one convolution of the prefix with
+    the recurrence's weights (`_recurrence_break`), and the first entry
+    that breaks it is named.
     `values` never builds: it slices a held table that covers every index
     it reads, and otherwise calls the lattice kernel `lambda_at`, whose
     first read per (a, b) is audited against the sums over representations.
@@ -126,11 +140,9 @@ class TableCache:
         return got
 
     def _audit(self, table) -> None:
-        prefix = min(table.limit, _AUDIT_PREFIX)
-        got = table.values(1, prefix)
-        want = lambda_table(table.params, prefix, "newton").values()
-        if got != want:
-            n = next(n for n, (g, w) in enumerate(zip(got, want), 1) if g != w)
+        prefix = table.take(np.arange(1, min(table.limit, _AUDIT_PREFIX) + 1))
+        n = _recurrence_break(table.params, prefix)
+        if n is not None:
             raise InternalInconsistencyError(
                 f"sparse/recurrence mismatch at index {n} for {table.params}"
             )
@@ -357,13 +369,13 @@ class _Rule:
 
 def _index(read: tuple[int, int, int], p, where=True):
     """The index (m*p - ta - tb) // 8 + 1 of t = m*p in the (ta, tb) table, for
-    an int or an int64 array p.  At the first p where `where` holds and 8 does
-    not divide m*p - ta - tb, it raises."""
+    an int or an int64 array p in any order.  At the smallest p where `where`
+    holds and 8 does not divide m*p - ta - tb, it raises."""
     ta, tb, m = read
     num = m * p - ta - tb
     inexact = where & (num % 8 != 0)
     if inexact is not False and np.any(inexact):  # an int p gives a bool, spared np.any
-        p = int(np.ravel(p)[np.argmax(inexact)])
+        p = int(np.ravel(p)[np.ravel(inexact)].min())
         raise InternalInconsistencyError(
             f"index numerator m*p - ta - tb = {m}*{p} - {ta} - {tb} is not divisible by 8"
         )
@@ -661,93 +673,116 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 # range aggregation: one instance over every prime of the range at once.  A
 # columnar runner reads the same _Rule fields as its scalar runner and returns
-# two boolean arrays over the prime positions: `live` where the verdict is not
-# not_applicable, and `suspect` where the scalar runner must decide it.  It
-# compares each lattice point with the coefficients read at its prime and
-# marks the prime suspect wherever any point disagrees; it folds no points
-# into per-prime values, so a check touches only the points it is given.  An
-# internal fault that the columns show raises at once, through the check the
-# scalar runner makes (`_index`, `_require_even_y`, `_require_unique`).
+# two boolean arrays over the primes where the hypotheses hold: `live` where
+# the verdict is not not_applicable, and `suspect` where the scalar runner
+# must decide it.  Its columns are keyed by the prime: each lattice point
+# carries its prime p = t/m, and the reads are taken at p, so no prime's
+# position is ever looked up.  It compares each lattice point with the
+# coefficients read at its prime and marks the prime suspect wherever any
+# point disagrees; it folds no points into per-prime values, so a check
+# touches only the points it is given.  An internal fault that the columns
+# show raises at once, at its smallest prime, through the check the scalar
+# runner makes (`_index`, `_require_even_y`, `_require_unique`).
+
+# the levels of _Range.state at one integer: not a held prime, held, live, live and suspect
+_HELD, _LIVE, _SUSPECT = 1, 2, 3
 
 
 class _Range(NamedTuple):
-    primes: np.ndarray  # the odd primes <= p_max, ascending
-    flags: np.ndarray  # the sieve's primality flags for 0..p_max
+    held: np.ndarray  # the odd primes <= p_max where the hypotheses hold, ascending
+    top: int  # the largest odd prime <= p_max
+    state: np.ndarray  # uint8 over 0..p_max: _HELD at each held prime, 0 elsewhere
     cache: TableCache
 
     def sweep(self, form, m=1):
-        """Every x, y >= 0 with m*p = fa*x^2 + fb*y^2 for an odd prime p of the
-        range, as arrays (position of p, x, y)."""
-        flags = self.flags
+        """Every x, y >= 0 with m*p = fa*x^2 + fb*y^2 for a held prime p, as
+        arrays (p, x, y)."""
+        state = self.state  # only 0 and _HELD = 1 here, so a bool view reads it
 
         def keep(t):
-            return flags[t] & (t > 2) if m == 1 else (t % m == 0) & flags[t // m] & (t > 2 * m)
+            return state[t].view(bool) if m == 1 else (t % m == 0) & state[t // m].view(bool)
 
-        t, x, y = lattice_points(*form, m * int(self.primes[-1]), keep)
-        return np.searchsorted(self.primes, t // m), x, y
+        t, x, y = lattice_points(*form, m * self.top, keep)
+        return (t if m == 1 else t // m).astype(np.int64, copy=False), x, y
+
+    def marks(self, live, suspect):
+        """Masks over `held`: the primes of `live`, and of `suspect`, two
+        arrays of held primes in any order and with repeats; every suspect
+        prime is live too."""
+        state = self.state
+        state[live] = _LIVE
+        state[suspect] = _SUSPECT
+        got = state[self.held]
+        state[live] = _HELD
+        return got >= _LIVE, got == _SUSPECT
 
 
-def _marks(positions, n):
-    mask = np.zeros(n, dtype=bool)
-    mask[positions] = True
-    return mask
+def _points_of(q, p, x, y):
+    return list(zip(x[p == q].tolist(), y[p == q].tolist()))
 
 
-def _points_of(i, pos, x, y):
-    return list(zip(x[pos == i].tolist(), y[pos == i].tolist()))
+def _reads(rule, rng, p):
+    """Each read of the rule at every prime of p, one row per read."""
+    return [rng.cache.values(*read[:2], _index(read, p)) for read in rule.reads]
 
 
-def _cols_square(case, rule, rng, ok):
-    primes, n = rng.primes, len(rng.primes)
-    pos, x, y = rng.sweep(rule.form)
-    keep = ok[pos] & (x % 2 == 1) if rule.odd_x else ok[pos]
-    pos, x, y = pos[keep], x[keep], y[keep]
-    live = _marks(pos, n)
-    sides = [rng.cache.values(*read[:2], _index(read, primes, live)[pos]) for read in rule.reads]
+def _cols_square(case, rule, rng):
+    p, x, y = rng.sweep(rule.form)
+    if rule.odd_x:
+        odd = x % 2 == 1
+        p, x, y = p[odd], x[odd], y[odd]
+    sides = _reads(rule, rng, p)
     if len(sides) == 2:
-        return live, _marks(pos[sides[0] != sides[1]], n)
+        return rng.marks(p, p[sides[0] != sides[1]])
     if rule.even_y:
-        for i in np.unique(pos[y % 2 == 1])[:1]:
-            _require_even_y(_points_of(i, pos, x, y), case, int(primes[i]))
-    # each point stands for its four sign variants, and each must give the side
-    base = _square_lhs(rule.form[0], x, primes[pos])
-    bad = [_sign(rule.sign(sx * x, sy * y)) * base != sides[0] for sx in (1, -1) for sy in (1, -1)]
-    return live, _marks(pos[np.logical_or.reduce(bad)], n)
+        for q in np.unique(p[y % 2 == 1])[:1].tolist():
+            _require_even_y(_points_of(q, p, x, y), case, q)
+    # each point stands for its four sign variants, and each must give the side:
+    # (-1)^e (4*fa*x^2 - 2p) misses it where the base misses the side (e even)
+    # or the side's negation (e odd)
+    base = _square_lhs(rule.form[0], x, p)
+    even_miss, odd_miss = base != sides[0], base != -sides[0]
+    ys = (y, -y)
+    bad = [np.where(rule.sign(sx, sy) & 1, odd_miss, even_miss) for sx in (x, -x) for sy in ys]
+    return rng.marks(p, p[np.logical_or.reduce(bad)])
 
 
-def _cols_product(case, rule, rng, ok):
+def _cols_product(case, rule, rng):
     a, b = rule.form
     ((ta, tb, m),) = rule.reads
-    primes, n = rng.primes, len(rng.primes)
-    if m * int(primes[-1]) < a + b:
+    if m * rng.top < a + b:
         # odd x and y give t >= a + b, so no prime of the range has a point
         # (and a + b, past every t, need not fit int64)
-        return np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    index = _index(rule.reads[0], primes, ok)  # read before any point, as the scalar runner does
-    pos, x, y = rng.sweep(rule.form, m)
-    keep = ok[pos] & (x % 2 == 1) & (y % 2 == 1)
-    pos, x, y = pos[keep], x[keep], y[keep]
+        none = np.zeros(0, dtype=np.int64)
+        return rng.marks(none, none)
+    _index(rule.reads[0], rng.held)  # read before any point, as the scalar runner does
+    p, x, y = rng.sweep(rule.form, m)
+    odd = (x % 2 == 1) & (y % 2 == 1)
+    p, x, y = p[odd], x[odd], y[odd]
     # each point with odd x, y has one sign variant with x = y = 1 (mod 4)
     x, y = _sign(x // 2) * x, _sign(y // 2) * y
-    for i in np.flatnonzero(np.bincount(pos, minlength=n) > 1)[:1]:
-        _require_unique(sorted(_points_of(i, pos, x, y)), m * int(primes[i]), a, b)
-    lam = rng.cache.values(ta, tb, index[pos])
-    lhs_ok, quad_ok = _product_checks(a, b, x, y, m * primes[pos], lam)
-    return _marks(pos, n), _marks(pos[~(lhs_ok & quad_ok)], n)
+    ps = np.sort(p)
+    for q in ps[1:][ps[1:] == ps[:-1]][:1].tolist():
+        _require_unique(sorted(_points_of(q, p, x, y)), m * q, a, b)
+    (lam,) = _reads(rule, rng, p)
+    lhs_ok, quad_ok = _product_checks(a, b, x, y, m * p, lam)
+    return rng.marks(p, p[~(lhs_ok & quad_ok)])
 
 
-def _cols_thm53(case, rule, rng, ok):
-    primes, n = rng.primes, len(rng.primes)
-    got = np.stack([rng.cache.values(*read[:2], _index(read, primes, ok)) for read in rule.reads])
+def _cols_thm53(case, rule, rng):
+    held = rng.held
     # off the classes every read is 0; each class replaces that test on its members
-    suspect = ok & got.any(axis=0)
+    suspect = np.logical_or.reduce([got != 0 for got in _reads(rule, rng, held)])
     for residues, (fa, fb), _, mults in _THM53_CLASSES:
-        member = ok & np.isin(primes % 30, residues)
-        pos, x, _ = rng.sweep((fa, fb))
-        pos, x = pos[member[pos]], x[member[pos]]
-        bad = (np.outer(mults, _square_lhs(fa, x, primes[pos])) != got[:, pos]).any(axis=0)
-        suspect = (suspect & ~member) | (member & ~_marks(pos, n)) | _marks(pos[bad], n)
-    return ok, suspect
+        member = np.isin(held % 30, residues)
+        p, x, _ = rng.sweep((fa, fb))
+        inside = np.isin(p % 30, residues)
+        p, x = p[inside], x[inside]
+        lhs = _square_lhs(fa, x, p)
+        bad = np.logical_or.reduce([k * lhs != got for k, got in zip(mults, _reads(rule, rng, p))])
+        has, wrong = rng.marks(p, p[bad])
+        suspect = (suspect & ~member) | (member & ~has) | wrong
+    return np.ones(len(held), dtype=bool), suspect
 
 
 _COLUMNAR = {_run_square: _cols_square, _run_product: _cols_product, _run_thm53: _cols_thm53}
@@ -780,13 +815,17 @@ def range_report(
     entries = [()] if grid is None else grid
     combos = {(entry,) if np.ndim(entry) == 0 else tuple(entry) for entry in entries}
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
-    flags = sieve_primes(p_max).flags() if p_max >= 3 else np.zeros(0, dtype=bool)
-    primes = np.flatnonzero(flags)[1:].astype(np.int64)  # every prime but 2
+    # every prime but 2; the sieve's flags go once the primes are out
+    primes = np.zeros(0, dtype=np.int64)
+    if p_max >= 3:
+        primes = np.flatnonzero(sieve_primes(p_max).flags())[1:]
+    # one byte per integer to p_max keys the columns by the prime, for every instance
+    state = np.zeros(p_max + 1 if len(primes) else 0, dtype=np.uint8)
     checked = skipped = 0
-    falsified = []  # (prime position, instance position, verdict)
+    falsified = []  # (prime, instance position, verdict)
     for k, inst in enumerate(instances if len(primes) else []):
         rule = inst._rule
-        rng = _Range(primes, flags, cache or TableCache())  # drops the last one's tables
+        run_cache = cache or TableCache()  # drops the last one's tables
         # every index is increasing in p, so one build per table to its largest
         # index at p_max serves every read below, the scalar runner's included
         limits = {}  # table key -> the table's largest index, in read order
@@ -794,19 +833,23 @@ def range_report(
             key = _table_key(*read[:2])
             limits[key] = max(limits.get(key, 1), _index(read, p_max, False))
         for key, limit in limits.items():
-            rng.cache.get(*key, limit)
+            run_cache.get(*key, limit)
         ok = np.ones(len(primes), dtype=bool)
         for fails, _ in rule.hypotheses:
             ok &= ~fails(primes)
-        live, suspect = _COLUMNAR[rule.run](inst, rule, rng, ok)
+        held = primes[ok]
+        state[held] = _HELD
+        rng = _Range(held, int(primes[-1]), state, run_cache)
+        live, suspect = _COLUMNAR[rule.run](inst, rule, rng)
+        state[held] = 0
         checked += int(np.count_nonzero(live & ~suspect))
-        skipped += int(np.count_nonzero(~live & ~suspect))
-        for i in np.flatnonzero(suspect).tolist():  # the scalar runner decides the rest
-            verdict = _evaluate(inst, int(primes[i]), rng.cache)
+        skipped += len(primes) - len(held) + int(np.count_nonzero(~live & ~suspect))
+        for p in held[suspect].tolist():  # the scalar runner decides the rest
+            verdict = _evaluate(inst, p, run_cache)
             checked += verdict.status != NOT_APPLICABLE
             skipped += verdict.status == NOT_APPLICABLE
             if verdict.status == FALSIFIED:
-                falsified.append((i, k, verdict))
+                falsified.append((p, k, verdict))
     return RangeReport(
         case_id=case_id,
         params=tuple(inst.params() for inst in instances),

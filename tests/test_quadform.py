@@ -320,6 +320,55 @@ def test_inverse_examples():
         inverse(QuadForm(2, 2, 2))
 
 
+def _outcome_of(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+
+
+def _np_form(form):
+    return QuadForm(*(np.int64(v) for v in form))
+
+
+BIG = QuadForm(3000000001, 1, 3000000001)  # b^2 - 4ac wraps in int64
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("compose", (BIG, BIG)),  # [1, 1, 9000000006000000001]
+        ("compose", (QuadForm(2, 1, 3), QuadForm(2, -1, 3))),
+        ("compose", (QuadForm(1, 0, 1), QuadForm(1, 0, 3))),  # discriminants differ
+        ("compose", (QuadForm(2, 0, 2), QuadForm(2, 0, 2))),  # not primitive
+        ("compose", (QuadForm(1, 5, 1), QuadForm(1, 5, 1))),  # indefinite
+        ("reduce", (BIG,)),
+        ("reduce", (QuadForm(5, 6, 2),)),
+        ("reduce", (QuadForm(1, 2, 1),)),  # degenerate
+        ("inverse", (BIG,)),
+        ("inverse", (QuadForm(2, 1, 3),)),
+        ("inverse", (QuadForm(2, 2, 2),)),  # not primitive
+        ("discriminant_info", (-20,)),
+        ("discriminant_info", (-4 * 10**18,)),
+        ("discriminant_info", (-21,)),  # not a discriminant
+        ("discriminant_info", (5,)),
+    ],
+)
+def test_numpy_integers_at_form_entry_points(name, args):
+    # an np.int64 argument gives what the Python int gives: the same result
+    # with Python-int fields, or the same exception and message
+    fn = {"compose": compose, "reduce": reduce, "inverse": inverse}.get(name, discriminant_info)
+    as_numpy = [_np_form(a) if isinstance(a, QuadForm) else np.int64(a) for a in args]
+    want = _outcome_of(lambda: fn(*args))
+    got = _outcome_of(lambda: fn(*as_numpy))
+    assert got == want
+    if isinstance(got, quadform.Discriminant):
+        got = (got.d, got.conductor, got.unit_weight)
+    if not isinstance(got[0], type):  # a result, not an exception
+        assert all(type(v) is int for v in got)
+
+
 def test_representation_counts_printed():
     assert representations(QuadForm(3, 0, 5), 8).count == 4
     assert representations(QuadForm(1, 0, 15), 8).count == 0

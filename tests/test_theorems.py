@@ -734,6 +734,77 @@ def test_table_build_audited_against_recurrence(monkeypatch):
     assert TableCache().get(7, 1, 500).values(1, 128) == want
 
 
+def _corrupting(monkeypatch, at, delta):
+    """Make every sparse build come out `delta` off at index `at`."""
+    import etaquad.etaseries as es
+
+    sparse = es._BUILDERS["sparse"]
+
+    def corrupted(params, limit):
+        vals = sparse(params, limit)
+        vals[at - 1] += delta
+        return vals
+
+    monkeypatch.setitem(es._BUILDERS, "sparse", corrupted)
+
+
+@pytest.mark.parametrize(
+    "a, b, limit, at",
+    [
+        (1, 7, 500, 2),
+        (1, 7, 500, 3),
+        (1, 7, 500, 64),
+        (1, 7, 500, 128),  # the last index audited
+        (3, 5, 50, 50),  # a table shorter than the audited prefix, at its last entry
+        (3, 3, 500, 17),  # a = b
+        (1, 10**20 + 1, 500, 40),  # a multiplier past int64
+    ],
+)
+@pytest.mark.parametrize("delta", [1, -(2**62)])  # the second takes the residual past int64
+def test_table_audit_names_the_corrupted_index(monkeypatch, a, b, limit, at, delta):
+    _corrupting(monkeypatch, at, delta)
+    with pytest.raises(InternalInconsistencyError) as exc:
+        TableCache().get(a, b, limit)
+    assert str(exc.value) == f"sparse/recurrence mismatch at index {at} for {LambdaParams(a, b)}"
+
+
+def test_table_audit_covers_the_first_128_entries(monkeypatch):
+    want = lambda_table(LambdaParams(1, 7), 129).value(129) + 1
+    _corrupting(monkeypatch, 129, 1)
+    assert TableCache().get(1, 7, 500).value(129) == want
+
+
+def test_recurrence_check_in_python_ints_agrees(monkeypatch):
+    import etaquad.etaseries as es
+
+    tables = [
+        lambda_table(LambdaParams(a, b), limit)
+        for a, b, limit in ((1, 1, 128), (1, 7, 500), (3, 3, 60), (2, 10**20, 128))
+    ]
+
+    def breaks():
+        out = []
+        for table in tables:
+            prefix = table.take(np.arange(1, min(table.limit, 128) + 1))
+            out.append(es._recurrence_break(table.params, prefix))
+            for at in (1, 2, len(prefix)):
+                bad = prefix.copy()
+                bad[at - 1] -= 5
+                out.append(es._recurrence_break(table.params, bad))
+        return out
+
+    dtypes = []
+    real = np.convolve
+    monkeypatch.setattr(np, "convolve", lambda c, v: dtypes.append(c.dtype) or real(c, v))
+    want = breaks()
+    assert want == [None, 1, 2, 128, None, 1, 2, 128, None, 1, 2, 60, None, 1, 2, 128]
+    assert set(dtypes) == {np.dtype(np.int64)}
+    dtypes.clear()
+    monkeypatch.setattr(es, "_INT64_SAFE", 0)  # every residual in Python ints
+    assert breaks() == want
+    assert set(dtypes) == {np.dtype(object)}
+
+
 def test_table_cache_growth_capped_at_budget(monkeypatch):
     import etaquad.etaseries as es
 
@@ -865,6 +936,16 @@ def test_range_report_equals_scalar_loop(case_and_grid, p_max):
     want = _scalar_report(case_id, p_max, grid)
     assert (report.checked, report.skipped, report.falsified) == want
     assert type(report.checked) is int and type(report.skipped) is int
+
+
+@pytest.mark.parametrize("p_max", [3, 4, 5, 7, 11, 97, 1009, 1010])
+def test_fixed_cases_equal_scalar_loop_up_to_the_last_integer(p_max):
+    # the per-integer state runs to p_max, which is a prime in 3, 5, 7, 11, 97, 1009
+    for case_id in case_ids():
+        if case_arity(case_id) == 0:
+            report = range_report(case_id, p_max)
+            got = (report.checked, report.skipped, report.falsified)
+            assert got == _scalar_report(case_id, p_max), case_id
 
 
 @pytest.mark.parametrize(
