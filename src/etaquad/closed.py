@@ -5,6 +5,8 @@ is independent of the coefficient tables it is compared with.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import InternalInconsistencyError
 from .quadform import QuadForm, representations
 
@@ -27,6 +29,7 @@ def closed_form(family: str, n: int, a: int | None = None, b: int | None = None)
         raise ValueError(f"unknown family {family!r}, expected one of {CLOSED_FAMILIES}")
     if family != "LEMMA51" and (a is not None or b is not None):
         raise ValueError(f"family {family} takes no parameters a, b")
+    n = index(n)  # Python ints, so 2n + 1, 4n + 1 and a*b cannot wrap
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     if family in ("L13", "L17", "L35", "L115"):
@@ -37,6 +40,7 @@ def closed_form(family: str, n: int, a: int | None = None, b: int | None = None)
         return _half_sum(1, 4 * n + 1, odd_x=True)
     if a is None or b is None:
         raise ValueError("LEMMA51 needs parameters a and b")
+    a, b = index(a), index(b)
     if a < 1 or b < 1 or (a * b) % 4 != 3:
         raise ValueError("LEMMA51 needs a*b = 3 (mod 4)")
     m = 2 * n + 1

@@ -26,7 +26,10 @@ lattice points of a*x^2 + b*y^2 in O(sqrt(n)) numpy work per index, and
 search.
 
 Every table is one read-only int64 array of exact integers; a value
-outside int64 raises OverflowError instead of wrapping.  Every table
+outside int64 raises OverflowError instead of wrapping.  Whatever its
+method, every table is audited on its first 128 entries: they must
+satisfy the newton recurrence, checked by one convolution with its
+weights, and index 1 covers the leading coefficient.  Every table
 must fit TABLE_BUDGET_BYTES (8 bytes per entry), checked before it is
 allocated, and within it the sparse route's a-priori bound on every
 partial sum, and so on every coefficient, fits in int64.  The newton
@@ -65,6 +68,9 @@ _KERNEL_CELLS = 1 << 16  # scan values times indices per chunk of lambda_at
 TABLE_BUDGET_BYTES = 1 << 31
 
 DEFAULT_PARTITION_CAP = 40
+
+# every table's first entries, up to this many, are checked against the recurrence
+_AUDIT_PREFIX = 128
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,10 @@ class CoeffTable:
 
     def take(self, indices) -> np.ndarray:
         """Entries at an array of 1-based indices, as a new int64 array."""
-        indices = np.asarray(indices, dtype=np.int64)
+        indices = np.asarray(indices)
+        if indices.size and indices.dtype.kind not in "iu":
+            raise IndexError(f"table indices must be integers, got dtype {indices.dtype}")
+        indices = indices.astype(np.int64, copy=False)
         outside = (indices < 1) | (indices > self.limit)
         if outside.any():
             raise IndexError(f"table covers 1..{self.limit}, got index {indices[outside][0]}")
@@ -335,7 +344,10 @@ def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> Co
     """Exact table of the coefficients of q^1 .. q^limit.
 
     All methods produce identical tables; pick by cost profile (see the
-    module docstring).
+    module docstring).  Whatever the method, the built table's first
+    min(limit, _AUDIT_PREFIX) entries must satisfy the newton recurrence
+    (`_recurrence_break`); the first entry that breaks it is named, and a
+    wrong leading coefficient breaks it at index 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -346,10 +358,11 @@ def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> Co
         raise ResourceLimitError(
             f"table to {limit} needs {8 * limit} bytes, budget is {TABLE_BUDGET_BYTES}"
         )
-    vals = _BUILDERS[method](params, limit)
-    if int(vals[0]) != 1:
-        raise InternalInconsistencyError("leading coefficient of q is not 1")
-    return CoeffTable(params, limit, method, vals)
+    table = CoeffTable(params, limit, method, _BUILDERS[method](params, limit))
+    n = _recurrence_break(params, table._vals[:_AUDIT_PREFIX])
+    if n is not None:
+        raise InternalInconsistencyError(f"{method}/recurrence mismatch at index {n} for {params}")
+    return table
 
 
 class PartitionTerm(NamedTuple):
@@ -410,6 +423,18 @@ def lambda_multinomial(params: LambdaParams, n: int, cap: int = DEFAULT_PARTITIO
     return int(total)
 
 
+def _int_indices(indices) -> list[int]:
+    """The indices as Python ints; ValueError names the first that is not
+    an integer, where int() would truncate it."""
+    wanted = []
+    for n in indices:
+        try:
+            wanted.append(index(n))
+        except TypeError:
+            raise ValueError(f"indices must be integers, got {n!r}") from None
+    return wanted
+
+
 def lambda_at(params: LambdaParams, indices) -> np.ndarray:
     """The coefficients of q^n at each index n >= 1, as an int64 array,
     without a table.
@@ -428,7 +453,7 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
     stays one chunk whatever t.
     """
     a, b = params.a, params.b
-    wanted = [int(n) for n in indices]
+    wanted = _int_indices(indices)
     if not wanted:
         return np.zeros(0, dtype=np.int64)
     if min(wanted) < 1:
@@ -461,6 +486,7 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
 def lambda_from_reps(params: LambdaParams, n: int) -> int:
     """Coefficient of q^(n+1) as the sum of x*y over the solutions of
     a*x^2 + b*y^2 = 8n + a + b with x = y = 1 (mod 4)."""
+    n = index(n)  # a Python int, so 8n cannot wrap
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
     a, b = params.a, params.b

@@ -17,9 +17,9 @@ reported as a falsification with witnesses.
 Every coefficient read goes through ``TableCache.values``: it slices a
 held table that covers the indices and otherwise sums over lattice points
 (``lambda_at``, O(sqrt p) work per index).  Only ``range_report`` builds
-tables, presized per (a, b) with the sparse method and audited on a
-prefix, whose entries must satisfy the newton recurrence; a one-prime
-verdict builds none.  A one-prime call, and each instance of a range,
+tables, presized per (a, b) with the sparse method (``lambda_table`` audits
+each one's prefix against the newton recurrence); a one-prime verdict
+builds none.  A one-prime call, and each instance of a range,
 given no cache makes its own, so its tables are released when it is done
 and nothing reads what an earlier call or instance left behind.
 
@@ -67,7 +67,7 @@ from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
 from .etaseries import (
     LambdaParams,
-    _recurrence_break,
+    _int_indices,
     _sign,
     lambda_at,
     lambda_from_reps,
@@ -80,9 +80,6 @@ NOT_APPLICABLE = "not_applicable"
 FALSIFIED = "falsified"
 
 
-_AUDIT_PREFIX = 128
-
-
 def _table_key(a: int, b: int) -> tuple[int, int]:
     """The key of the (a, b) table: L(a, b) = L(b, a), so the pair ascending."""
     return (a, b) if a <= b else (b, a)
@@ -93,12 +90,9 @@ class TableCache:
     read path of every runner.  It holds its tables for as long as its
     caller holds it, and never evicts.
 
-    `get` builds a table to the asked limit when the held one is shorter;
-    only `range_report` calls it, once per table its rules read.  Every
-    build is audited on its first _AUDIT_PREFIX entries: they must satisfy
-    the newton recurrence, checked by one convolution of the prefix with
-    the recurrence's weights (`_recurrence_break`), and the first entry
-    that breaks it is named.
+    `get` builds a table to the asked limit when the held one is shorter,
+    and holds it; only `range_report` calls it, once per table its rules
+    read.  It audits no build: `lambda_table` checks every table it builds.
     `values` never builds: it slices a held table that covers every index
     it reads, and otherwise calls the lattice kernel `lambda_at`, whose
     first read per (a, b) is audited against the sums over representations.
@@ -113,7 +107,6 @@ class TableCache:
         cur = self._tables.get(key)
         if cur is None or cur.limit < min_limit:
             cur = lambda_table(LambdaParams(*key), min_limit, "sparse")
-            self._audit(cur)
             self._tables[key] = cur
         return cur
 
@@ -122,6 +115,9 @@ class TableCache:
         if not len(indices):
             return np.zeros(0, dtype=np.int64)
         wanted = np.asarray(indices)
+        if wanted.dtype.kind not in "iu":
+            # lambda_at's ValueError for a non-integer index, on either route
+            indices = wanted = np.asarray(_int_indices(indices))
         if wanted.min() < 1:
             raise ValueError(f"indices must be >= 1, got {wanted.min()}")
         key = _table_key(a, b)
@@ -138,14 +134,6 @@ class TableCache:
                     )
             self._kernel_audited.add(key)
         return got
-
-    def _audit(self, table) -> None:
-        prefix = table.take(np.arange(1, min(table.limit, _AUDIT_PREFIX) + 1))
-        n = _recurrence_break(table.params, prefix)
-        if n is not None:
-            raise InternalInconsistencyError(
-                f"sparse/recurrence mismatch at index {n} for {table.params}"
-            )
 
 
 @dataclass(frozen=True)

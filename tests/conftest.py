@@ -1,6 +1,6 @@
-"""Shared brute-force oracles for the test suite.
+"""Shared brute-force oracles for the test suite, and two test helpers.
 
-These are deliberately independent of the package implementations:
+The oracles are deliberately independent of the package implementations:
 straight-line enumeration only, no shared helpers, so they stay valid
 as ground truth for the paths they check.
 """
@@ -150,6 +150,28 @@ def oracle_conductor_pass(d: int) -> int:
         fits = np.flatnonzero((d % f2 == 0) & (d // f2 % 4 < 2))
         conductor = lo + int(fits[-1]) if len(fits) else conductor
     return conductor
+
+
+def corrupting(monkeypatch, method, at):
+    """Make every `method` table build come out 1 off at index `at`."""
+    import etaquad.etaseries as es
+
+    build = es._BUILDERS[method]
+
+    def corrupted(params, limit):
+        vals = build(params, limit)
+        vals[at - 1] += 1
+        return vals
+
+    monkeypatch.setitem(es._BUILDERS, method, corrupted)
+
+
+def outcome_of(call):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
 
 
 def coprime_pairs(limit: int):

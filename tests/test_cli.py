@@ -15,7 +15,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from conftest import oracle_dump_rows
+from conftest import corrupting, oracle_dump_rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -511,6 +511,15 @@ def test_internal_inconsistency_exit_5(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "etaquad: internal inconsistency: sparse/recurrence mismatch at index 3\n"
+
+
+def test_lambda_with_a_corrupted_builder_exits_5(capsys, monkeypatch):
+    corrupting(monkeypatch, "newton", 1)
+    assert main(["lambda", "--a", "1", "--b", "7", "--n-max", "41", "--method", "newton"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = "newton/recurrence mismatch at index 1 for LambdaParams(a=1, b=7)"
+    assert captured.err == f"etaquad: internal inconsistency: {want}\n"
 
 
 def test_readme_command_line_examples(capsys):

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import oracle_product_table
+from conftest import corrupting, oracle_product_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +125,27 @@ def test_table_take():
     for bad in ([0, 2], [1, 9]):
         with pytest.raises(IndexError, match=r"^table covers 1\.\.8, got index (0|9)$"):
             table.take(bad)
+
+
+# the multinomial route is capped at 41 entries and slow near the cap
+AUDIT_LIMITS = {"sparse": 500, "newton": 500, "naive": 500, "multinomial": 20}
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("at", [1, 3])  # index 1 is the leading coefficient
+def test_every_method_is_audited(monkeypatch, method, at):
+    corrupting(monkeypatch, method, at)
+    with pytest.raises(InternalInconsistencyError) as exc:
+        lambda_table(LambdaParams(1, 7), AUDIT_LIMITS[method], method)
+    assert str(exc.value) == f"{method}/recurrence mismatch at index {at} for LambdaParams(a=1, b=7)"
+
+
+@pytest.mark.parametrize("method", [m for m in METHODS if AUDIT_LIMITS[m] > 128])
+def test_audit_stops_after_128_entries(monkeypatch, method):
+    want = lambda_table(LambdaParams(1, 7), 500, method).values()
+    want[128] += 1
+    corrupting(monkeypatch, method, 129)
+    assert lambda_table(LambdaParams(1, 7), 500, method).values() == want
 
 
 @pytest.mark.parametrize("a,b", [(1, 1), (1, 3), (2, 5), (4, 6), (5, 5)])

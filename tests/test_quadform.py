@@ -14,6 +14,7 @@ from conftest import (
     oracle_lattice_points,
     oracle_reps,
     oracle_scan,
+    outcome_of,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -320,14 +321,6 @@ def test_inverse_examples():
         inverse(QuadForm(2, 2, 2))
 
 
-def _outcome_of(call):
-    """A call's result, or the type and message of what it raised."""
-    try:
-        return call()
-    except Exception as exc:  # the exception is the outcome
-        return type(exc), str(exc)
-
-
 def _np_form(form):
     return QuadForm(*(np.int64(v) for v in form))
 
@@ -360,8 +353,8 @@ def test_numpy_integers_at_form_entry_points(name, args):
     # with Python-int fields, or the same exception and message
     fn = {"compose": compose, "reduce": reduce, "inverse": inverse}.get(name, discriminant_info)
     as_numpy = [_np_form(a) if isinstance(a, QuadForm) else np.int64(a) for a in args]
-    want = _outcome_of(lambda: fn(*args))
-    got = _outcome_of(lambda: fn(*as_numpy))
+    want = outcome_of(lambda: fn(*args))
+    got = outcome_of(lambda: fn(*as_numpy))
     assert got == want
     if isinstance(got, quadform.Discriminant):
         got = (got.d, got.conductor, got.unit_weight)

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import oracle_primes
+from conftest import oracle_primes, outcome_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -189,6 +189,52 @@ def test_numpy_prime_gives_the_python_int_result():
         v = run(np.int64(p))
         assert v == run(p) and v.status == HOLDS
         assert _fields_are_python_ints(tuple(getattr(v, f.name) for f in fields(v)))
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (lambda_from_reps, (LambdaParams(1, 1), 2**61)),  # 8n wraps to 0 in int64
+        (lambda_from_reps, (LambdaParams(1, 7), 10)),
+        (closed_form, ("KF", 2**62)),  # 4n + 1 wraps to 1
+        (closed_form, ("L13", 2**62 + 5)),  # 2n + 1 wraps negative
+        (closed_form, ("L17", 10)),
+        (closed_form, ("LEMMA51", 0, 3, 2**62 + 1)),  # a*b wraps negative
+        (closed_form, ("LEMMA51", 2**62, 3, 1)),
+        (closed_form, ("LEMMA51", 10, 1, 3)),
+    ],
+)
+def test_numpy_index_gives_the_python_int_result(call, args):
+    # n, a and b are taken as Python ints where they enter, so no product wraps
+    as_numpy = [np.int64(v) if type(v) is int else v for v in args]
+    want = outcome_of(lambda: call(*args))
+    got = outcome_of(lambda: call(*as_numpy))
+    assert got == want
+    assert type(got) is (tuple if isinstance(want, tuple) else int)
+
+
+def test_non_integer_indices_are_refused():
+    # int() would truncate 11.5 to 11 and read lambda(1, 7; 11) = -6
+    params = LambdaParams(1, 7)
+    table = lambda_table(params, 20)
+    held = TableCache()
+    held.get(1, 7, 20)
+    for bad in ([11.5], [3, 11.5], np.array([11.9]), np.array([3.0, 11.0])):
+        with pytest.raises(ValueError, match="^indices must be integers, got "):
+            lambda_at(params, bad)
+        with pytest.raises(IndexError, match="^table indices must be integers, got dtype float64$"):
+            table.take(bad)
+        # the same error whether the cache would slice a table or call the kernel
+        raised = [outcome_of(lambda: cache.values(1, 7, bad)) for cache in (TableCache(), held)]
+        assert raised[0] == raised[1] == outcome_of(lambda: lambda_at(params, bad))
+    want = [-6, table.value(3)]
+    for good in ([11, 3], np.array([11, 3]), np.array([11, 3], dtype=np.uint8)):
+        assert lambda_at(params, good).tolist() == want
+        assert table.take(good).tolist() == want
+        assert TableCache().values(1, 7, good).tolist() == want
+        assert held.values(1, 7, good).tolist() == want
+    assert TableCache().values(1, 7, np.array([11, 3], dtype=object)).tolist() == want
+    assert table.take(np.zeros(0)).dtype == np.int64
 
 
 def test_verify_construction_examples():
