@@ -21,6 +21,7 @@ SIEVE_BUDGET_BYTES = 1 << 28
 
 def sigma(n: int) -> int:
     """Sum of the positive divisors of n."""
+    n = index(n)  # a Python int, as the result
     if n < 1:
         raise ValueError(f"sigma is defined for positive integers, got {n}")
     total = 0
@@ -38,6 +39,7 @@ def sigma(n: int) -> int:
 def sigma_scaled(n: int, d: int) -> int:
     """sigma(n/d) when d divides n, else 0 (the divisor sum at a rational
     argument vanishes off the integers)."""
+    n, d = index(n), index(d)
     if n < 1 or d < 1:
         raise ValueError(f"sigma_scaled needs positive arguments, got ({n}, {d})")
     if n % d:
@@ -47,6 +49,7 @@ def sigma_scaled(n: int, d: int) -> int:
 
 def weighted_sigma(a: int, b: int, n: int) -> int:
     """a*sigma(n/a) + b*sigma(n/b)."""
+    a, b, n = index(a), index(b), index(n)  # Python ints, so a*sigma(n/a) cannot wrap
     if a < 1 or b < 1 or n < 1:
         raise ValueError(f"weighted_sigma needs positive arguments, got ({a}, {b}, {n})")
     return a * sigma_scaled(n, a) + b * sigma_scaled(n, b)
@@ -77,6 +80,7 @@ class PrimeSieve:
     __slots__ = ("limit", "_flags")
 
     def __init__(self, limit: int):
+        limit = index(limit)  # a Python int, so no numpy integer leaks through the field
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
         if limit + 1 > SIEVE_BUDGET_BYTES:
@@ -210,6 +214,7 @@ def is_prime(n: int) -> bool:
 def kronecker(a: int, n: int) -> int:
     """Kronecker symbol (a|n), extending the Jacobi and Legendre symbols
     to all nonzero n.  For an odd prime n it is the Legendre symbol."""
+    a, n = index(a), index(n)
     if n == 0:
         raise ValueError("kronecker symbol (a|0) is not defined here")
     sign = 1
@@ -254,6 +259,7 @@ def gauss_doubling(p: int) -> int:
     accumulation with a single modular inverse; the binomial itself is
     never formed (it outgrows any fixed width almost immediately).
     """
+    p = index(p)  # a Python int, which pow(den, p - 2, p) needs
     _require_prime_1mod4(p, "gauss_doubling")
     n = (p - 1) // 2
     k = (p - 1) // 4

@@ -3,27 +3,29 @@
 Four independent routes to the same table, the METHODS of lambda_table:
 
 * ``sparse``   -- the cube of each factor collapses onto triangular-number
-                  exponents with odd coefficients, so the product is a
-                  sparse double sum; O(N/sqrt(ab)) term visits, one
-                  np.add.at per term of the larger multiplier; for
-                  a = b, a square, each pair off the diagonal is
-                  visited once, so half as many visits.
+                  exponents with odd coefficients, the Jacobi terms of
+                  ``_jacobi``, so the product is a sparse double sum;
+                  O(N/sqrt(ab)) term visits, one np.add.at per term of
+                  the larger multiplier; for a = b, a square, each pair
+                  off the diagonal is visited once, so half as many visits.
 * ``newton``   -- an O(N^2) recurrence driven by weighted divisor sums,
-                  with an exact divisibility check at every step; each
-                  inner sum is one np.dot in float64, int64 or Python
-                  ints, the narrowest that its size bound allows.
+                  the weights of ``_newton_weights``, with an exact
+                  divisibility check at every step; each inner sum is one
+                  np.dot in float64, int64 or Python ints, the narrowest
+                  that its size bound allows.
 * ``naive``    -- truncated polynomial multiplication, factor by factor,
                   cube by cube, as whole-array steps by 1 - q^s; the
                   simplest possible ground truth, O(N^2 (1/a + 1/b)) in
                   int64 until its values near 2^59, then in Python ints.
-* ``multinomial`` -- the partition formula, exact rationals over all
-                  partitions of n; a verification target, not a production
-                  path, capped at DEFAULT_PARTITION_CAP + 1 entries.
+* ``multinomial`` -- the partition formula on the same weights, exact
+                  rationals over all partitions of n; a verification
+                  target, not a production path, capped at
+                  DEFAULT_PARTITION_CAP + 1 entries.
 
 Single coefficients need no table: ``lambda_at`` reads them off the
-lattice points of a*x^2 + b*y^2 in O(sqrt(n)) numpy work per index, and
-``lambda_from_reps`` is its one-index oracle through the representation
-search.
+lattice points of a*x^2 + b*y^2 in O(sqrt(n)) numpy work per index, each
+point adding the product of two Jacobi terms, and ``lambda_from_reps`` is
+its one-index oracle through the representation search.
 
 Every table is one read-only int64 array of exact integers; a value
 outside int64 raises OverflowError instead of wrapping.  Whatever its
@@ -50,7 +52,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .arith import divisor_sums, weighted_sigma
+from .arith import divisor_sums
 from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError
 from .quadform import QuadForm, normalized_reps
 
@@ -101,15 +103,16 @@ class JacobiTerm(NamedTuple):
     coefficient: int
 
 
-def _sign(e):
-    """(-1)^e, for an int or an int64 array e."""
-    return 1 - 2 * (e % 2)
+def _jacobi(x):
+    """The Jacobi term (-1)^k (2k+1) of an odd x = 2k+1 > 0, for an int or
+    an int64 array x: x where x = 1 (mod 4), -x where x = 3 (mod 4)."""
+    return (2 - x % 4) * x
 
 
 def _jacobi_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents k(k+1)/2 <= limit and coefficients (-1)^k (2k+1), k = 0, 1, ..."""
     k = np.arange((isqrt(8 * limit + 1) + 1) // 2 if limit >= 0 else 0, dtype=np.int64)
-    return k * (k + 1) // 2, _sign(k) * (2 * k + 1)
+    return k * (k + 1) // 2, _jacobi(2 * k + 1)
 
 
 def jacobi_cube(limit: int) -> list[JacobiTerm]:
@@ -129,7 +132,7 @@ class CoeffTable:
 
     def __init__(self, params: LambdaParams, limit: int, method: str, vals):
         self.params = params
-        self.limit = limit
+        self.limit = index(limit)  # a Python int, so no numpy integer leaks through the field
         self.method = method
         # numpy raises OverflowError on a Python int outside int64
         self._vals = np.asarray(vals, dtype=np.int64)
@@ -215,7 +218,8 @@ def _newton_weights(params: LambdaParams, limit: int) -> np.ndarray:
 
     L[0] = 1 and n*L[n] = -3 * sum_{k=1..n} c_k L[n-k] for n >= 1 (L[i] the
     coefficient of q^(i+1)) has exactly one solution, the table: `newton`
-    builds it step by step, and `_recurrence_break` checks a held prefix.
+    builds it step by step, `_recurrence_break` checks a held prefix, and
+    `lambda_multinomial` sums its partition formula over them.
     """
     a, b = params.a, params.b
     sig = divisor_sums(limit - 1)
@@ -389,23 +393,23 @@ def partition_terms(n: int) -> Iterator[PartitionTerm]:
     return descend(n, n)
 
 
-def lambda_multinomial(params: LambdaParams, n: int, cap: int = DEFAULT_PARTITION_CAP) -> int:
+def lambda_multinomial(params: LambdaParams, n: int) -> int:
     """Coefficient of q^(n+1) by the explicit partition sum.
 
     Sum over all partitions (k_1 .. k_n) of n of
 
         (-3)^(k_1+...+k_n) * prod_i c_i^(k_i) / prod_i (i^(k_i) * k_i!)
 
-    with c_i the weighted divisor sum a*sigma(i/a) + b*sigma(i/b).
+    with c_i = a*sigma(i/a) + b*sigma(i/b), the weights of
+    `_newton_weights` that newton and the table audit read too.
     Accumulated in exact rationals; the result must come out integral.
-    Factorially dense, hence the cap.
+    Factorially dense, hence the cap DEFAULT_PARTITION_CAP on n.
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if n > cap:
-        raise PartitionCapError(f"partition sum capped at {cap}, got index {n}")
-    a, b = params.a, params.b
-    weights = [0] + [weighted_sigma(a, b, i) for i in range(1, n + 1)]
+    if n > DEFAULT_PARTITION_CAP:
+        raise PartitionCapError(f"partition sum capped at {DEFAULT_PARTITION_CAP}, got index {n}")
+    weights = _newton_weights(params, n + 1).tolist()
     total = Fraction(0)
     for term in partition_terms(n):
         num = 1
@@ -441,7 +445,8 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
 
     By Jacobi's identity (see `lambda_from_reps`), entry n is the sum of
     x*y over a*x^2 + b*y^2 = t = 8(n - 1) + a + b with x = y = 1 (mod 4):
-    over the odd x, y > 0, +x*y where x = y (mod 4) and -x*y elsewhere.
+    over the odd x, y > 0, the product _jacobi(x) * _jacobi(y) of their
+    Jacobi terms, +x*y where x = y (mod 4) and -x*y elsewhere.
     One numpy scan over the odd values u of the variable with the larger
     coefficient serves every index at once: the quotient q = (t - big*u^2)
     / small must be an odd square v^2.  The scan runs in float64, exact
@@ -479,7 +484,7 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
         for i, x, y in zip(rows.tolist(), u[cols].tolist(), v[rows, cols].tolist()):
             x, y = int(x), int(y)
             if y % 2:
-                sums[i] += _sign(x // 2 + y // 2) * x * y
+                sums[i] += _jacobi(x) * _jacobi(y)
     return np.array(sums, dtype=np.int64)  # numpy raises OverflowError outside int64
 
 

@@ -226,6 +226,7 @@ def class_group(d: int) -> ClassGroup:
     (every hit has gcd 1 when the conductor is 1, as g^2 divides d), and
     (a, -b, c) joins each with 0 < b < a < c.
     """
+    d = index(d)  # a Python int, so -d cannot wrap at -2^63
     _require_discriminant(d)
     a_top = isqrt(-d // 3)
     cells = a_top * (a_top + 1) // 8 + a_top  # the sum of the windows' a/4 + 1

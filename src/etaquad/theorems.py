@@ -68,7 +68,7 @@ from .errors import InternalInconsistencyError
 from .etaseries import (
     LambdaParams,
     _int_indices,
-    _sign,
+    _jacobi,
     lambda_at,
     lambda_from_reps,
     lambda_table,
@@ -289,7 +289,7 @@ def _run_square(case, p, cache, rule):
         return _decide(case, p, reps, indices[0], {values[0]}, values[1])
     if rule.even_y:
         _require_even_y(reps, case, p)
-    lhs_values = {_sign(rule.sign(x, y)) * _square_lhs(fa, x, p) for x, y in reps}
+    lhs_values = {(-1) ** (rule.sign(x, y) % 2) * _square_lhs(fa, x, p) for x, y in reps}
     return _decide(case, p, reps, indices[0], lhs_values, values[0])
 
 
@@ -748,7 +748,7 @@ def _cols_product(case, rule, rng):
     odd = (x % 2 == 1) & (y % 2 == 1)
     p, x, y = p[odd], x[odd], y[odd]
     # each point with odd x, y has one sign variant with x = y = 1 (mod 4)
-    x, y = _sign(x // 2) * x, _sign(y // 2) * y
+    x, y = _jacobi(x), _jacobi(y)
     ps = np.sort(p)
     for q in ps[1:][ps[1:] == ps[:-1]][:1].tolist():
         _require_unique(sorted(_points_of(q, p, x, y)), m * q, a, b)
@@ -793,6 +793,7 @@ def range_report(
     parameters).  A fault raises at the first (instance, prime) with one.
     """
     spec = _spec(case_id)
+    p_max = operator.index(p_max)  # a Python int, as the report's field
     if p_max < 0:
         raise ValueError(f"p_max must be >= 0, got {p_max}")
     if spec.arity == 0 and grid is not None:

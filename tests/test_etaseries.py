@@ -19,6 +19,7 @@ from etaquad import (
     lambda_multinomial,
     lambda_table,
     partition_terms,
+    weighted_sigma,
 )
 from etaquad.etaseries import (
     _INT64_SAFE,
@@ -26,6 +27,7 @@ from etaquad.etaseries import (
     METHODS,
     TABLE_BUDGET_BYTES,
     CoeffTable,
+    _newton_weights,
     _sparse_partial_sum_bound,
     _table_sparse,
 )
@@ -328,8 +330,6 @@ def test_multinomial_cap_checked_before_any_sum(monkeypatch):
 def test_multinomial_cap():
     with pytest.raises(PartitionCapError):
         lambda_multinomial(LambdaParams(1, 1), 41)
-    with pytest.raises(PartitionCapError):
-        lambda_multinomial(LambdaParams(1, 1), 13, cap=12)
     with pytest.raises(ValueError):
         lambda_multinomial(LambdaParams(1, 1), -1)
 
@@ -430,12 +430,26 @@ def test_lambda_17_multiplicative():
                 assert table.value(m * n) == table.value(m) * table.value(n)
 
 
-def test_newton_table_dtype_paths():
-    # the int64 fast path and the big-int path share the recurrence
+def test_newton_table_equals_sparse_as_int64():
+    # newton's table equals sparse's and is stored as one int64 array; at (2,6)
+    # to 400 the recurrence stays in float64, and test_newton_float_tier_midstream
+    # covers its switches to int64 and Python ints
     sparse = lambda_table(LambdaParams(2, 6), 400, "sparse")
     newton = lambda_table(LambdaParams(2, 6), 400, "newton")
     assert sparse.values() == newton.values()
     assert isinstance(newton._vals, np.ndarray) and newton._vals.dtype == np.int64
+
+
+_MULTIPLIERS = st.one_of(st.integers(min_value=1, max_value=50), st.just(2**70))
+
+
+@given(_MULTIPLIERS, _MULTIPLIERS, st.integers(min_value=1, max_value=400))
+@settings(max_examples=100, deadline=None)
+def test_newton_weights_are_the_weighted_divisor_sums(a, b, size):
+    # newton, the table audit and the partition formula all read these weights;
+    # a multiplier past the table meets only c_0 = 0
+    want = [0] + [weighted_sigma(a, b, k) for k in range(1, size)]
+    assert _newton_weights(LambdaParams(a, b), size).tolist() == want
 
 
 def _dot_dtypes(monkeypatch):
