@@ -17,6 +17,9 @@ from .errors import ResourceLimitError
 
 # Sieve memory budget: one byte per integer up to `limit`.
 SIEVE_BUDGET_BYTES = 1 << 28
+# Steps of the O(p) loops of gauss_doubling ((p-1)/4) and jacobsthal (p):
+# at the budget jacobsthal takes ~5 s on 2 cores, gauss_doubling ~0.4 s.
+CONSTRUCTION_LOOP_BUDGET = 1 << 21
 
 
 def sigma(n: int) -> int:
@@ -246,9 +249,14 @@ def kronecker(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _require_prime_1mod4(p: int, who: str) -> None:
+def _check_construction(p: int, who: str, steps: int) -> None:
+    """p is a prime = 1 (mod 4) whose loop of `steps` fits the budget."""
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"{who} needs a prime p = 1 (mod 4), got {p}")
+    if steps > CONSTRUCTION_LOOP_BUDGET:
+        raise ResourceLimitError(
+            f"{who}({p}) loops {steps} steps, budget is {CONSTRUCTION_LOOP_BUDGET}"
+        )
 
 
 def gauss_doubling(p: int) -> int:
@@ -260,7 +268,7 @@ def gauss_doubling(p: int) -> int:
     never formed (it outgrows any fixed width almost immediately).
     """
     p = index(p)  # a Python int, which pow(den, p - 2, p) needs
-    _require_prime_1mod4(p, "gauss_doubling")
+    _check_construction(p, "gauss_doubling", (p - 1) // 4)
     n = (p - 1) // 2
     k = (p - 1) // 4
     num = den = 1
@@ -276,5 +284,5 @@ def jacobsthal(p: int) -> int:
     Equals -2x for p = x^2 + y^2 with x = 1 (mod 4); an exact integer
     companion to the mod-p binomial construction.
     """
-    _require_prime_1mod4(p, "jacobsthal")
+    _check_construction(p, "jacobsthal", p)
     return sum(kronecker(n * n * n - 4 * n, p) for n in range(p))

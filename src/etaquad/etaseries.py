@@ -136,6 +136,10 @@ class CoeffTable:
         self.method = method
         # numpy raises OverflowError on a Python int outside int64
         self._vals = np.asarray(vals, dtype=np.int64)
+        if self._vals.shape != (self.limit,):
+            raise ValueError(
+                f"table to {self.limit} needs {self.limit} values, got shape {self._vals.shape}"
+            )
         self._vals.setflags(write=False)
 
     def value(self, n: int) -> int:

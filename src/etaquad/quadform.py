@@ -274,7 +274,7 @@ def class_group(d: int) -> ClassGroup:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for b > 0 (then g > 0)."""
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -283,8 +283,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
 
 

@@ -678,20 +678,20 @@ _HELD, _LIVE, _SUSPECT = 1, 2, 3
 
 class _Range(NamedTuple):
     held: np.ndarray  # the odd primes <= p_max where the hypotheses hold, ascending
-    top: int  # the largest odd prime <= p_max
     state: np.ndarray  # uint8 over 0..p_max: _HELD at each held prime, 0 elsewhere
     cache: TableCache
 
     def sweep(self, form, m=1):
         """Every x, y >= 0 with m*p = fa*x^2 + fb*y^2 for a held prime p, as
-        arrays (p, x, y)."""
+        int64 arrays (p, x, y).  The state array is the only bound: the sweep
+        runs to m*p_max, p_max = len(state) - 1."""
         state = self.state  # only 0 and _HELD = 1 here, so a bool view reads it
 
         def keep(t):
             return state[t].view(bool) if m == 1 else (t % m == 0) & state[t // m].view(bool)
 
-        t, x, y = lattice_points(*form, m * self.top, keep)
-        return (t if m == 1 else t // m).astype(np.int64, copy=False), x, y
+        t, x, y = lattice_points(*form, m * (len(state) - 1), keep)
+        return (t if m == 1 else t // m), x, y
 
     def marks(self, live, suspect):
         """Masks over `held`: the primes of `live`, and of `suspect`, two
@@ -738,7 +738,7 @@ def _cols_square(case, rule, rng):
 def _cols_product(case, rule, rng):
     a, b = rule.form
     ((ta, tb, m),) = rule.reads
-    if m * rng.top < a + b:
+    if m * (len(rng.state) - 1) < a + b:
         # odd x and y give t >= a + b, so no prime of the range has a point
         # (and a + b, past every t, need not fit int64)
         none = np.zeros(0, dtype=np.int64)
@@ -791,6 +791,7 @@ def range_report(
     Hypothesis failures are counted as skipped; falsifying verdicts are
     collected in full in the one-prime loop's order (primes ascending, then
     parameters).  A fault raises at the first (instance, prime) with one.
+    With no odd prime (p_max < 3) it returns before the sieve and any table.
     """
     spec = _spec(case_id)
     p_max = operator.index(p_max)  # a Python int, as the report's field
@@ -804,15 +805,16 @@ def range_report(
     entries = [()] if grid is None else grid
     combos = {(entry,) if np.ndim(entry) == 0 else tuple(entry) for entry in entries}
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
+    params = tuple(inst.params() for inst in instances)
+    if p_max < 3:
+        return RangeReport(case_id, params, p_max, checked=0, skipped=0, falsified=())
     # every prime but 2; the sieve's flags go once the primes are out
-    primes = np.zeros(0, dtype=np.int64)
-    if p_max >= 3:
-        primes = np.flatnonzero(sieve_primes(p_max).flags())[1:]
+    primes = np.flatnonzero(sieve_primes(p_max).flags())[1:]
     # one byte per integer to p_max keys the columns by the prime, for every instance
-    state = np.zeros(p_max + 1 if len(primes) else 0, dtype=np.uint8)
+    state = np.zeros(p_max + 1, dtype=np.uint8)
     checked = skipped = 0
     falsified = []  # (prime, instance position, verdict)
-    for k, inst in enumerate(instances if len(primes) else []):
+    for k, inst in enumerate(instances):
         rule = inst._rule
         run_cache = cache or TableCache()  # drops the last one's tables
         # every index is increasing in p, so one build per table to its largest
@@ -828,7 +830,7 @@ def range_report(
             ok &= ~fails(primes)
         held = primes[ok]
         state[held] = _HELD
-        rng = _Range(held, int(primes[-1]), state, run_cache)
+        rng = _Range(held, state, run_cache)
         live, suspect = _COLUMNAR[rule.run](inst, rule, rng)
         state[held] = 0
         checked += int(np.count_nonzero(live & ~suspect))
@@ -841,7 +843,7 @@ def range_report(
                 falsified.append((p, k, verdict))
     return RangeReport(
         case_id=case_id,
-        params=tuple(inst.params() for inst in instances),
+        params=params,
         p_max=p_max,
         checked=checked,
         skipped=skipped,

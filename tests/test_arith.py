@@ -221,6 +221,21 @@ def test_jacobsthal_rejects_bad_input(p):
         jacobsthal(p)
 
 
+def test_construction_loops_check_their_budget(monkeypatch):
+    import etaquad.arith as arith
+
+    # 1000000009 = 1 (mod 4) is prime; its (p-1)/4 steps raise before the loop starts
+    want = r"gauss_doubling\(1000000009\) loops 250000002 steps, budget is 2097152$"
+    with pytest.raises(ResourceLimitError, match=want):
+        gauss_doubling(1000000009)
+    monkeypatch.setattr(arith, "CONSTRUCTION_LOOP_BUDGET", 100)
+    assert jacobsthal(97) == -18  # 97 = 9^2 + 4^2: 97 steps fit
+    with pytest.raises(ResourceLimitError, match=r"jacobsthal\(101\) loops 101 steps, budget is 100$"):
+        jacobsthal(101)
+    with pytest.raises(ValueError):  # the prime check comes first
+        jacobsthal(103)
+
+
 def test_classical_constructions_concord(primes_500):
     # both encode the same odd x of p = x^2 + y^2, x = 1 (mod 4)
     for p in primes_500:

@@ -1,5 +1,6 @@
 """The four independent coefficient routes and their agreement."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -279,6 +280,16 @@ def test_int64_guard():
         CoeffTable(params, 1, "naive", [1 << 63])
     with pytest.raises(OverflowError):
         CoeffTable(params, 2, "naive", [2, -(1 << 63) - 1])
+
+
+@pytest.mark.parametrize(
+    "limit,vals,shape",
+    [(5, [1, -3], (2,)), (2, [[1, -3], [5, 0]], (2, 2)), (2, [1, -3, 0, 5], (4,))],
+)
+def test_coeff_table_needs_one_value_per_index(limit, vals, shape):
+    want = f"table to {limit} needs {limit} values, got shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        CoeffTable(LambdaParams(1, 1), limit, "sparse", vals)
 
 
 def test_partition_terms_counts():

@@ -974,6 +974,25 @@ def test_range_report_makes_no_kernel_read(monkeypatch, case_id):
     assert got == want
 
 
+@pytest.mark.parametrize("case_id", case_ids())
+def test_range_without_odd_prime_sieves_and_builds_nothing(monkeypatch, case_id):
+    import etaquad.theorems as th
+
+    # T3.1's tables for (2^40 + 1, 2^40 + 3) are past the table budget from p_max 3 on
+    big = [(2**40 + 1, 2**40 + 3)]
+    grids = [_ADMISSIBLE[case_id][:2] if case_arity(case_id) else None]
+    grids += [big] if case_id == "T3.1" else []
+    monkeypatch.setattr(th, "sieve_primes", lambda limit: pytest.fail(f"sieve to {limit}"))
+    monkeypatch.setattr(TableCache, "get", lambda self, *key: pytest.fail(f"table {key}"))
+    for grid, p_max in product(grids, (0, 1, 2)):
+        report = range_report(case_id, p_max, grid)
+        assert (report.checked, report.skipped, report.falsified) == (0, 0, ())
+    monkeypatch.undo()
+    if case_id == "T3.1":
+        with pytest.raises(ResourceLimitError, match="budget"):
+            range_report(case_id, 3, big)
+
+
 @given(_case_and_grid(), st.integers(min_value=0, max_value=5000))
 @settings(max_examples=60, deadline=None)
 def test_range_report_equals_scalar_loop(case_and_grid, p_max):
@@ -1054,6 +1073,9 @@ def test_holding_range_leaves_no_prime_to_the_scalar_runner(monkeypatch, case_id
         ("T4.2", 10**20 + 1, 1),
         ("T4.3", 10**20 + 1, 3),
         ("T4.3", 1, 10**20 + 3),
+        # a + b lies between m*97 and m*100: the sweep runs to m*p_max = m*100
+        ("T4.1", 1, 99),
+        ("T4.3", 1, 395),
     ],
 )
 def test_range_multiplier_past_int64(case_id, a, b, capsys):
@@ -1078,7 +1100,7 @@ def _shifted_point(real, at, dy=0, times=1):
         assert len(i) == 1
         y = y.copy()
         y[i] += dy
-        return tuple(np.append(c, [c[i[0]]] * (times - 1)) for c in (t, x, y))
+        return tuple(np.append(c, np.repeat(c[i], times - 1)) for c in (t, x, y))
 
     return sweep
 
