@@ -3,7 +3,8 @@ single-prime constructions of the odd x in p = x^2 + y^2 (the central
 binomial coefficient mod p, and the Jacobsthal character sum).
 
 Everything here is exact integer arithmetic.  All objects are immutable
-after construction and safe to share between threads.
+after construction (a PrimeSieve builds its full flag array on the first
+request for it) and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# Sieve memory budget: one byte per integer up to `limit`.
+# Sieve memory budget: one byte per odd integer up to `limit`.  The range
+# state of theorems.range_report is as long as the sieve's flags, so this
+# budget, checked before the sieve allocates, bounds both.
 SIEVE_BUDGET_BYTES = 1 << 28
 # Steps of the O(p) loops of gauss_doubling ((p-1)/4) and jacobsthal (p):
 # at the budget jacobsthal takes ~5 s on 2 cores, gauss_doubling ~0.4 s.
@@ -76,43 +79,70 @@ def divisor_sums(limit: int) -> np.ndarray:
     return values
 
 
-class PrimeSieve:
-    """Primality flags for 0..limit: Eratosthenes over one numpy bool array,
-    which is then frozen read-only and shared by every query."""
+def _odd_sieve(limit: int) -> np.ndarray:
+    """Eratosthenes over the odd integers to limit: entry i is true iff 2i + 1
+    is prime.  Each odd prime p crosses out its odd multiples from p^2, the
+    entries (p^2 - 1)/2 + k*p."""
+    flags = np.ones((limit + 1) // 2, dtype=np.bool_)
+    flags[0] = False  # 1
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False
+    return flags
 
-    __slots__ = ("limit", "_flags")
+
+class PrimeSieve:
+    """Primality flags for 0..limit, held as one odd-only sieve (`_odd_sieve`)
+    frozen read-only and shared by every query; 2 is the one even prime."""
+
+    __slots__ = ("limit", "_odd", "_flags")
 
     def __init__(self, limit: int):
         limit = index(limit)  # a Python int, so no numpy integer leaks through the field
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
-        if limit + 1 > SIEVE_BUDGET_BYTES:
+        if (limit + 1) // 2 > SIEVE_BUDGET_BYTES:
             raise ResourceLimitError(
-                f"sieve to {limit} needs {limit + 1} bytes, budget is {SIEVE_BUDGET_BYTES}"
+                f"sieve to {limit} needs {(limit + 1) // 2} bytes, budget is {SIEVE_BUDGET_BYTES}"
             )
-        flags = np.ones(limit + 1, dtype=np.bool_)
-        flags[:2] = False
-        for p in range(2, isqrt(limit) + 1):
-            if flags[p]:
-                flags[p * p :: p] = False
-        flags.flags.writeable = False
+        odd = _odd_sieve(limit)
+        odd.flags.writeable = False
         self.limit = limit
-        self._flags = flags
+        self._odd = odd
+        self._flags = None
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
             raise IndexError(f"sieve covers 0..{self.limit}, got {n}")
-        return bool(self._flags[n])
+        return n == 2 or bool(n & 1 and self._odd[n >> 1])
+
+    def odd_flags(self) -> np.ndarray:
+        """The read-only odd-only flags: entry i is true iff 2i + 1 is prime."""
+        return self._odd
 
     def flags(self) -> np.ndarray:
-        """The read-only boolean flags: entry n is true iff n is prime."""
+        """The read-only boolean flags: entry n is true iff n is prime.  The
+        first call spreads the odd flags over 0..limit, limit + 1 more bytes
+        under the same budget, and later calls return that array."""
+        if self._flags is None:
+            if self.limit + 1 > SIEVE_BUDGET_BYTES:
+                need = self.limit + 1
+                raise ResourceLimitError(
+                    f"flags to {self.limit} need {need} bytes, budget is {SIEVE_BUDGET_BYTES}"
+                )
+            flags = np.zeros(self.limit + 1, dtype=np.bool_)
+            flags[1::2] = self._odd
+            flags[2] = True
+            flags.flags.writeable = False
+            self._flags = flags
         return self._flags
 
     def primes(self) -> list[int]:
-        return np.flatnonzero(self._flags).tolist()
+        return [2, *(2 * np.flatnonzero(self._odd) + 1).tolist()]
 
     def count(self) -> int:
-        return int(np.count_nonzero(self._flags))
+        return 1 + int(np.count_nonzero(self._odd))
 
 
 def sieve_primes(limit: int) -> PrimeSieve:

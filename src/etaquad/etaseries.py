@@ -348,6 +348,13 @@ _BUILDERS = {
 METHODS = tuple(_BUILDERS)
 
 
+def _check_table_budget(limit: int) -> None:
+    if 8 * limit > TABLE_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"table to {limit} needs {8 * limit} bytes, budget is {TABLE_BUDGET_BYTES}"
+        )
+
+
 def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> CoeffTable:
     """Exact table of the coefficients of q^1 .. q^limit.
 
@@ -362,10 +369,7 @@ def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> Co
     limit = index(limit)  # a Python int, so the budget check below cannot wrap
     if limit < 1:
         raise ValueError(f"table limit must be >= 1, got {limit}")
-    if 8 * limit > TABLE_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"table to {limit} needs {8 * limit} bytes, budget is {TABLE_BUDGET_BYTES}"
-        )
+    _check_table_budget(limit)
     table = CoeffTable(params, limit, method, _BUILDERS[method](params, limit))
     n = _recurrence_break(params, table._vals[:_AUDIT_PREFIX])
     if n is not None:

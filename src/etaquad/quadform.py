@@ -13,7 +13,8 @@ solution where that variable is > 0, ``normalized_reps`` keeps the
 mod-4-normalized solutions that drive the product-series identities, and
 ``find_rep`` takes the first solution with y >= 0.  ``lattice_points`` is
 one numpy sweep over the lattice points of a diagonal form, in chunks of
-consecutive rows, that lists the representations of many integers at once.
+consecutive rows, that lists the representations of many integers at once;
+it can keep one parity class of x or of y, and then steps by 2 along it.
 ``class_group`` tests the c-window of each a for 4ac + d a square, in
 numpy chunks with one float square test per cell, after a parity rule on
 a and c has dropped the cells that cannot hit when d is odd.
@@ -462,39 +463,49 @@ def _row_chunks(ends: np.ndarray, cells: int):
         lo = hi
 
 
-def lattice_points(a: int, b: int, t_max: int, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def lattice_points(
+    a: int, b: int, t_max: int, keep, x_class: int | None = None, y_class: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Int64 arrays (t, x, y) of every x, y >= 0 with t = a*x^2 + b*y^2 <= t_max
-    and keep(t) true, ordered by y and then x.
+    and keep(t) true, ordered by y and then x.  A class 0 or 1 keeps only the
+    x (or y) of that parity; None keeps every one.
 
     `keep` maps an int64 array of values to a boolean mask.  Row y holds the
-    x in 0..isqrt((t_max - b*y^2) // a).  Consecutive rows are taken in
-    chunks of about _LATTICE_CELLS points; each chunk lays its rows end to
-    end in one array, builds x there by a cumulative sum that restarts at
-    every row start, and calls `keep` once.  The signed solutions of
-    n = a*x^2 + b*y^2 are the orbit (+-x, +-y) of the points with t = n.
+    x of the class in 0..isqrt((t_max - b*y^2) // a), stepping by 2 when the
+    class is given.  Consecutive rows are taken in chunks of about
+    _LATTICE_CELLS points; each chunk lays its rows end to end in one array,
+    builds x there by a cumulative sum that restarts at every row start, and
+    calls `keep` once.  The signed solutions of n = a*x^2 + b*y^2 are the
+    orbit (+-x, +-y) of the points with t = n.
     """
     if a < 1 or b < 1:
         raise ValueError(f"lattice_points needs a positive definite diagonal form, got ({a}, {b})")
+    if x_class not in (None, 0, 1) or y_class not in (None, 0, 1):
+        raise ValueError(f"lattice_points classes are 0, 1 or None, got ({x_class}, {y_class})")
+    found = [tuple(np.zeros(0, dtype=np.int64) for _ in range(3))]
     if t_max < 0:
-        return tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+        return found[0]
     # a coefficient past t_max meets only x = 0 (or y = 0), whose value it
     # leaves unchanged, so capping it keeps one past int64 out of the arrays
     a, b = min(a, t_max + 1), min(b, t_max + 1)
-    y = np.arange(isqrt(t_max // b) + 1, dtype=np.int64)
+    x0, step = (0, 1) if x_class is None else (x_class, 2)
+    y = np.arange(y_class or 0, isqrt(t_max // b) + 1, 1 if y_class is None else 2, dtype=np.int64)
     by2 = b * y * y
-    counts = _isqrt_int64((t_max - by2) // a) + 1
+    counts = (_isqrt_int64((t_max - by2) // a) - x0) // step + 1
+    # the rows shorten as y grows, so the empty ones (x0 = 1 past the row's end) trail
+    nonempty = np.count_nonzero(counts)
+    y, by2, counts = y[:nonempty], by2[:nonempty], counts[:nonempty]
     ends = np.cumsum(counts)
-    found = []
     for lo, hi, base in _row_chunks(ends, _LATTICE_CELLS):
         rows, row_ends = counts[lo:hi], ends[lo:hi] - base
-        # x steps by 1 and drops back to 0 where the next row starts
-        x = np.ones(int(row_ends[-1]), dtype=np.int64)
-        x[0] = 0
-        x[row_ends[:-1]] = 1 - rows[:-1]
+        # x steps by `step` and drops back to x0 where the next row starts
+        x = np.full(int(row_ends[-1]), step, dtype=np.int64)
+        x[0] = x0
+        x[row_ends[:-1]] = -step * (rows[:-1] - 1)
         np.cumsum(x, out=x)
         t = x * x
         t *= a
         t += np.repeat(by2[lo:hi], rows)
         hit = np.flatnonzero(keep(t))
-        found.append((t[hit], x[hit], lo + np.searchsorted(row_ends, hit, side="right")))
+        found.append((t[hit], x[hit], y[lo:hi][np.searchsorted(row_ends, hit, side="right")]))
     return tuple(np.concatenate(column) for column in zip(*found))

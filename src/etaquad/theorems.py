@@ -36,13 +36,14 @@ Two paths evaluate a rule.  The single-prime path (``verify_*``) runs the
 rule's scalar runner, which finds the representations of one prime by an
 O(sqrt p) scan and builds its ``Verdict``.  ``range_report`` sieves once
 and takes the columnar path for one instance at a time: one
-``lattice_points`` sweep of the rule's form, the hypotheses as boolean
-masks, and each table read once as an array, so a range costs about O(P)
-array work instead of O(P^1.5 / log P) Python steps.  The columns are
-keyed by the prime, not by its position among the primes: one byte of
-state per integer to p_max marks where the hypotheses hold, the sweep
-keeps the points whose prime it marks, and each point's reads are taken
-at its prime.  Each scalar runner has one columnar counterpart that reads
+``lattice_points`` sweep of the rule's form over each parity class of
+(x, y) that an odd prime allows, the hypotheses as boolean masks, and
+each table read once as an array, so a range costs about O(P) array work
+instead of O(P^1.5 / log P) Python steps.  The columns are keyed by the
+prime, not by its position among the primes: one byte of state per odd
+integer to p_max marks where the hypotheses hold, the sweep keeps the
+points whose prime it marks, and each point's reads are taken at its
+prime.  Each scalar runner has one columnar counterpart that reads
 the same ``_Rule`` fields and compares every lattice point with the
 coefficients read at that point's prime (the square identities try each
 sign of x and y).  Every prime the
@@ -67,6 +68,7 @@ from .arith import is_prime, sieve_primes
 from .errors import InternalInconsistencyError
 from .etaseries import (
     LambdaParams,
+    _check_table_budget,
     _int_indices,
     _jacobi,
     lambda_at,
@@ -311,12 +313,15 @@ def _run_product(case, p, cache, rule):
     return Verdict(status, case, p, witness=(x, y), index=index, lhs=x * y, rhs=lam, reason=reason)
 
 
-# T5.3's residue classes of p mod 30, each with the form p = fa*x^2 + fb*y^2,
-# its label, and the multipliers k of the value k*(4*fa*x^2 - 2p) expected at
-# each read
-_THM53_CLASSES = (
-    ((1, 19), (1, 15), "x^2 + 15y^2", (1, 0, 0, 0)),
-    ((17, 23), (3, 5), "3x^2 + 5y^2", (0, -1, 3, -5)),
+# T5.3's residue classes of p mod 30, each as a lookup table over the residues
+# mod 30 with the form p = fa*x^2 + fb*y^2, its label, and the multipliers k
+# of the value k*(4*fa*x^2 - 2p) expected at each read
+_THM53_CLASSES = tuple(
+    (np.isin(np.arange(30), residues), form, label, mults)
+    for residues, form, label, mults in (
+        ((1, 19), (1, 15), "x^2 + 15y^2", (1, 0, 0, 0)),
+        ((17, 23), (3, 5), "3x^2 + 5y^2", (0, -1, 3, -5)),
+    )
 )
 
 
@@ -329,8 +334,8 @@ def _run_thm53(case, p, cache, rule):
         got[t] = iter(cache.values(*t, [i for u, i in zip(tables, indices) if u == t]).tolist())
     values = [next(got[t]) for t in tables]
     witness, expected = None, (0, 0, 0, 0)
-    for residues, (fa, fb), label, mults in _THM53_CLASSES:
-        if p % 30 in residues:
+    for member, (fa, fb), label, mults in _THM53_CLASSES:
+        if member[p % 30]:
             witness = find_rep(fa, fb, p)
             if witness is None:
                 reason = f"expected representation {label} missing"
@@ -383,7 +388,8 @@ def _equals(value, name):
 
 def _divides(value, name):
     """p divides value.  value is read in 31-bit limbs from the top, so a prime
-    array (below 2^28 by the sieve budget) never meets a value past int64."""
+    array never meets a value past int64: its primes are below 2^29 by the
+    sieve budget, so each step's rest*2^31 + limb stays below 2^60 + 2^31."""
     limbs = [value >> shift & 2**31 - 1 for shift in range(value.bit_length() // 31 * 31, -1, -31)]
 
     def fails(p):
@@ -672,35 +678,48 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 # show raises at once, at its smallest prime, through the check the scalar
 # runner makes (`_index`, `_require_even_y`, `_require_unique`).
 
-# the levels of _Range.state at one integer: not a held prime, held, live, live and suspect
+# the levels of _Range.state at one odd integer: not a held prime, held, live, live and suspect
 _HELD, _LIVE, _SUSPECT = 1, 2, 3
 
 
 class _Range(NamedTuple):
     held: np.ndarray  # the odd primes <= p_max where the hypotheses hold, ascending
-    state: np.ndarray  # uint8 over 0..p_max: _HELD at each held prime, 0 elsewhere
+    state: np.ndarray  # uint8 over the odd integers to p_max, p at p >> 1: _HELD at each held prime
     cache: TableCache
 
-    def sweep(self, form, m=1):
-        """Every x, y >= 0 with m*p = fa*x^2 + fb*y^2 for a held prime p, as
-        int64 arrays (p, x, y).  The state array is the only bound: the sweep
-        runs to m*p_max, p_max = len(state) - 1."""
+    def sweep(self, form, m=1, odd_x=False, odd_y=False):
+        """Every x, y >= 0 with m*p = fa*x^2 + fb*y^2 for a held prime p, and x
+        (y) odd where asked, as int64 arrays (p, x, y).  The state array is
+        the only bound: the sweep runs to m times its last odd integer."""
+        fa, fb = form
+        # x^2 = x (mod 2), so m*p has m's parity where fa*x + fb*y does; an axis
+        # with an even coefficient leaves that parity alone and is not split
+        xs = (1,) if odd_x else (None,) if fa % 2 == 0 else (0, 1)
+        ys = (1,) if odd_y else (None,) if fb % 2 == 0 else (0, 1)
+        classes = [
+            (cx, cy) for cx in xs for cy in ys if (fa * (cx or 0) + fb * (cy or 0) - m) % 2 == 0
+        ]
         state = self.state  # only 0 and _HELD = 1 here, so a bool view reads it
 
         def keep(t):
-            return state[t].view(bool) if m == 1 else (t % m == 0) & state[t // m].view(bool)
+            if m == 1:  # every t of the classes is odd
+                return state[t >> 1].view(bool)
+            return (t % (2 * m) == m) & state[t // (2 * m)].view(bool)
 
-        t, x, y = lattice_points(*form, m * (len(state) - 1), keep)
+        t_max = m * (2 * len(state) - 1)
+        none = tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+        sweeps = [none] + [lattice_points(*form, t_max, keep, cx, cy) for cx, cy in classes]
+        t, x, y = (np.concatenate(column) for column in zip(*sweeps))
         return (t if m == 1 else t // m), x, y
 
     def marks(self, live, suspect):
         """Masks over `held`: the primes of `live`, and of `suspect`, two
         arrays of held primes in any order and with repeats; every suspect
         prime is live too."""
-        state = self.state
+        state, live, suspect = self.state, live >> 1, suspect >> 1
         state[live] = _LIVE
         state[suspect] = _SUSPECT
-        got = state[self.held]
+        got = state[self.held >> 1]
         state[live] = _HELD
         return got >= _LIVE, got == _SUSPECT
 
@@ -715,10 +734,7 @@ def _reads(rule, rng, p):
 
 
 def _cols_square(case, rule, rng):
-    p, x, y = rng.sweep(rule.form)
-    if rule.odd_x:
-        odd = x % 2 == 1
-        p, x, y = p[odd], x[odd], y[odd]
+    p, x, y = rng.sweep(rule.form, odd_x=rule.odd_x)
     sides = _reads(rule, rng, p)
     if len(sides) == 2:
         return rng.marks(p, p[sides[0] != sides[1]])
@@ -738,15 +754,13 @@ def _cols_square(case, rule, rng):
 def _cols_product(case, rule, rng):
     a, b = rule.form
     ((ta, tb, m),) = rule.reads
-    if m * (len(rng.state) - 1) < a + b:
+    if m * (2 * len(rng.state) - 1) < a + b:
         # odd x and y give t >= a + b, so no prime of the range has a point
         # (and a + b, past every t, need not fit int64)
         none = np.zeros(0, dtype=np.int64)
         return rng.marks(none, none)
     _index(rule.reads[0], rng.held)  # read before any point, as the scalar runner does
-    p, x, y = rng.sweep(rule.form, m)
-    odd = (x % 2 == 1) & (y % 2 == 1)
-    p, x, y = p[odd], x[odd], y[odd]
+    p, x, y = rng.sweep(rule.form, m, odd_x=True, odd_y=True)
     # each point with odd x, y has one sign variant with x = y = 1 (mod 4)
     x, y = _jacobi(x), _jacobi(y)
     ps = np.sort(p)
@@ -761,16 +775,28 @@ def _cols_thm53(case, rule, rng):
     held = rng.held
     # off the classes every read is 0; each class replaces that test on its members
     suspect = np.logical_or.reduce([got != 0 for got in _reads(rule, rng, held)])
-    for residues, (fa, fb), _, mults in _THM53_CLASSES:
-        member = np.isin(held % 30, residues)
+    residue = held % 30
+    for in_class, (fa, fb), _, mults in _THM53_CLASSES:
+        member = in_class[residue]
         p, x, _ = rng.sweep((fa, fb))
-        inside = np.isin(p % 30, residues)
+        inside = in_class[p % 30]
         p, x = p[inside], x[inside]
         lhs = _square_lhs(fa, x, p)
         bad = np.logical_or.reduce([k * lhs != got for k, got in zip(mults, _reads(rule, rng, p))])
         has, wrong = rng.marks(p, p[bad])
         suspect = (suspect & ~member) | (member & ~has) | wrong
     return np.ones(len(held), dtype=bool), suspect
+
+
+def _table_limits(rule, p_max):
+    """Table key -> the largest index the rule reads from it at p_max, in read
+    order.  Every index is increasing in p, so one build per table to that
+    index serves every read to p_max, the scalar runner's included."""
+    limits = {}
+    for read in rule.reads:
+        key = _table_key(*read[:2])
+        limits[key] = max(limits.get(key, 1), _index(read, p_max, False))
+    return limits
 
 
 _COLUMNAR = {_run_square: _cols_square, _run_product: _cols_product, _run_thm53: _cols_thm53}
@@ -791,7 +817,8 @@ def range_report(
     Hypothesis failures are counted as skipped; falsifying verdicts are
     collected in full in the one-prime loop's order (primes ascending, then
     parameters).  A fault raises at the first (instance, prime) with one.
-    With no odd prime (p_max < 3) it returns before the sieve and any table.
+    With no odd prime (p_max < 3) it returns before the sieve and any table;
+    otherwise it checks every table against its budget before it sieves.
     """
     spec = _spec(case_id)
     p_max = operator.index(p_max)  # a Python int, as the report's field
@@ -808,31 +835,30 @@ def range_report(
     params = tuple(inst.params() for inst in instances)
     if p_max < 3:
         return RangeReport(case_id, params, p_max, checked=0, skipped=0, falsified=())
-    # every prime but 2; the sieve's flags go once the primes are out
-    primes = np.flatnonzero(sieve_primes(p_max).flags())[1:]
-    # one byte per integer to p_max keys the columns by the prime, for every instance
-    state = np.zeros(p_max + 1, dtype=np.uint8)
+    limits = [_table_limits(inst._rule, p_max) for inst in instances]
+    for got in limits:  # every table's budget, before the sieve and the state
+        for limit in got.values():
+            _check_table_budget(limit)
+    # every odd prime (flag i stands for 2i + 1); the sieve's flags go once the primes are out
+    primes = 2 * np.flatnonzero(sieve_primes(p_max).odd_flags()) + 1
+    # one byte per odd integer to p_max, as many as the sieve's budgeted flags,
+    # keys the columns by the prime, for every instance
+    state = np.zeros((p_max + 1) // 2, dtype=np.uint8)
     checked = skipped = 0
     falsified = []  # (prime, instance position, verdict)
     for k, inst in enumerate(instances):
         rule = inst._rule
         run_cache = cache or TableCache()  # drops the last one's tables
-        # every index is increasing in p, so one build per table to its largest
-        # index at p_max serves every read below, the scalar runner's included
-        limits = {}  # table key -> the table's largest index, in read order
-        for read in rule.reads:
-            key = _table_key(*read[:2])
-            limits[key] = max(limits.get(key, 1), _index(read, p_max, False))
-        for key, limit in limits.items():
+        for key, limit in limits[k].items():
             run_cache.get(*key, limit)
         ok = np.ones(len(primes), dtype=bool)
         for fails, _ in rule.hypotheses:
             ok &= ~fails(primes)
         held = primes[ok]
-        state[held] = _HELD
+        state[held >> 1] = _HELD
         rng = _Range(held, state, run_cache)
         live, suspect = _COLUMNAR[rule.run](inst, rule, rng)
-        state[held] = 0
+        state[held >> 1] = 0
         checked += int(np.count_nonzero(live & ~suspect))
         skipped += len(primes) - len(held) + int(np.count_nonzero(~live & ~suspect))
         for p in held[suspect].tolist():  # the scalar runner decides the rest

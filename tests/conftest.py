@@ -93,13 +93,18 @@ def oracle_scan(a: int, b: int, c: int, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def oracle_lattice_points(a: int, b: int, t_max: int, keep):
-    """`quadform.lattice_points` one row at a time: for each y, every x with
-    a*x^2 + b*y^2 <= t_max as one int64 array, masked by keep."""
+def oracle_lattice_points(a: int, b: int, t_max: int, keep, x_class=None, y_class=None):
+    """`quadform.lattice_points` one row at a time: for each y of y_class,
+    every x of x_class with a*x^2 + b*y^2 <= t_max as one int64 array, masked
+    by keep (a class None takes every x, or y)."""
     a, b = min(a, t_max + 1), min(b, t_max + 1)
     found = []
     for y in range(isqrt(t_max // b) + 1 if t_max >= 0 else 0):
+        if y_class is not None and y % 2 != y_class:
+            continue
         x = np.arange(isqrt((t_max - b * y * y) // a) + 1, dtype=np.int64)
+        if x_class is not None:
+            x = x[x % 2 == x_class]
         t = a * x * x + b * y * y
         hit = keep(t)
         found.append((t[hit], x[hit], np.full(np.count_nonzero(hit), y, dtype=np.int64)))

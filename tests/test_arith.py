@@ -114,15 +114,42 @@ def test_sieve_flag_array():
     assert all(type(p) is int for p in sieve.primes())
 
 
+def test_sieve_every_small_limit():
+    # the odd-only flags at every limit to 200, odd and even, squares of primes included
+    for limit in range(2, 201):
+        sieve = sieve_primes(limit)
+        want = oracle_primes(limit)
+        assert sieve.primes() == want and sieve.count() == len(want)
+        assert np.flatnonzero(sieve.flags()).tolist() == want
+        odd = sieve.odd_flags()
+        assert len(odd) == (limit + 1) // 2 and not odd.flags.writeable
+        assert (2 * np.flatnonzero(odd) + 1).tolist() == want[1:]
+        assert [n for n in range(limit + 1) if sieve.is_prime(n)] == want
+
+
+def test_sieve_budget_counts_odd_integers(monkeypatch):
+    import etaquad.arith as arith
+
+    # one byte per odd integer: 199 fits 100 bytes and 201 does not; the full
+    # flags of 0..199 are checked against the same budget before they are spread
+    monkeypatch.setattr(arith, "SIEVE_BUDGET_BYTES", 100)
+    sieve = sieve_primes(199)
+    with pytest.raises(ResourceLimitError, match="^flags to 199 need 200 bytes, budget is 100$"):
+        sieve.flags()
+    assert sieve.count() == 46 and sieve.is_prime(199)
+    with pytest.raises(ResourceLimitError, match="^sieve to 201 needs 101 bytes, budget is 100$"):
+        sieve_primes(201)
+
+
 def test_sieve_holds_one_flag_array():
-    # one byte per flag, sieved in place: 10 MB at 1e7, with no second copy
+    # one byte per odd integer, sieved in place: 5 MB at 1e7, with no second copy
     tracemalloc.start()
     try:
         sieve = sieve_primes(10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12.5e6
+    assert peak < 6.25e6
     assert sieve.count() == 664579 and sieve.flags() is sieve.flags()
 
 

@@ -397,9 +397,12 @@ def test_overflow_exit_3(capsys, monkeypatch):
 
 
 def test_resource_limit_exit_4(capsys):
-    # the sieve and the table check their byte budgets before allocating anything
+    # the sieve and the table check their byte budgets before allocating anything;
+    # a range checks every table before it sieves, and C3.1's table, about p_max/4
+    # entries, lets the odd-only sieve's wall at 2^29 stop it first
     for argv, message in (
-        (["verify", "--case", "E1.6", "--p-max", "300000000"], "sieve to 300000000 needs"),
+        (["verify", "--case", "E1.6", "--p-max", "300000000"], "table to 300000000 needs"),
+        (["verify", "--case", "C3.1", "--p-max", "536870913"], "sieve to 536870913 needs"),
         (["lambda", "--a", "1", "--b", "1", "--n-max", str(10**10)], "table to 10000000000 needs"),
         (
             ["lambda", "--a", "1", "--b", "1", "--n-max", str(10**10), "--method", "multinomial"],

@@ -724,6 +724,37 @@ def test_lattice_points_chunks_equal_rows(a, b, t_max, mod, residue, cells):
         assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("x_class", [None, 0, 1])
+@pytest.mark.parametrize("y_class", [None, 0, 1])
+@given(
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=1, max_value=50),
+    st.integers(min_value=-1, max_value=10**5),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=11),
+    st.sampled_from([1, 7, 1 << 15]),
+)
+@settings(max_examples=25, deadline=None)
+def test_lattice_points_class_equals_filtered_sweep(
+    x_class, y_class, a, b, t_max, mod, residue, cells
+):
+    # a class sweep steps over the other parity, in chunks down to one row each,
+    # and lists the full sweep's points of its classes, in the same order
+    keep = lambda t: t % mod == residue % mod
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadform, "_LATTICE_CELLS", cells)
+        got = lattice_points(a, b, t_max, keep, x_class, y_class)
+    t, x, y = lattice_points(a, b, t_max, keep)
+    mask = np.ones(len(t), dtype=bool)
+    for c, cls in ((x, x_class), (y, y_class)):
+        if cls is not None:
+            mask &= c % 2 == cls
+    rows = oracle_lattice_points(a, b, t_max, keep, x_class, y_class)
+    for g, w, o in zip(got, (t[mask], x[mask], y[mask]), rows):
+        assert g.dtype == np.int64
+        assert np.array_equal(g, w) and np.array_equal(g, o)
+
+
 def test_isqrt_int64_exact():
     # the float root of k^2 - 1 rounds up to k for large k; the fix-up undoes it
     k = np.array([1, 2, 3, 2**26 - 1, 2**26, 2**26 + 1, 2**31 - 1, 3037000499], dtype=np.int64)
@@ -742,6 +773,11 @@ def test_lattice_points_order_and_errors():
     assert all(len(c) == 0 for c in lattice_points(1, 1, -1, lambda t: t >= 0))
     with pytest.raises(ValueError, match="positive definite"):
         lattice_points(0, 1, 10, lambda t: t >= 0)
+    with pytest.raises(ValueError, match="classes are 0, 1 or None"):
+        lattice_points(1, 1, 10, lambda t: t >= 0, 2)
+    # a class with no row to its first x or y lists no point
+    assert all(len(c) == 0 for c in lattice_points(1, 5, 4, lambda t: t >= 0, None, 1))
+    assert all(len(c) == 0 for c in lattice_points(7, 1, 6, lambda t: t >= 0, 1))
 
 
 def test_lattice_points_coefficient_past_t_max():

@@ -993,6 +993,43 @@ def test_range_without_odd_prime_sieves_and_builds_nothing(monkeypatch, case_id)
             range_report(case_id, 3, big)
 
 
+def test_range_checks_every_table_before_the_sieve(monkeypatch):
+    import etaquad.theorems as th
+
+    # the second instance's table is past the budget: nothing is sieved or built
+    monkeypatch.setattr(th, "sieve_primes", lambda limit: pytest.fail(f"sieve to {limit}"))
+    monkeypatch.setattr(TableCache, "get", lambda self, *key: pytest.fail(f"table {key}"))
+    with pytest.raises(ResourceLimitError, match="^table to .* budget is 2147483648$"):
+        range_report("T3.1", 3, [(1, 3), (2**40 + 1, 2**40 + 3)])
+
+
+def test_divides_past_int64_at_the_sieve_wall():
+    from etaquad.arith import SIEVE_BUDGET_BYTES
+
+    import etaquad.theorems as th
+
+    # the sieve's budget admits primes up to 2*budget = 2^29 and no further, and
+    # _divides reads T3.1's a*b + 1 past 2^63 in limbs at those primes
+    wall = 2 * SIEVE_BUDGET_BYTES
+    with pytest.raises(ResourceLimitError, match="sieve to"):
+        th.sieve_primes(wall + 1)
+    primes = [p for p in range(wall - 1, wall - 2000, -2) if is_prime(p)][:6]
+    assert len(primes) == 6
+    a = 2**40 + 1
+    values = [a * (2**40 + 3) + 1]
+    for p in primes:
+        # b near 2^40 and odd with p | a*b + 1
+        b = 2**40 + (-pow(a, -1, p) - 2**40) % p
+        values.append(a * (b + p * (b % 2 == 0)) + 1)
+    for value in values:
+        assert value > 2**63
+        fails, _ = th._divides(value, "a*b + 1")
+        want = [value % p == 0 for p in primes]
+        assert fails(np.array(primes, dtype=np.int64)).tolist() == want
+        assert [bool(fails(p)) for p in primes] == want
+    assert sum(any(value % p == 0 for p in primes) for value in values) == len(primes)
+
+
 @given(_case_and_grid(), st.integers(min_value=0, max_value=5000))
 @settings(max_examples=60, deadline=None)
 def test_range_report_equals_scalar_loop(case_and_grid, p_max):
@@ -1005,7 +1042,8 @@ def test_range_report_equals_scalar_loop(case_and_grid, p_max):
 
 @pytest.mark.parametrize("p_max", [3, 4, 5, 7, 11, 97, 1009, 1010])
 def test_fixed_cases_equal_scalar_loop_up_to_the_last_integer(p_max):
-    # the per-integer state runs to p_max, which is a prime in 3, 5, 7, 11, 97, 1009
+    # the state's last entry is p_max's largest odd integer, a prime in every case here
+    # (1009 for p_max 1010), so a prime sits on the last entry
     for case_id in case_ids():
         if case_arity(case_id) == 0:
             report = range_report(case_id, p_max)
@@ -1094,8 +1132,8 @@ def test_range_multiplier_past_int64(case_id, a, b, capsys):
 def _shifted_point(real, at, dy=0, times=1):
     """A sweep that lists its point of value `at` `times` times, with y + dy."""
 
-    def sweep(a, b, t_max, keep):
-        t, x, y = real(a, b, t_max, keep)
+    def sweep(a, b, t_max, keep, *classes):
+        t, x, y = real(a, b, t_max, keep, *classes)
         i = np.flatnonzero(t == at)
         assert len(i) == 1
         y = y.copy()
@@ -1169,7 +1207,7 @@ def test_thm53_range_class_prime_missing_from_sweep(monkeypatch):
     import etaquad.theorems as th
 
     want = range_report("T5.3", 500)
-    no_points = lambda a, b, t_max, keep: tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
+    no_points = lambda a, b, t_max, keep, *classes: tuple(np.zeros(0, dtype=np.int64) for _ in range(3))
     monkeypatch.setattr(th, "lattice_points", no_points)
     # each class prime goes to the scalar runner, whose find_rep still finds it
     assert range_report("T5.3", 500) == want
