@@ -197,12 +197,9 @@ def _report_json(report) -> str:
     def s(v):
         return None if v is None else str(v)
 
-    if report.params and len(report.params[0]) == 2:
-        params = {"a": s(report.params[0][0]), "b": s(report.params[0][1])}
-    elif report.params and len(report.params[0]) == 1:
-        params = {"a": s(report.params[0][0]), "b": None}
-    else:
-        params = None
+    # the first combo's a and b (b null for one parameter), null with no combo
+    combo = [*map(s, report.params[0]), None] if report.params and report.params[0] else None
+    params = combo and {"a": combo[0], "b": combo[1]}
     witnesses = []
     for v in report.falsified:
         x, y = v.witness if v.witness is not None else (None, None)

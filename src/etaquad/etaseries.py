@@ -435,18 +435,6 @@ def lambda_multinomial(params: LambdaParams, n: int) -> int:
     return int(total)
 
 
-def _int_indices(indices) -> list[int]:
-    """The indices as Python ints; ValueError names the first that is not
-    an integer, where int() would truncate it."""
-    wanted = []
-    for n in indices:
-        try:
-            wanted.append(index(n))
-        except TypeError:
-            raise ValueError(f"indices must be integers, got {n!r}") from None
-    return wanted
-
-
 def lambda_at(params: LambdaParams, indices) -> np.ndarray:
     """The coefficients of q^n at each index n >= 1, as an int64 array,
     without a table.
@@ -466,7 +454,12 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
     stays one chunk whatever t.
     """
     a, b = params.a, params.b
-    wanted = _int_indices(indices)
+    wanted = []  # Python ints; int() would truncate a non-integer index
+    for n in indices:
+        try:
+            wanted.append(index(n))
+        except TypeError:
+            raise ValueError(f"indices must be integers, got {n!r}") from None
     if not wanted:
         return np.zeros(0, dtype=np.int64)
     if min(wanted) < 1:

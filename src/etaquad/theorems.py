@@ -15,13 +15,16 @@ the identity is evaluated on every one of them and any disagreement is
 reported as a falsification with witnesses.
 
 Every coefficient read goes through ``TableCache.values``: it slices a
-held table that covers the indices and otherwise sums over lattice points
-(``lambda_at``, O(sqrt p) work per index).  Only ``range_report`` builds
-tables, presized per (a, b) with the sparse method (``lambda_table`` audits
-each one's prefix against the newton recurrence); a one-prime verdict
-builds none.  A one-prime call, and each instance of a range,
-given no cache makes its own, so its tables are released when it is done
-and nothing reads what an earlier call or instance left behind.
+held table only when the table covers the read (integer indices inside
+1..limit) and hands every other read to the lattice sums of ``lambda_at``
+(O(sqrt p) work per index), so an index error comes only from
+``lambda_at`` (``ValueError``) or ``CoeffTable.take`` (``IndexError``).
+Only ``range_report`` builds tables, presized per (a, b) with the sparse
+method (``lambda_table`` audits each one's prefix against the newton
+recurrence); a one-prime verdict builds none.  A one-prime call, and
+each instance of a range, given no cache makes its own, so its tables are
+released when it is done and nothing reads what an earlier call or
+instance left behind.
 
 Each case is one ``_CASES`` record (summary, rule builder, parameter
 conditions; its arity is the builder's parameter count) whose builder
@@ -69,7 +72,6 @@ from .errors import InternalInconsistencyError
 from .etaseries import (
     LambdaParams,
     _check_table_budget,
-    _int_indices,
     _jacobi,
     lambda_at,
     lambda_from_reps,
@@ -95,9 +97,12 @@ class TableCache:
     `get` builds a table to the asked limit when the held one is shorter,
     and holds it; only `range_report` calls it, once per table its rules
     read.  It audits no build: `lambda_table` checks every table it builds.
-    `values` never builds: it slices a held table that covers every index
-    it reads, and otherwise calls the lattice kernel `lambda_at`, whose
-    first read per (a, b) is audited against the sums over representations.
+    `values` never builds and checks no index itself: it slices a held
+    table only when the table covers the read (integer indices inside
+    1..limit), and hands every other read to the lattice kernel `lambda_at`,
+    whose first read per (a, b) is audited against the sums over
+    representations.  So an index error comes only from `lambda_at`
+    (ValueError) or `CoeffTable.take` (IndexError).
     """
 
     def __init__(self):
@@ -116,16 +121,12 @@ class TableCache:
         """The (a, b) coefficients at a list or int64 array of indices, as int64."""
         if not len(indices):
             return np.zeros(0, dtype=np.int64)
-        wanted = np.asarray(indices)
-        if wanted.dtype.kind not in "iu":
-            # lambda_at's ValueError for a non-integer index, on either route
-            indices = wanted = np.asarray(_int_indices(indices))
-        if wanted.min() < 1:
-            raise ValueError(f"indices must be >= 1, got {wanted.min()}")
         key = _table_key(a, b)
         table = self._tables.get(key)
-        if table is not None and table.limit >= wanted.max():
-            return table.take(indices)
+        if table is not None:
+            wanted = np.asarray(indices)
+            if wanted.dtype.kind in "iu" and wanted.min() >= 1 and wanted.max() <= table.limit:
+                return table.take(wanted)
         params = LambdaParams(*key)
         got = lambda_at(params, indices)
         if key not in self._kernel_audited:

@@ -22,6 +22,7 @@ from etaquad import (
     sigma_scaled,
     weighted_sigma,
 )
+from etaquad.arith import _strong_lucas_probable_prime
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (6, 12), (13, 14), (4, 7), (36, 91)])
@@ -157,6 +158,25 @@ def test_is_prime_against_sieve():
     flags = sieve_primes(2000)
     for n in range(2001):
         assert is_prime(n) == (n >= 2 and flags.is_prime(n))
+
+
+def test_strong_lucas_meets_a_factor_of_d(monkeypatch):
+    import etaquad.arith as arith
+
+    # 43679791 = 53 * 824147 has no prime factor to 47; Selfridge's search
+    # passes D = 5, -7, ..., -51 with (D|n) = 1 and stops at D = 53 with
+    # (D|n) = 0, so n is composite and the Lucas chain never starts.  (The
+    # chain would fail too: modulo 53, which divides D, U_k = k / 2^(k-1)
+    # and V_k = 2 / 2^k, neither 0 at k | n + 1 since 53 does not divide n + 1.)
+    n = 43679791
+    assert n == 53 * 824147 and all(n % p for p in range(2, 48))
+    assert [kronecker((-1) ** k * (2 * k + 5), n) for k in range(25)] == [1] * 24 + [0]
+
+    def no_chain(m):
+        raise AssertionError(f"Lucas chain over the bits of {m} started")
+
+    monkeypatch.setattr(arith, "bin", no_chain, raising=False)
+    assert not _strong_lucas_probable_prime(n)
 
 
 @pytest.mark.parametrize("a,n,expected", [(1, 7, 1), (3, 5, -1), (10, 5, 0)])

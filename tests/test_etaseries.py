@@ -338,6 +338,36 @@ def test_multinomial_cap_checked_before_any_sum(monkeypatch):
             lambda_table(LambdaParams(1, 1), limit, "multinomial")
 
 
+def _weight_2_one_off(monkeypatch):
+    """Make c_2 of every set of recurrence weights 1 too large."""
+    import etaquad.etaseries as es
+
+    real = es._newton_weights
+
+    def one_off(params, limit):
+        c = real(params, limit)
+        c[2:3] += 1
+        return c
+
+    monkeypatch.setattr(es, "_newton_weights", one_off)
+
+
+def test_newton_inexact_division_raises(monkeypatch):
+    # for (1, 1), c_1 = 2 and L[1] = -6, so 2 * L[2] = -3 * (c_2 - 12) is odd at c_2 = 7
+    _weight_2_one_off(monkeypatch)
+    want = r"^recurrence division inexact at n=2 for \(a, b\)=\(1, 1\)$"
+    with pytest.raises(InternalInconsistencyError, match=want):
+        lambda_table(LambdaParams(1, 1), 10, "newton")
+
+
+def test_partition_sum_that_is_not_integral_raises(monkeypatch):
+    # the partition sum of 2 is (9 * c_1^2 - 3 * c_2) / 2 = 15/2 at c_1 = 2, c_2 = 7
+    _weight_2_one_off(monkeypatch)
+    want = "^partition sum for index 2 is not integral: 15/2$"
+    with pytest.raises(InternalInconsistencyError, match=want):
+        lambda_multinomial(LambdaParams(1, 1), 2)
+
+
 def test_multinomial_cap():
     with pytest.raises(PartitionCapError):
         lambda_multinomial(LambdaParams(1, 1), 41)

@@ -428,6 +428,31 @@ def test_lemma51_enumerates_once(monkeypatch):
     assert seen == [1, 15, 1001]
 
 
+def test_lemma51_sides_that_differ_raise(monkeypatch):
+    import etaquad.closed as closed
+
+    # the right side one off: at m = 9, (a, b) = (1, 3) both sides are 9
+    real = closed._half_sum
+    monkeypatch.setattr(closed, "_half_sum", lambda *args, **kw: real(*args, **kw) + 1)
+    want = r"^half-sum identity fails at m=9, \(a,b\)=\(1,3\): 9 != 10$"
+    with pytest.raises(InternalInconsistencyError, match=want):
+        closed_form("LEMMA51", 4, 1, 3)
+
+
+def test_half_sum_of_an_odd_full_sum_raises(monkeypatch):
+    import etaquad.closed as closed
+
+    # an extra point (1, 0) adds 1 to the full sum over x^2 + 3y^2 = 3, which is -6
+    real = closed.representations
+    monkeypatch.setattr(
+        closed,
+        "representations",
+        lambda form, m: replace(real(form, m), pairs=(*real(form, m).pairs, (1, 0))),
+    )
+    with pytest.raises(InternalInconsistencyError, match="^odd full sum -5 for D=3, m=3$"):
+        closed_form("L13", 1)
+
+
 @pytest.mark.parametrize("a,b", [(1, 3), (1, 7), (1, 11), (1, 15), (3, 5)])
 def test_half_sum_identity_two_sided(a, b):
     # the identity is asserted inside closed_form; a raise here is a failure
@@ -706,6 +731,21 @@ def test_values_slice_a_held_table(monkeypatch):
     want = [table.value(11), lambda_from_reps(LambdaParams(1, 7), 1008)]
     assert cache.values(7, 1, np.array([11, 1009])).tolist() == want
     assert len(kernel_reads) == 2 and cache.get(1, 7, 1) is table
+    # a covered uint8 read is sliced like an int64 one
+    covered = table.take([11, 200]).tolist()
+    assert cache.values(1, 7, np.array([11, 200], dtype=np.uint8)).tolist() == covered
+    assert len(kernel_reads) == 2
+    # an object-dtype read goes to the kernel, which gives the table's values,
+    # and is audited as the pair's first kernel read
+    audited = []
+    monkeypatch.setattr(
+        th, "lambda_from_reps", lambda params, n: audited.append(n) or lambda_from_reps(params, n)
+    )
+    held = TableCache()
+    held.get(1, 7, 1000)
+    for _ in range(2):
+        assert held.values(7, 1, np.array([11, 200], dtype=object)).tolist() == covered
+    assert len(kernel_reads) == 4 and audited == [10, 199]
 
 
 def test_e16_past_the_table_wall():
