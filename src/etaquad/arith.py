@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, check_budget
 
 # Sieve memory budget: one byte per odd integer up to `limit`.  The range
 # state of theorems.range_report is as long as the sieve's flags, so this
@@ -102,10 +102,7 @@ class PrimeSieve:
         limit = index(limit)  # a Python int, so no numpy integer leaks through the field
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2, got {limit}")
-        if (limit + 1) // 2 > SIEVE_BUDGET_BYTES:
-            raise ResourceLimitError(
-                f"sieve to {limit} needs {(limit + 1) // 2} bytes, budget is {SIEVE_BUDGET_BYTES}"
-            )
+        check_budget((limit + 1) // 2, SIEVE_BUDGET_BYTES, "sieve to {} needs {need} bytes", limit)
         odd = _odd_sieve(limit)
         odd.flags.writeable = False
         self.limit = limit
@@ -126,12 +123,9 @@ class PrimeSieve:
         first call spreads the odd flags over 0..limit, limit + 1 more bytes
         under the same budget, and later calls return that array."""
         if self._flags is None:
-            if self.limit + 1 > SIEVE_BUDGET_BYTES:
-                need = self.limit + 1
-                raise ResourceLimitError(
-                    f"flags to {self.limit} need {need} bytes, budget is {SIEVE_BUDGET_BYTES}"
-                )
-            flags = np.zeros(self.limit + 1, dtype=np.bool_)
+            n = self.limit + 1
+            check_budget(n, SIEVE_BUDGET_BYTES, "flags to {} need {need} bytes", self.limit)
+            flags = np.zeros(n, dtype=np.bool_)
             flags[1::2] = self._odd
             flags[2] = True
             flags.flags.writeable = False
@@ -283,10 +277,7 @@ def _check_construction(p: int, who: str, steps: int) -> None:
     """p is a prime = 1 (mod 4) whose loop of `steps` fits the budget."""
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"{who} needs a prime p = 1 (mod 4), got {p}")
-    if steps > CONSTRUCTION_LOOP_BUDGET:
-        raise ResourceLimitError(
-            f"{who}({p}) loops {steps} steps, budget is {CONSTRUCTION_LOOP_BUDGET}"
-        )
+    check_budget(steps, CONSTRUCTION_LOOP_BUDGET, "{}({}) loops {need} steps", who, p)
 
 
 def gauss_doubling(p: int) -> int:

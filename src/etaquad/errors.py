@@ -4,11 +4,26 @@ Plain ``ValueError`` is used for ordinary argument-contract violations;
 the classes here mark the distinguished failure modes: resource budgets,
 the partition-formula cap, and "the mathematics says this cannot happen"
 conditions that indicate an implementation bug rather than bad input.
+
+Every budget wall (the sieve, its flags, the construction loops, the
+tables, the class-group cells and the representation scans) raises
+through ``check_budget``, checked before the work it guards starts.
 """
 
 
 class ResourceLimitError(RuntimeError):
     """A requested computation exceeds a configured memory or work budget."""
+
+
+def check_budget(need: int, budget: int, what: str, *args) -> None:
+    """Raise ResourceLimitError("<what>, budget is <budget>") when need > budget.
+
+    `what` is a `str.format` template filled from `args`, with `{need}` for
+    the need itself.  It is formatted only when the check fails, so a check
+    that passes builds no message.
+    """
+    if need > budget:
+        raise ResourceLimitError(f"{what.format(*args, need=need)}, budget is {budget}")
 
 
 class PartitionCapError(ValueError):

@@ -53,7 +53,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .arith import divisor_sums
-from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError
+from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError, check_budget
 from .quadform import QuadForm, normalized_reps
 
 _INT64_SAFE = (1 << 62) - 1
@@ -349,10 +349,7 @@ METHODS = tuple(_BUILDERS)
 
 
 def _check_table_budget(limit: int) -> None:
-    if 8 * limit > TABLE_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"table to {limit} needs {8 * limit} bytes, budget is {TABLE_BUDGET_BYTES}"
-        )
+    check_budget(8 * limit, TABLE_BUDGET_BYTES, "table to {} needs {need} bytes", limit)
 
 
 def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> CoeffTable:

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import check_budget
 
 
 class QuadForm(NamedTuple):
@@ -231,10 +231,7 @@ def class_group(d: int) -> ClassGroup:
     _require_discriminant(d)
     a_top = isqrt(-d // 3)
     cells = a_top * (a_top + 1) // 8 + a_top  # the sum of the windows' a/4 + 1
-    if cells > CLASS_GROUP_CELL_BUDGET:
-        raise ResourceLimitError(
-            f"class group of {d} may search {cells} cells, budget is {CLASS_GROUP_CELL_BUDGET}"
-        )
+    check_budget(cells, CLASS_GROUP_CELL_BUDGET, "class group of {} may search {need} cells", d)
     info = discriminant_info(d)
     a = np.arange(1, a_top + 1, dtype=np.int64)
     c0 = np.maximum(-(d // (4 * a)), a)
@@ -363,10 +360,10 @@ def _scan(form: QuadForm, n: int):
         mask = is_square_plus[k % m][scaled[d % m]]
         masks.append((m, mask.reshape(1, m).repeat(span // m + 2, 0).ravel()))
     for lo in range(0, x_end, _SCAN_CHUNK):
-        if lo >= REPS_SCAN_BUDGET:
-            raise ResourceLimitError(
-                f"scan for {n} by {form} reached x = {lo} of {x_end}, budget is {REPS_SCAN_BUDGET}"
-            )
+        # x = lo is the (lo + 1)-th value walked
+        check_budget(
+            lo + 1, REPS_SCAN_BUDGET, "scan for {} by {} reached x = {} of {}", n, form, lo, x_end
+        )
         length = min(_SCAN_CHUNK, x_end - lo)
         keep = np.logical_and.reduce([mask[lo % m : lo % m + length] for m, mask in masks])
         offs = keep.nonzero()[0]
@@ -402,10 +399,8 @@ def representations(form: QuadForm, n: int) -> RepSet:
         raise ValueError(f"representations needs n >= 1, got {n}")
     swap = form.a < form.c
     length = isqrt(4 * min(form.a, form.c) * n // -form.discriminant()) + 1
-    if length > REPS_SCAN_BUDGET:
-        raise ResourceLimitError(
-            f"representations of {n} by {form} scan {length} values, budget is {REPS_SCAN_BUDGET}"
-        )
+    what = "representations of {} by {} scan {need} values"
+    check_budget(length, REPS_SCAN_BUDGET, what, n, form)
     half = list(_scan(QuadForm(form.c, form.b, form.a) if swap else form, n))
     half += [(-u, -v) for u, v in half if u > 0]
     pairs = [(v, u) for u, v in half] if swap else half

@@ -15,10 +15,10 @@ the identity is evaluated on every one of them and any disagreement is
 reported as a falsification with witnesses.
 
 Every coefficient read goes through ``TableCache.values``: it slices a
-held table only when the table covers the read (integer indices inside
-1..limit) and hands every other read to the lattice sums of ``lambda_at``
-(O(sqrt p) work per index), so an index error comes only from
-``lambda_at`` (``ValueError``) or ``CoeffTable.take`` (``IndexError``).
+held table only when ``CoeffTable.take`` covers the read (integer indices
+inside 1..limit) and hands every read ``take`` refuses to the lattice sums
+of ``lambda_at`` (O(sqrt p) work per index), so an index error comes only
+from ``lambda_at`` (``ValueError``).
 Only ``range_report`` builds tables, presized per (a, b) with the sparse
 method (``lambda_table`` audits each one's prefix against the newton
 recurrence); a one-prime verdict builds none.  A one-prime call, and
@@ -60,6 +60,7 @@ prime) that has one, as an instance-major loop of the scalar runner does.
 from __future__ import annotations
 
 import operator
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
@@ -98,11 +99,11 @@ class TableCache:
     and holds it; only `range_report` calls it, once per table its rules
     read.  It audits no build: `lambda_table` checks every table it builds.
     `values` never builds and checks no index itself: it slices a held
-    table only when the table covers the read (integer indices inside
-    1..limit), and hands every other read to the lattice kernel `lambda_at`,
-    whose first read per (a, b) is audited against the sums over
-    representations.  So an index error comes only from `lambda_at`
-    (ValueError) or `CoeffTable.take` (IndexError).
+    table when `CoeffTable.take` covers the read (integer indices inside
+    1..limit), and hands every read `take` refuses with IndexError to the
+    lattice kernel `lambda_at`, whose first read per (a, b) is audited
+    against the sums over representations.  So an index error comes only
+    from `lambda_at` (ValueError).
     """
 
     def __init__(self):
@@ -124,9 +125,8 @@ class TableCache:
         key = _table_key(a, b)
         table = self._tables.get(key)
         if table is not None:
-            wanted = np.asarray(indices)
-            if wanted.dtype.kind in "iu" and wanted.min() >= 1 and wanted.max() <= table.limit:
-                return table.take(wanted)
+            with suppress(IndexError):  # the table does not cover the read
+                return table.take(indices)
         params = LambdaParams(*key)
         got = lambda_at(params, indices)
         if key not in self._kernel_audited:
@@ -818,8 +818,9 @@ def range_report(
     Hypothesis failures are counted as skipped; falsifying verdicts are
     collected in full in the one-prime loop's order (primes ascending, then
     parameters).  A fault raises at the first (instance, prime) with one.
-    With no odd prime (p_max < 3) it returns before the sieve and any table;
-    otherwise it checks every table against its budget before it sieves.
+    With no odd prime (p_max < 3) or an empty grid it returns before the
+    sieve and any table; otherwise it checks every table against its budget
+    before it sieves.
     """
     spec = _spec(case_id)
     p_max = operator.index(p_max)  # a Python int, as the report's field
@@ -834,7 +835,7 @@ def range_report(
     combos = {(entry,) if np.ndim(entry) == 0 else tuple(entry) for entry in entries}
     instances = [ConstructionCase(case_id, *combo) for combo in sorted(combos)]
     params = tuple(inst.params() for inst in instances)
-    if p_max < 3:
+    if p_max < 3 or not instances:
         return RangeReport(case_id, params, p_max, checked=0, skipped=0, falsified=())
     limits = [_table_limits(inst._rule, p_max) for inst in instances]
     for got in limits:  # every table's budget, before the sieve and the state

@@ -429,6 +429,32 @@ def test_resource_limit_exit_4(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["lambda", "--a", "1", "--b", "1", "--n-max", str(10**10)],
+            "table to 10000000000 needs 80000000000 bytes, budget is 2147483648",
+        ),
+        (
+            ["reps", "--form", "1,0,1", "--n", str(10**30 + 1)],
+            f"representations of {10**30 + 1} by [1, 0, 1] scan {10**15 + 1} values,"
+            " budget is 1073741824",
+        ),
+        (
+            ["classgroup", "--disc", str(-(10**14))],
+            "class group of -100000000000000 may search 4166672163190 cells, budget is 1073741824",
+        ),
+    ],
+)
+def test_resource_limit_message_in_full(capsys, argv, message):
+    # the whole stderr line of each budget wall, byte for byte
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"etaquad: resource limit: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["lambda", "--a", "0", "--b", "1", "--n-max", "5"],

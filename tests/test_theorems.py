@@ -1027,6 +1027,9 @@ def test_range_without_odd_prime_sieves_and_builds_nothing(monkeypatch, case_id)
     for grid, p_max in product(grids, (0, 1, 2)):
         report = range_report(case_id, p_max, grid)
         assert (report.checked, report.skipped, report.falsified) == (0, 0, ())
+    if case_arity(case_id):  # an empty grid has no instance, whatever p_max
+        report = range_report(case_id, 2**28, [])
+        assert (report.params, report.checked, report.skipped, report.falsified) == ((), 0, 0, ())
     monkeypatch.undo()
     if case_id == "T3.1":
         with pytest.raises(ResourceLimitError, match="budget"):
