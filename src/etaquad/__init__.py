@@ -5,28 +5,15 @@ that verifies the constructive identities tying the two together for
 primes p = a*x^2 + b*y^2.
 """
 
-from .arith import (
-    PrimeSieve,
-    divisor_sums,
-    gauss_doubling,
-    is_prime,
-    jacobsthal,
-    kronecker,
-    sieve_primes,
-    sigma,
-    sigma_scaled,
-    weighted_sigma,
-)
+from .arith import PrimeSieve, divisor_sums, is_prime, kronecker, sieve_primes
 from .closed import CLOSED_FAMILIES, closed_form
 from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError
 from .etaseries import (
     DEFAULT_PARTITION_CAP,
     METHODS,
     CoeffTable,
-    JacobiTerm,
     LambdaParams,
     PartitionTerm,
-    jacobi_cube,
     lambda_at,
     lambda_from_reps,
     lambda_multinomial,
@@ -78,7 +65,6 @@ __all__ = [
     "FALSIFIED",
     "HOLDS",
     "InternalInconsistencyError",
-    "JacobiTerm",
     "LambdaParams",
     "METHODS",
     "NOT_APPLICABLE",
@@ -100,11 +86,8 @@ __all__ = [
     "discriminant_info",
     "divisor_sums",
     "find_rep",
-    "gauss_doubling",
     "inverse",
     "is_prime",
-    "jacobi_cube",
-    "jacobsthal",
     "kronecker",
     "lambda_at",
     "lambda_from_reps",
@@ -118,10 +101,7 @@ __all__ = [
     "reduce",
     "representations",
     "sieve_primes",
-    "sigma",
-    "sigma_scaled",
     "verify_construction",
     "verify_product",
     "verify_thm53",
-    "weighted_sigma",
 ]

@@ -1,10 +1,7 @@
-"""Divisor sums, primes, quadratic residue symbols, and the two classical
-single-prime constructions of the odd x in p = x^2 + y^2 (the central
-binomial coefficient mod p, and the Jacobsthal character sum).
+"""Divisor sums, primes and quadratic residue symbols.
 
 Everything here is exact integer arithmetic.  All objects are immutable
-after construction (a PrimeSieve builds its full flag array on the first
-request for it) and safe to share between threads.
+after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -20,45 +17,6 @@ from .errors import ResourceLimitError, check_budget
 # state of theorems.range_report is as long as the sieve's flags, so this
 # budget, checked before the sieve allocates, bounds both.
 SIEVE_BUDGET_BYTES = 1 << 28
-# Steps of the O(p) loops of gauss_doubling ((p-1)/4) and jacobsthal (p):
-# at the budget jacobsthal takes ~5 s on 2 cores, gauss_doubling ~0.4 s.
-CONSTRUCTION_LOOP_BUDGET = 1 << 21
-
-
-def sigma(n: int) -> int:
-    """Sum of the positive divisors of n."""
-    n = index(n)  # a Python int, as the result
-    if n < 1:
-        raise ValueError(f"sigma is defined for positive integers, got {n}")
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d
-            q = n // d
-            if q != d:
-                total += q
-        d += 1
-    return total
-
-
-def sigma_scaled(n: int, d: int) -> int:
-    """sigma(n/d) when d divides n, else 0 (the divisor sum at a rational
-    argument vanishes off the integers)."""
-    n, d = index(n), index(d)
-    if n < 1 or d < 1:
-        raise ValueError(f"sigma_scaled needs positive arguments, got ({n}, {d})")
-    if n % d:
-        return 0
-    return sigma(n // d)
-
-
-def weighted_sigma(a: int, b: int, n: int) -> int:
-    """a*sigma(n/a) + b*sigma(n/b)."""
-    a, b, n = index(a), index(b), index(n)  # Python ints, so a*sigma(n/a) cannot wrap
-    if a < 1 or b < 1 or n < 1:
-        raise ValueError(f"weighted_sigma needs positive arguments, got ({a}, {b}, {n})")
-    return a * sigma_scaled(n, a) + b * sigma_scaled(n, b)
 
 
 def divisor_sums(limit: int) -> np.ndarray:
@@ -93,10 +51,10 @@ def _odd_sieve(limit: int) -> np.ndarray:
 
 
 class PrimeSieve:
-    """Primality flags for 0..limit, held as one odd-only sieve (`_odd_sieve`)
-    frozen read-only and shared by every query; 2 is the one even prime."""
+    """Primality flags for the odd integers to limit, held as one odd-only
+    sieve (`_odd_sieve`) frozen read-only and shared by every query."""
 
-    __slots__ = ("limit", "_odd", "_flags")
+    __slots__ = ("limit", "_odd")
 
     def __init__(self, limit: int):
         limit = index(limit)  # a Python int, so no numpy integer leaks through the field
@@ -107,36 +65,10 @@ class PrimeSieve:
         odd.flags.writeable = False
         self.limit = limit
         self._odd = odd
-        self._flags = None
-
-    def is_prime(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise IndexError(f"sieve covers 0..{self.limit}, got {n}")
-        return n == 2 or bool(n & 1 and self._odd[n >> 1])
 
     def odd_flags(self) -> np.ndarray:
         """The read-only odd-only flags: entry i is true iff 2i + 1 is prime."""
         return self._odd
-
-    def flags(self) -> np.ndarray:
-        """The read-only boolean flags: entry n is true iff n is prime.  The
-        first call spreads the odd flags over 0..limit, limit + 1 more bytes
-        under the same budget, and later calls return that array."""
-        if self._flags is None:
-            n = self.limit + 1
-            check_budget(n, SIEVE_BUDGET_BYTES, "flags to {} need {need} bytes", self.limit)
-            flags = np.zeros(n, dtype=np.bool_)
-            flags[1::2] = self._odd
-            flags[2] = True
-            flags.flags.writeable = False
-            self._flags = flags
-        return self._flags
-
-    def primes(self) -> list[int]:
-        return [2, *(2 * np.flatnonzero(self._odd) + 1).tolist()]
-
-    def count(self) -> int:
-        return 1 + int(np.count_nonzero(self._odd))
 
 
 def sieve_primes(limit: int) -> PrimeSieve:
@@ -271,39 +203,3 @@ def kronecker(a: int, n: int) -> int:
             sign = -sign
         a %= n
     return sign if n == 1 else 0
-
-
-def _check_construction(p: int, who: str, steps: int) -> None:
-    """p is a prime = 1 (mod 4) whose loop of `steps` fits the budget."""
-    if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"{who} needs a prime p = 1 (mod 4), got {p}")
-    check_budget(steps, CONSTRUCTION_LOOP_BUDGET, "{}({}) loops {need} steps", who, p)
-
-
-def gauss_doubling(p: int) -> int:
-    """binom((p-1)/2, (p-1)/4) mod p.
-
-    For p = x^2 + y^2 with x odd and the sign fixed by x = 1 (mod 4),
-    this residue equals 2x mod p.  Computed by multiplicative
-    accumulation with a single modular inverse; the binomial itself is
-    never formed (it outgrows any fixed width almost immediately).
-    """
-    p = index(p)  # a Python int, which pow(den, p - 2, p) needs
-    _check_construction(p, "gauss_doubling", (p - 1) // 4)
-    n = (p - 1) // 2
-    k = (p - 1) // 4
-    num = den = 1
-    for i in range(1, k + 1):
-        num = num * ((n - k + i) % p) % p
-        den = den * i % p
-    return num * pow(den, p - 2, p) % p
-
-
-def jacobsthal(p: int) -> int:
-    """Character sum over n of (n^3 - 4n | p).
-
-    Equals -2x for p = x^2 + y^2 with x = 1 (mod 4); an exact integer
-    companion to the mod-p binomial construction.
-    """
-    _check_construction(p, "jacobsthal", p)
-    return sum(kronecker(n * n * n - 4 * n, p) for n in range(p))

@@ -13,7 +13,7 @@ ran out, 5 an internal inconsistency (a bug), 141 (EXIT_BROKEN_PIPE, the
 shell's status for SIGPIPE) the reader closed stdout early, as
 ``etaquad lambda ... | head`` does, and the rest of the output was dropped
 without a message.  Output is deterministic: identical flags give
-byte-identical output regardless of the --threads hint.
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -61,12 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--b", type=int)
     p_verify.add_argument("--p-max", type=int, required=True, dest="p_max")
     p_verify.add_argument("--json", action="store_true", help="emit the JSON report")
-    p_verify.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker hint; output does not depend on it",
-    )
 
     p_reps = sub.add_parser("reps", help="list all (x, y) with form(x, y) = n")
     p_reps.add_argument("--form", required=True, help="a,b,c")
@@ -174,8 +168,6 @@ def _run_lambda(args) -> int:
 
 
 def _run_verify(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     case = make_case(args.case, args.a, args.b)
     report = range_report(args.case, args.p_max, [case.params()] if case.params() else None)
     if args.json:

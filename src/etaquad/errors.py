@@ -5,9 +5,9 @@ the classes here mark the distinguished failure modes: resource budgets,
 the partition-formula cap, and "the mathematics says this cannot happen"
 conditions that indicate an implementation bug rather than bad input.
 
-Every budget wall (the sieve, its flags, the construction loops, the
-tables, the class-group cells and the representation scans) raises
-through ``check_budget``, checked before the work it guards starts.
+Every budget wall (the sieve, the tables, the class-group cells and the
+representation scans, whole and per chunk) raises through
+``check_budget``, checked before the work it guards starts.
 """
 
 

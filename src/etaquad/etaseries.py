@@ -94,15 +94,6 @@ class LambdaParams:
             raise ValueError(f"factor multipliers must be positive, got ({self.a}, {self.b})")
 
 
-class JacobiTerm(NamedTuple):
-    """One term of the cube collapse: coefficient (-1)^k (2k+1) at
-    exponent k(k+1)/2."""
-
-    k: int
-    exponent: int
-    coefficient: int
-
-
 def _jacobi(x):
     """The Jacobi term (-1)^k (2k+1) of an odd x = 2k+1 > 0, for an int or
     an int64 array x: x where x = 1 (mod 4), -x where x = 3 (mod 4)."""
@@ -113,12 +104,6 @@ def _jacobi_arrays(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents k(k+1)/2 <= limit and coefficients (-1)^k (2k+1), k = 0, 1, ..."""
     k = np.arange((isqrt(8 * limit + 1) + 1) // 2 if limit >= 0 else 0, dtype=np.int64)
     return k * (k + 1) // 2, _jacobi(2 * k + 1)
-
-
-def jacobi_cube(limit: int) -> list[JacobiTerm]:
-    """All cube-collapse terms with exponent <= limit, in exponent order."""
-    exponents, coefficients = (v.tolist() for v in _jacobi_arrays(limit))
-    return [JacobiTerm(k, e, c) for k, (e, c) in enumerate(zip(exponents, coefficients))]
 
 
 class CoeffTable:

@@ -217,15 +217,16 @@ def class_group(d: int) -> ClassGroup:
     first c of the right parity.  Even d has no parity rule.
 
     The rows lie end to end in chunks of at most _CLASS_GROUP_CELLS cells
-    (or one longer row), each cell its row's offset plus its step times its
-    place in the chunk, built in float64.  Every cell is an integer
-    v <= a^2 <= |d|/3, and the cell ceiling CLASS_GROUP_CELL_BUDGET, checked
-    before any work, keeps |d| (so every term) far below 2^52.  There a
-    perfect square has an exact root, and any other integer a root more
-    than half an ulp from every integer, so v is a square exactly when
-    sqrt(v) is integral.  The hits with gcd 1 are the forms with b >= 0
-    (every hit has gcd 1 when the conductor is 1, as g^2 divides d), and
-    (a, -b, c) joins each with 0 < b < a < c.
+    (or one longer row), a row with no c in its window empty, each cell its
+    row's offset plus its step times its place in the chunk, built in
+    float64.  Every cell is an integer v <= a^2 <= |d|/3, and the cell
+    ceiling CLASS_GROUP_CELL_BUDGET, checked before any work, keeps |d| (so
+    every term) far below 2^52.  There a perfect square has an exact root,
+    and any other integer a root more than half an ulp from every integer,
+    so v is a square exactly when sqrt(v) is integral.  Each hit gives a and
+    b, and c = (b^2 - d)/4a follows once the chunks are done.  The hits with
+    gcd 1 are the forms with b >= 0 (every hit has gcd 1 when the conductor
+    is 1, as g^2 divides d), and (a, -b, c) joins each with 0 < b < a < c.
     """
     d = index(d)  # a Python int, so -d cannot wrap at -2^63
     _require_discriminant(d)
@@ -233,18 +234,12 @@ def class_group(d: int) -> ClassGroup:
     cells = a_top * (a_top + 1) // 8 + a_top  # the sum of the windows' a/4 + 1
     check_budget(cells, CLASS_GROUP_CELL_BUDGET, "class group of {} may search {need} cells", d)
     info = discriminant_info(d)
-    a = np.arange(1, a_top + 1, dtype=np.int64)
+    ac_odd = d % 2 * ((1 - d) // 4 % 2)  # d = 5 (mod 8): only odd a, with odd c
+    a = np.arange(1, a_top + 1, 1 + ac_odd, dtype=np.int64)
+    step = 1 + d % 2 * (a & 1)  # an odd a with odd d takes every other c
     c0 = np.maximum(-(d // (4 * a)), a)
-    step = np.ones_like(a)
-    if d % 2:
-        ac_parity = (1 - d) // 4 % 2
-        step[::2] = 2  # the rows of odd a
-        c0[::2] += (c0[::2] - ac_parity) % 2
-        if ac_parity:
-            a, c0, step = a[::2], c0[::2], step[::2]
-    counts = ((a * a - d) // (4 * a) - c0) // step + 1
-    live = counts > 0
-    a, c0, step, counts = a[live], c0[live], step[live], counts[live]
+    c0 += (c0 - ac_odd) % 2 * (step - 1)
+    counts = np.maximum(((a * a - d) // (4 * a) - c0) // step + 1, 0)
     ends = np.cumsum(counts)
     cell_step, first = 4 * a * step, 4 * a * c0 + d
     found = []
@@ -256,17 +251,20 @@ def class_group(d: int) -> ClassGroup:
         v += np.repeat((first[lo:hi] - cell_step[lo:hi] * starts).astype(np.float64), rows)
         root = np.sqrt(v)
         hit = np.flatnonzero(root == np.floor(root))
+        # an empty row starts where the next one does, so the last row that
+        # starts at or before a hit holds it
         row = np.searchsorted(starts, hit, side="right") - 1
-        c = c0[lo + row] + step[lo + row] * (hit - starts[row])
-        found.append((a[lo + row], root[hit].astype(np.int64), c))
-    a, b, c = (np.concatenate(column) for column in zip(*found))
+        found.append((a[lo + row], root[hit].astype(np.int64)))
+    a, b = (np.concatenate(column) for column in zip(*found))
+    c = (b * b - d) // (4 * a)
     if info.conductor > 1:
         keep = np.gcd(np.gcd(a, b), c) == 1
         a, b, c = a[keep], b[keep], c[keep]
-    mirror = (0 < b) & (b < a) & (a < c)
-    a, c = np.concatenate((a, a[mirror])), np.concatenate((c, c[mirror]))
-    b = np.concatenate((b, -b[mirror]))
-    order = np.lexsort((b, a))  # b fixes c for given a
+    # the hits come by a and then by b; the mirrors, reversed, come by
+    # descending a and then ascending -b < 0, so a stable sort on a orders all by (a, b)
+    mirror = np.flatnonzero((0 < b) & (b < a) & (a < c))[::-1]
+    a, b, c = (np.concatenate(pair) for pair in ((a[mirror], a), (-b[mirror], b), (c[mirror], c)))
+    order = np.argsort(a, kind="stable")
     forms = map(_form_from_tuple, zip(a[order].tolist(), b[order].tolist(), c[order].tolist()))
     return ClassGroup(info, tuple(forms))
 

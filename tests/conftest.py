@@ -2,15 +2,21 @@
 
 The oracles are deliberately independent of the package implementations:
 straight-line enumeration only, no shared helpers, so they stay valid
-as ground truth for the paths they check.
+as ground truth for the paths they check.  The one exception is the two
+classical constructions of C3.1's x, which take their primality test and
+Legendre symbol from the package's `is_prime` and `kronecker`, each checked
+on its own in test_arith.
 """
 
 import os
 from math import gcd, isqrt
+from operator import index
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from etaquad import is_prime, kronecker
 
 # tests that start `python -m etaquad` or `python -c` children need the
 # source tree on their path too when the package is not installed
@@ -29,6 +35,77 @@ def oracle_primes(limit: int) -> list[int]:
 
 def oracle_sigma(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def sigma(n: int) -> int:
+    """Sum of the positive divisors of n, by the divisor pairs d, n/d with
+    d <= sqrt(n): the oracle of `divisor_sums`."""
+    n = index(n)  # a Python int, as the result
+    if n < 1:
+        raise ValueError(f"sigma is defined for positive integers, got {n}")
+    total = 0
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            total += d
+            q = n // d
+            if q != d:
+                total += q
+        d += 1
+    return total
+
+
+def sigma_scaled(n: int, d: int) -> int:
+    """sigma(n/d) when d divides n, else 0 (the divisor sum at a rational
+    argument vanishes off the integers)."""
+    n, d = index(n), index(d)
+    if n < 1 or d < 1:
+        raise ValueError(f"sigma_scaled needs positive arguments, got ({n}, {d})")
+    if n % d:
+        return 0
+    return sigma(n // d)
+
+
+def weighted_sigma(a: int, b: int, n: int) -> int:
+    """a*sigma(n/a) + b*sigma(n/b): the oracle of `etaseries._newton_weights`."""
+    a, b, n = index(a), index(b), index(n)  # Python ints, so a*sigma(n/a) cannot wrap
+    if a < 1 or b < 1 or n < 1:
+        raise ValueError(f"weighted_sigma needs positive arguments, got ({a}, {b}, {n})")
+    return a * sigma_scaled(n, a) + b * sigma_scaled(n, b)
+
+
+def _check_construction(p: int, who: str) -> None:
+    if p % 4 != 1 or not is_prime(p):
+        raise ValueError(f"{who} needs a prime p = 1 (mod 4), got {p}")
+
+
+def gauss_doubling(p: int) -> int:
+    """binom((p-1)/2, (p-1)/4) mod p.
+
+    For p = x^2 + y^2 with x odd and the sign fixed by x = 1 (mod 4),
+    this residue equals 2x mod p.  Computed by multiplicative
+    accumulation with a single modular inverse; the binomial itself is
+    never formed (it outgrows any fixed width almost immediately).
+    """
+    p = index(p)  # a Python int, which pow(den, p - 2, p) needs
+    _check_construction(p, "gauss_doubling")
+    n = (p - 1) // 2
+    k = (p - 1) // 4
+    num = den = 1
+    for i in range(1, k + 1):
+        num = num * ((n - k + i) % p) % p
+        den = den * i % p
+    return num * pow(den, p - 2, p) % p
+
+
+def jacobsthal(p: int) -> int:
+    """Character sum over n of (n^3 - 4n | p).
+
+    Equals -2x for p = x^2 + y^2 with x = 1 (mod 4); an exact integer
+    companion to the mod-p binomial construction.
+    """
+    _check_construction(p, "jacobsthal")
+    return sum(kronecker(n * n * n - 4 * n, p) for n in range(p))
 
 
 def oracle_product_table(a: int, b: int, limit: int) -> list[int]:

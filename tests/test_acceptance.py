@@ -12,6 +12,7 @@ import time
 from math import gcd
 
 import pytest
+from conftest import gauss_doubling, jacobsthal, oracle_primes
 
 from etaquad import (
     LambdaParams,
@@ -22,15 +23,12 @@ from etaquad import (
     compose,
     discriminant_info,
     find_rep,
-    gauss_doubling,
-    jacobsthal,
     lambda_from_reps,
     lambda_multinomial,
     lambda_table,
     make_case,
     range_report,
     representations,
-    sieve_primes,
 )
 
 
@@ -43,7 +41,7 @@ def _finish(num: int, name: str, ok: bool, extra: str = ""):
 
 @pytest.fixture(scope="module")
 def primes_10k():
-    return [p for p in sieve_primes(10**4).primes() if p > 2]
+    return oracle_primes(10**4)[1:]
 
 
 def test_criterion_01_oracle_equivalence():
@@ -218,7 +216,7 @@ def test_criterion_08_form_ground_truth():
 
 def test_criterion_09_classical_concordance():
     ok = True
-    for p in sieve_primes(2000).primes():
+    for p in oracle_primes(2000):
         if p % 4 != 1:
             continue
         x, y = find_rep(1, 1, p)

@@ -1,27 +1,25 @@
-"""Divisor sums, sieves, residue symbols, and the two classical
-single-prime constructions."""
+"""Divisor sums, sieves and residue symbols, and conftest's oracles: the
+divisor sums and the two classical single-prime constructions."""
 
 import tracemalloc
 from math import comb, gcd, isqrt
 
 import numpy as np
 import pytest
-from conftest import coprime_pairs, oracle_primes, oracle_sigma
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from etaquad import (
-    ResourceLimitError,
-    divisor_sums,
+from conftest import (
+    coprime_pairs,
     gauss_doubling,
-    is_prime,
     jacobsthal,
-    kronecker,
-    sieve_primes,
+    oracle_primes,
+    oracle_sigma,
     sigma,
     sigma_scaled,
     weighted_sigma,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from etaquad import ResourceLimitError, divisor_sums, is_prime, kronecker, sieve_primes
 from etaquad.arith import _strong_lucas_probable_prime
 
 
@@ -89,18 +87,21 @@ def test_sigma_multiplicative_on_coprime_pairs():
                 assert table[m * n] == table[m] * table[n]
 
 
+def _primes(sieve):
+    """The primes to sieve.limit, read off the odd-only flags."""
+    return [2, *(2 * np.flatnonzero(sieve.odd_flags()) + 1).tolist()]
+
+
 def test_sieve_examples():
-    assert sieve_primes(10).primes() == [2, 3, 5, 7]
-    assert sieve_primes(30).count() == 10
-    assert sieve_primes(1000).count() == 168
-    assert sieve_primes(1000).primes() == oracle_primes(1000)
+    assert _primes(sieve_primes(10)) == [2, 3, 5, 7]
+    assert len(_primes(sieve_primes(30))) == 10
+    assert len(_primes(sieve_primes(1000))) == 168
+    assert _primes(sieve_primes(1000)) == oracle_primes(1000)
 
 
 def test_sieve_flags_and_errors():
-    sieve = sieve_primes(100)
-    assert sieve.is_prime(97) and not sieve.is_prime(91)
-    with pytest.raises(IndexError):
-        sieve.is_prime(101)
+    odd = sieve_primes(100).odd_flags()
+    assert len(odd) == 50 and odd[97 >> 1] and not odd[91 >> 1]
     with pytest.raises(ValueError):
         sieve_primes(1)
     with pytest.raises(ResourceLimitError):
@@ -109,35 +110,27 @@ def test_sieve_flags_and_errors():
 
 def test_sieve_flag_array():
     sieve = sieve_primes(1000)
-    flags = sieve.flags()
-    assert len(flags) == 1001 and not flags.flags.writeable
-    assert [n for n in range(1001) if flags[n]] == oracle_primes(1000)
-    assert all(type(p) is int for p in sieve.primes())
+    odd = sieve.odd_flags()
+    assert len(odd) == 500 and not odd.flags.writeable and odd.dtype == np.bool_
+    assert [2 * i + 1 for i in range(500) if odd[i]] == oracle_primes(1000)[1:]
+    assert sieve.odd_flags() is odd and type(sieve.limit) is int
 
 
 def test_sieve_every_small_limit():
     # the odd-only flags at every limit to 200, odd and even, squares of primes included
     for limit in range(2, 201):
-        sieve = sieve_primes(limit)
-        want = oracle_primes(limit)
-        assert sieve.primes() == want and sieve.count() == len(want)
-        assert np.flatnonzero(sieve.flags()).tolist() == want
-        odd = sieve.odd_flags()
+        odd = sieve_primes(limit).odd_flags()
         assert len(odd) == (limit + 1) // 2 and not odd.flags.writeable
-        assert (2 * np.flatnonzero(odd) + 1).tolist() == want[1:]
-        assert [n for n in range(limit + 1) if sieve.is_prime(n)] == want
+        assert (2 * np.flatnonzero(odd) + 1).tolist() == oracle_primes(limit)[1:]
 
 
 def test_sieve_budget_counts_odd_integers(monkeypatch):
     import etaquad.arith as arith
 
-    # one byte per odd integer: 199 fits 100 bytes and 201 does not; the full
-    # flags of 0..199 are checked against the same budget before they are spread
+    # one byte per odd integer: 199 fits 100 bytes and 201 does not
     monkeypatch.setattr(arith, "SIEVE_BUDGET_BYTES", 100)
-    sieve = sieve_primes(199)
-    with pytest.raises(ResourceLimitError, match="^flags to 199 need 200 bytes, budget is 100$"):
-        sieve.flags()
-    assert sieve.count() == 46 and sieve.is_prime(199)
+    odd = sieve_primes(199).odd_flags()
+    assert len(odd) == 100 and np.count_nonzero(odd) == 45 and odd[199 >> 1]
     with pytest.raises(ResourceLimitError, match="^sieve to 201 needs 101 bytes, budget is 100$"):
         sieve_primes(201)
 
@@ -151,13 +144,13 @@ def test_sieve_holds_one_flag_array():
     finally:
         tracemalloc.stop()
     assert peak < 6.25e6
-    assert sieve.count() == 664579 and sieve.flags() is sieve.flags()
+    assert 1 + np.count_nonzero(sieve.odd_flags()) == 664579
 
 
 def test_is_prime_against_sieve():
-    flags = sieve_primes(2000)
+    odd = sieve_primes(2000).odd_flags()
     for n in range(2001):
-        assert is_prime(n) == (n >= 2 and flags.is_prime(n))
+        assert is_prime(n) == (n == 2 or bool(n & 1 and odd[n >> 1]))
 
 
 def test_strong_lucas_meets_a_factor_of_d(monkeypatch):
@@ -266,21 +259,6 @@ def test_jacobsthal_examples(p, expected):
 def test_jacobsthal_rejects_bad_input(p):
     with pytest.raises(ValueError):
         jacobsthal(p)
-
-
-def test_construction_loops_check_their_budget(monkeypatch):
-    import etaquad.arith as arith
-
-    # 1000000009 = 1 (mod 4) is prime; its (p-1)/4 steps raise before the loop starts
-    want = r"gauss_doubling\(1000000009\) loops 250000002 steps, budget is 2097152$"
-    with pytest.raises(ResourceLimitError, match=want):
-        gauss_doubling(1000000009)
-    monkeypatch.setattr(arith, "CONSTRUCTION_LOOP_BUDGET", 100)
-    assert jacobsthal(97) == -18  # 97 = 9^2 + 4^2: 97 steps fit
-    with pytest.raises(ResourceLimitError, match=r"jacobsthal\(101\) loops 101 steps, budget is 100$"):
-        jacobsthal(101)
-    with pytest.raises(ValueError):  # the prime check comes first
-        jacobsthal(103)
 
 
 def test_classical_constructions_concord(primes_500):

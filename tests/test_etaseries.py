@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import corrupting, oracle_product_table
+from conftest import corrupting, oracle_product_table, weighted_sigma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +14,11 @@ from etaquad import (
     LambdaParams,
     PartitionCapError,
     ResourceLimitError,
-    jacobi_cube,
     lambda_at,
     lambda_from_reps,
     lambda_multinomial,
     lambda_table,
     partition_terms,
-    weighted_sigma,
 )
 from etaquad.etaseries import (
     _INT64_SAFE,
@@ -28,30 +26,34 @@ from etaquad.etaseries import (
     METHODS,
     TABLE_BUDGET_BYTES,
     CoeffTable,
+    _jacobi_arrays,
     _newton_weights,
     _sparse_partial_sum_bound,
     _table_sparse,
 )
 
 
+def _jacobi_terms(limit):
+    """(exponent, coefficient) of every cube-collapse term with exponent <= limit."""
+    return list(zip(*(v.tolist() for v in _jacobi_arrays(limit))))
+
+
 def test_jacobi_cube_examples():
-    assert [(t.exponent, t.coefficient) for t in jacobi_cube(0)] == [(0, 1)]
-    assert [(t.exponent, t.coefficient) for t in jacobi_cube(6)] == [
-        (0, 1),
-        (1, -3),
-        (3, 5),
-        (6, -7),
-    ]
-    assert [(t.exponent, t.coefficient) for t in jacobi_cube(2)] == [(0, 1), (1, -3)]
+    assert _jacobi_terms(0) == [(0, 1)]
+    assert _jacobi_terms(6) == [(0, 1), (1, -3), (3, 5), (6, -7)]
+    assert _jacobi_terms(2) == [(0, 1), (1, -3)]
+    assert _jacobi_terms(-1) == []
 
 
 def test_jacobi_cube_structure():
-    terms = jacobi_cube(500)
-    for t in terms:
-        assert t.exponent == t.k * (t.k + 1) // 2
-        assert abs(t.coefficient) == 2 * t.k + 1
-        assert t.coefficient == (2 * t.k + 1) * (-1) ** t.k
-    assert [t.exponent for t in terms] == sorted(t.exponent for t in terms)
+    exponents, coefficients = _jacobi_arrays(500)
+    assert exponents.dtype == coefficients.dtype == np.int64
+    for k, (e, c) in enumerate(_jacobi_terms(500)):
+        assert e == k * (k + 1) // 2
+        assert c == (2 * k + 1) * (-1) ** k
+    # the terms stop at the last exponent <= 500: the next, k(k+1)/2 + k + 1, is past it
+    assert exponents[-1] <= 500 < exponents[-1] + len(exponents)
+    assert np.all(np.diff(exponents) > 0)
 
 
 def test_params_validation():
@@ -518,7 +520,6 @@ def test_newton_resume_midstream(monkeypatch):
     # running maximum; sum(c) runs over the table being built, so it is
     # taken per limit
     import etaquad.etaseries as es
-    from etaquad.arith import weighted_sigma
 
     want = oracle_product_table(2, 3, 120)
     steps = _dot_dtypes(monkeypatch)
@@ -551,7 +552,6 @@ def test_newton_float_tier_midstream(monkeypatch):
     # ints; each step's dtype is read off its np.dot, and the table must
     # agree with the oracle wherever the tiers switch
     import etaquad.etaseries as es
-    from etaquad.arith import weighted_sigma
 
     want = oracle_product_table(2, 3, 120)
     steps = _dot_dtypes(monkeypatch)

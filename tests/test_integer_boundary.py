@@ -3,10 +3,12 @@ as `np.int64` gives exactly what the same Python int gives.
 
 Every callable in `etaquad.__all__` is either probed here or exempt with a
 reason, so a new export fails `test_every_public_callable_is_probed_or_exempt`
-until it is classified.  A probe draws its integers within int64, calls once
-with Python ints and once with the same values as `np.int64`, and requires
-equal outcomes: equal results with equal types in every field (no numpy
-integer leaks out), or the same exception type and message.
+until it is classified.  The divisor-sum and construction oracles of conftest
+are probed too, since tests feed them integers read off numpy arrays.  A probe
+draws its integers within int64, calls once with Python ints and once with the
+same values as `np.int64`, and requires equal outcomes: equal results with
+equal types in every field (no numpy integer leaks out), or the same exception
+type and message.
 """
 
 from dataclasses import fields, is_dataclass
@@ -14,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import outcome_of
+from conftest import gauss_doubling, jacobsthal, outcome_of, sigma, sigma_scaled, weighted_sigma
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,11 +37,8 @@ from etaquad import (
     discriminant_info,
     divisor_sums,
     find_rep,
-    gauss_doubling,
     inverse,
     is_prime,
-    jacobi_cube,
-    jacobsthal,
     kronecker,
     lambda_at,
     lambda_from_reps,
@@ -53,12 +52,9 @@ from etaquad import (
     reduce,
     representations,
     sieve_primes,
-    sigma,
-    sigma_scaled,
     verify_construction,
     verify_product,
     verify_thm53,
-    weighted_sigma,
 )
 from etaquad import quadform
 
@@ -136,11 +132,8 @@ PROBES = {
     "discriminant_info": (st.tuples(small(-5000, 5)), discriminant_info),
     "divisor_sums": (st.tuples(st.integers(-2, 3000)), divisor_sums),
     "find_rep": (st.tuples(small(-1, 30), small(-1, 30), small(-2, 5000)), find_rep),
-    "gauss_doubling": (st.tuples(st.integers(-2, 3000)), gauss_doubling),
     "inverse": (st.tuples(FORM), lambda f: inverse(QuadForm(*f))),
     "is_prime": (st.tuples(INT64), is_prime),
-    "jacobi_cube": (st.tuples(st.integers(-3, 3000)), jacobi_cube),
-    "jacobsthal": (st.tuples(st.integers(-2, 3000)), jacobsthal),
     "kronecker": (st.tuples(INT64, INT64), kronecker),
     "lambda_at": (
         st.tuples(PARAMS, st.one_of(st.integers(-2, 3000), st.integers(2**50, 2**62))),
@@ -183,8 +176,6 @@ PROBES = {
         lambda f, n: representations(QuadForm(*f), n),
     ),
     "sieve_primes": (st.tuples(small(-2, 3000)), sieve_primes),
-    "sigma": (st.tuples(st.integers(-2, 10**6)), sigma),
-    "sigma_scaled": (_SIGMA_SCALED, sigma_scaled),
     "verify_construction": (
         st.tuples(_case_params(CASES), small(-2, 3000)),
         lambda case, p: verify_construction(make_case(*case), p),
@@ -194,13 +185,22 @@ PROBES = {
         lambda case, p: verify_product(make_case(*case), p),
     ),
     "verify_thm53": (st.tuples(small(-2, 3000)), verify_thm53),
+}
+
+# the test oracles, probed like the public callables
+ORACLE_PROBES = {
+    "gauss_doubling": (st.tuples(st.integers(-2, 3000)), gauss_doubling),
+    "jacobsthal": (st.tuples(st.integers(-2, 3000)), jacobsthal),
+    "sigma": (st.tuples(st.integers(-2, 10**6)), sigma),
+    "sigma_scaled": (_SIGMA_SCALED, sigma_scaled),
     "weighted_sigma": (_WEIGHTED, weighted_sigma),
 }
+ALL_PROBES = PROBES | ORACLE_PROBES
 
 # name -> why no integer argument of it needs a probe
 EXEMPT = {
     **dict.fromkeys(
-        ("QuadForm", "JacobiTerm", "PartitionTerm"),
+        ("QuadForm", "PartitionTerm"),
         "a plain record; the functions that take forms convert them with _int_form",
     ),
     **dict.fromkeys(
@@ -244,11 +244,11 @@ def test_every_public_callable_is_probed_or_exempt():
     assert set(PROBES) | set(EXEMPT) == public
 
 
-@pytest.mark.parametrize("name", sorted(PROBES))
+@pytest.mark.parametrize("name", sorted(ALL_PROBES))
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_numpy_integers_give_the_python_int_outcome(name, data):
-    strategy, call = PROBES[name]
+    strategy, call = ALL_PROBES[name]
     args = data.draw(strategy)
     # a representation scan of a large target ends at its budget, here lowered
     # so that it ends at once, with the same error for both calls

@@ -6,16 +6,16 @@ sympy is a test-only dependency; without it this module is skipped.
 import random
 
 import pytest
-from conftest import oracle_primes
+from conftest import oracle_primes, sigma
 
 from etaquad import (
     QuadForm,
     ResourceLimitError,
+    divisor_sums,
     find_rep,
     is_prime,
     kronecker,
     representations,
-    sigma,
 )
 from etaquad.arith import (
     _MR_BASES,
@@ -33,7 +33,9 @@ from sympy.solvers.diophantine.diophantine import cornacchia  # noqa: E402
 
 
 def test_sigma_matches_sympy():
-    assert [sigma(n) for n in range(1, 3000)] == [divisor_sigma(n) for n in range(1, 3000)]
+    want = [divisor_sigma(n) for n in range(1, 3000)]
+    assert divisor_sums(2999)[1:].tolist() == want
+    assert [sigma(n) for n in range(1, 3000)] == want
 
 
 def test_is_prime_matches_sympy():

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import oracle_primes, outcome_of
+from conftest import gauss_doubling, jacobsthal, oracle_primes, outcome_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +25,7 @@ from etaquad import (
     case_summary,
     closed_form,
     find_rep,
-    gauss_doubling,
     is_prime,
-    jacobsthal,
     lambda_at,
     lambda_from_reps,
     lambda_table,
