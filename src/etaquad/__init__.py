@@ -5,7 +5,7 @@ that verifies the constructive identities tying the two together for
 primes p = a*x^2 + b*y^2.
 """
 
-from .arith import PrimeSieve, divisor_sums, is_prime, kronecker, sieve_primes
+from .arith import divisor_sums, is_prime, kronecker, sieve_primes
 from .closed import CLOSED_FAMILIES, closed_form
 from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError
 from .etaseries import (
@@ -13,7 +13,6 @@ from .etaseries import (
     METHODS,
     CoeffTable,
     LambdaParams,
-    PartitionTerm,
     lambda_at,
     lambda_from_reps,
     lambda_multinomial,
@@ -69,8 +68,6 @@ __all__ = [
     "METHODS",
     "NOT_APPLICABLE",
     "PartitionCapError",
-    "PartitionTerm",
-    "PrimeSieve",
     "QuadForm",
     "RangeReport",
     "RepSet",

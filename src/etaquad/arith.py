@@ -50,30 +50,24 @@ def _odd_sieve(limit: int) -> np.ndarray:
     return flags
 
 
-class PrimeSieve:
-    """Primality flags for the odd integers to limit, held as one odd-only
-    sieve (`_odd_sieve`) frozen read-only and shared by every query."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """The primes to limit, as one read-only int64 array.
 
-    __slots__ = ("limit", "_odd")
-
-    def __init__(self, limit: int):
-        limit = index(limit)  # a Python int, so no numpy integer leaks through the field
-        if limit < 2:
-            raise ValueError(f"sieve limit must be >= 2, got {limit}")
-        check_budget((limit + 1) // 2, SIEVE_BUDGET_BYTES, "sieve to {} needs {need} bytes", limit)
-        odd = _odd_sieve(limit)
-        odd.flags.writeable = False
-        self.limit = limit
-        self._odd = odd
-
-    def odd_flags(self) -> np.ndarray:
-        """The read-only odd-only flags: entry i is true iff 2i + 1 is prime."""
-        return self._odd
-
-
-def sieve_primes(limit: int) -> PrimeSieve:
-    """Prime sieve over [2, limit]."""
-    return PrimeSieve(limit)
+    They are read off `_odd_sieve`'s flags in place: entry 0 (the integer 1)
+    is set to hold the slot for 2, and every other true entry i gives 2i + 1.
+    """
+    limit = index(limit)  # a Python int, so the budget check cannot wrap
+    if limit < 2:
+        raise ValueError(f"sieve limit must be >= 2, got {limit}")
+    check_budget((limit + 1) // 2, SIEVE_BUDGET_BYTES, "sieve to {} needs {need} bytes", limit)
+    flags = _odd_sieve(limit)
+    flags[0] = True
+    primes = np.flatnonzero(flags)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    primes.flags.writeable = False
+    return primes
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

@@ -45,10 +45,9 @@ of summation; then int64 up to _INT64_SAFE; then Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 from operator import index
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -359,21 +358,16 @@ def lambda_table(params: LambdaParams, limit: int, method: str = "sparse") -> Co
     return table
 
 
-class PartitionTerm(NamedTuple):
-    """Multiplicities (k_1, ..., k_n) with sum(i * k_i) = n."""
-
-    multiplicities: tuple[int, ...]
-
-
-def partition_terms(n: int) -> Iterator[PartitionTerm]:
-    """All partitions of n as multiplicity vectors (k_1 .. k_n)."""
+def partition_terms(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as multiplicity tuples (k_1, ..., k_n) with
+    sum(i * k_i) = n."""
     if n < 0:
         raise ValueError(f"partition index must be >= 0, got {n}")
     mult = [0] * n
 
     def descend(remaining: int, largest: int):
         if remaining == 0:
-            yield PartitionTerm(tuple(mult))
+            yield tuple(mult)
             return
         for part in range(min(remaining, largest), 0, -1):
             mult[part - 1] += 1
@@ -392,7 +386,9 @@ def lambda_multinomial(params: LambdaParams, n: int) -> int:
 
     with c_i = a*sigma(i/a) + b*sigma(i/b), the weights of
     `_newton_weights` that newton and the table audit read too.
-    Accumulated in exact rationals; the result must come out integral.
+    Each term times n! is an integer, since n! / prod_i (i^(k_i) * k_i!)
+    counts the permutations of that cycle type, so the sum is taken in
+    integers and divided by n! once; the result must come out integral.
     Factorially dense, hence the cap DEFAULT_PARTITION_CAP on n.
     """
     if n < 0:
@@ -400,21 +396,20 @@ def lambda_multinomial(params: LambdaParams, n: int) -> int:
     if n > DEFAULT_PARTITION_CAP:
         raise PartitionCapError(f"partition sum capped at {DEFAULT_PARTITION_CAP}, got index {n}")
     weights = _newton_weights(params, n + 1).tolist()
-    total = Fraction(0)
+    n_fact = factorial(n)
+    total = 0
     for term in partition_terms(n):
-        num = 1
-        den = 1
-        parts = 0
-        for i, k in enumerate(term.multiplicities, start=1):
-            if k == 0:
-                continue
-            parts += k
-            num *= weights[i] ** k
-            den *= i**k * factorial(k)
-        total += Fraction((-3) ** parts * num, den)
-    if total.denominator != 1:
-        raise InternalInconsistencyError(f"partition sum for index {n} is not integral: {total}")
-    return int(total)
+        part = n_fact  # n! times the term, built factor by factor in exact quotients
+        for i, k in enumerate(term, start=1):
+            if k:
+                part = part // (i**k * factorial(k)) * (-3 * weights[i]) ** k
+        total += part
+    value, rem = divmod(total, n_fact)
+    if rem:
+        g = gcd(total, n_fact)
+        msg = f"partition sum for index {n} is not integral: {total // g}/{n_fact // g}"
+        raise InternalInconsistencyError(msg)
+    return value
 
 
 def lambda_at(params: LambdaParams, indices) -> np.ndarray:

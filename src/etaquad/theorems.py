@@ -841,8 +841,7 @@ def range_report(
     for got in limits:  # every table's budget, before the sieve and the state
         for limit in got.values():
             _check_table_budget(limit)
-    # every odd prime (flag i stands for 2i + 1); the sieve's flags go once the primes are out
-    primes = 2 * np.flatnonzero(sieve_primes(p_max).odd_flags()) + 1
+    primes = sieve_primes(p_max)[1:]  # every odd prime
     # one byte per odd integer to p_max, as many as the sieve's budgeted flags,
     # keys the columns by the prime, for every instance
     state = np.zeros((p_max + 1) // 2, dtype=np.uint8)

@@ -87,21 +87,16 @@ def test_sigma_multiplicative_on_coprime_pairs():
                 assert table[m * n] == table[m] * table[n]
 
 
-def _primes(sieve):
-    """The primes to sieve.limit, read off the odd-only flags."""
-    return [2, *(2 * np.flatnonzero(sieve.odd_flags()) + 1).tolist()]
-
-
 def test_sieve_examples():
-    assert _primes(sieve_primes(10)) == [2, 3, 5, 7]
-    assert len(_primes(sieve_primes(30))) == 10
-    assert len(_primes(sieve_primes(1000))) == 168
-    assert _primes(sieve_primes(1000)) == oracle_primes(1000)
+    assert sieve_primes(10).tolist() == [2, 3, 5, 7]
+    assert len(sieve_primes(30)) == 10
+    assert len(sieve_primes(1000)) == 168
+    assert sieve_primes(1000).tolist() == oracle_primes(1000)
 
 
 def test_sieve_flags_and_errors():
-    odd = sieve_primes(100).odd_flags()
-    assert len(odd) == 50 and odd[97 >> 1] and not odd[91 >> 1]
+    primes = sieve_primes(100)
+    assert len(primes) == 25 and 97 in primes and 91 not in primes
     with pytest.raises(ValueError):
         sieve_primes(1)
     with pytest.raises(ResourceLimitError):
@@ -109,19 +104,19 @@ def test_sieve_flags_and_errors():
 
 
 def test_sieve_flag_array():
-    sieve = sieve_primes(1000)
-    odd = sieve.odd_flags()
-    assert len(odd) == 500 and not odd.flags.writeable and odd.dtype == np.bool_
-    assert [2 * i + 1 for i in range(500) if odd[i]] == oracle_primes(1000)[1:]
-    assert sieve.odd_flags() is odd and type(sieve.limit) is int
+    primes = sieve_primes(1000)
+    assert not primes.flags.writeable and primes.dtype == np.int64
+    assert primes.tolist() == oracle_primes(1000)
+    with pytest.raises(ValueError, match="read-only"):
+        primes[0] = 3
 
 
 def test_sieve_every_small_limit():
-    # the odd-only flags at every limit to 200, odd and even, squares of primes included
+    # every limit to 200, odd and even, squares of primes included: slot 0 holds 2
     for limit in range(2, 201):
-        odd = sieve_primes(limit).odd_flags()
-        assert len(odd) == (limit + 1) // 2 and not odd.flags.writeable
-        assert (2 * np.flatnonzero(odd) + 1).tolist() == oracle_primes(limit)[1:]
+        primes = sieve_primes(limit)
+        assert not primes.flags.writeable and primes.dtype == np.int64
+        assert primes.tolist() == oracle_primes(limit)
 
 
 def test_sieve_budget_counts_odd_integers(monkeypatch):
@@ -129,28 +124,29 @@ def test_sieve_budget_counts_odd_integers(monkeypatch):
 
     # one byte per odd integer: 199 fits 100 bytes and 201 does not
     monkeypatch.setattr(arith, "SIEVE_BUDGET_BYTES", 100)
-    odd = sieve_primes(199).odd_flags()
-    assert len(odd) == 100 and np.count_nonzero(odd) == 45 and odd[199 >> 1]
+    primes = sieve_primes(199)
+    assert len(primes) == 46 and primes[-1] == 199
     with pytest.raises(ResourceLimitError, match="^sieve to 201 needs 101 bytes, budget is 100$"):
         sieve_primes(201)
 
 
 def test_sieve_holds_one_flag_array():
-    # one byte per odd integer, sieved in place: 5 MB at 1e7, with no second copy
+    # one byte per odd integer, sieved in place, and the primes read off it in
+    # place: 5 MB of flags and 8 bytes per prime at 1e7, with no third array
     tracemalloc.start()
     try:
-        sieve = sieve_primes(10**7)
+        primes = sieve_primes(10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6.25e6
-    assert 1 + np.count_nonzero(sieve.odd_flags()) == 664579
+    assert len(primes) == 664579
+    assert peak < 5e6 + 8 * 664579 + 0.25e6
 
 
 def test_is_prime_against_sieve():
-    odd = sieve_primes(2000).odd_flags()
+    primes = set(sieve_primes(2000).tolist())
     for n in range(2001):
-        assert is_prime(n) == (n == 2 or bool(n & 1 and odd[n >> 1]))
+        assert is_prime(n) == (n in primes)
 
 
 def test_strong_lucas_meets_a_factor_of_d(monkeypatch):

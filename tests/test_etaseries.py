@@ -301,7 +301,8 @@ def test_partition_terms_counts():
         terms = list(partition_terms(n))
         assert len(terms) == count
         for term in terms:
-            assert sum((i + 1) * k for i, k in enumerate(term.multiplicities)) == n
+            assert type(term) is tuple and len(term) == n
+            assert sum(i * k for i, k in enumerate(term, start=1)) == n
     with pytest.raises(ValueError):
         partition_terms(-1)
 
@@ -363,11 +364,13 @@ def test_newton_inexact_division_raises(monkeypatch):
 
 
 def test_partition_sum_that_is_not_integral_raises(monkeypatch):
-    # the partition sum of 2 is (9 * c_1^2 - 3 * c_2) / 2 = 15/2 at c_1 = 2, c_2 = 7
+    # the partition sum of 2 is (9 * c_1^2 - 3 * c_2) / 2 = 15/2 at c_1 = 2, c_2 = 7;
+    # the sum of 4 is taken over 4! = 24 and printed in lowest terms, not as -1017/24
     _weight_2_one_off(monkeypatch)
-    want = "^partition sum for index 2 is not integral: 15/2$"
-    with pytest.raises(InternalInconsistencyError, match=want):
-        lambda_multinomial(LambdaParams(1, 1), 2)
+    for n, frac in [(2, "15/2"), (4, "-339/8")]:
+        want = f"^partition sum for index {n} is not integral: {frac}$"
+        with pytest.raises(InternalInconsistencyError, match=want):
+            lambda_multinomial(LambdaParams(1, 1), n)
 
 
 def test_multinomial_cap():

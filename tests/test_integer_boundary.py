@@ -26,7 +26,6 @@ from etaquad import (
     CoeffTable,
     ConstructionCase,
     LambdaParams,
-    PrimeSieve,
     QuadForm,
     TableCache,
     case_arity,
@@ -113,7 +112,6 @@ PROBES = {
     "CoeffTable": (st.tuples(PARAMS, st.integers(1, 30), small(-2, 32)), _table_reads),
     "ConstructionCase": (_case_params(CASES), ConstructionCase),
     "LambdaParams": (st.tuples(INT64, INT64), LambdaParams),
-    "PrimeSieve": (st.tuples(small(-2, 3000)), PrimeSieve),
     "TableCache": (
         st.tuples(PARAMS, st.one_of(st.integers(-2, 3000), st.integers(2**50, 2**62))),
         lambda params, n: TableCache().values(*params, [n]),
@@ -199,10 +197,7 @@ ALL_PROBES = PROBES | ORACLE_PROBES
 
 # name -> why no integer argument of it needs a probe
 EXEMPT = {
-    **dict.fromkeys(
-        ("QuadForm", "PartitionTerm"),
-        "a plain record; the functions that take forms convert them with _int_form",
-    ),
+    "QuadForm": "a plain record; the functions that take forms convert them with _int_form",
     **dict.fromkeys(
         ("ClassGroup", "Discriminant", "RepSet", "RangeReport", "Verdict"),
         "a plain result record, built by the library from converted integers",
