@@ -4,24 +4,31 @@ Reduction to the canonical representative, enumeration of the reduced
 primitive classes of a negative discriminant, Dirichlet composition and
 class inverses, and the representations of integers by a form.
 
-One integer's representations come from a single scan over x >= 0
-(``_scan``): a numpy residue filter modulo a few small moduli drops most
-x in chunks, and only the survivors pay the exact ``isqrt`` in Python
-ints, lazily and in ascending x.  ``representations`` scans whichever
-variable has the shorter range and adds the mirror (-x, -y) of each
-solution where that variable is > 0, ``normalized_reps`` keeps the
-mod-4-normalized solutions that drive the product-series identities, and
-``find_rep`` takes the first solution with y >= 0.  ``lattice_points`` is
-one numpy sweep over the lattice points of a diagonal form, in chunks of
-consecutive rows, that lists the representations of many integers at once;
-it can keep one parity class of x or of y, and then steps by 2 along it.
+One integer's representations come from one of two searches.  A prime n
+prime to 2ac, below ``is_prime``'s last proven bound, with a diagonal form
+[a, 0, c] and gcd(a, c) = 1, takes Cornacchia's algorithm (``_prime_reps``):
+a modular square root and one run of Euclid's algorithm give the one
+solution with x, y >= 0 in polylog time, and its sign variants (and swaps,
+for x^2 + y^2) are all the others.  Every other n takes a single scan over
+x >= 0 (``_scan``): a numpy residue filter on two wheels of two small moduli
+each drops most x in chunks, and only the survivors pay the exact
+``isqrt`` in Python ints, lazily and in ascending x.  ``representations``
+scans whichever variable has the shorter range and adds the mirror
+(-x, -y) of each solution where that variable is > 0, ``normalized_reps``
+keeps the mod-4-normalized solutions that drive the product-series
+identities, and ``find_rep`` takes the first solution with y >= 0.
+``lattice_points`` is one numpy sweep over the lattice points of a
+diagonal form, in chunks of consecutive rows, that lists the
+representations of many integers at once; it can keep one parity class of
+x or of y, and then steps by 2 along it.
 ``class_group`` tests the c-window of each a for 4ac + d a square, in
 numpy chunks with one float square test per cell, after a parity rule on
 a and c has dropped the cells that cannot hit when d is odd.
 ``representations`` and ``class_group`` check a work budget (scan length,
 cell count) before they start and raise ResourceLimitError past it;
 ``find_rep``, which stops at its first solution, raises once its scan
-reaches x = REPS_SCAN_BUDGET without one.
+reaches x = REPS_SCAN_BUDGET without one.  The prime route scans nothing,
+so no budget stops it.
 
 Value semantics throughout: forms, class groups and representation sets
 are immutable once built.  A form is a named tuple (a, b, c), built at
@@ -38,6 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .arith import _MR_BASES, is_prime, kronecker
 from .errors import check_budget
 
 
@@ -319,8 +327,21 @@ def _square_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.outer(r, r * r) % m, np.isin(np.add.outer(r, r) % m, r * r % m)
 
 
-# the residue filter of `_scan`: a few pairwise coprime moduli and their tables
-_FILTER = [(m, *_square_tables(m)) for m in (64, 63, 65, 11)]
+def _wheel(m1: int, m2: int) -> list[tuple]:
+    """One residue wheel of `_scan`'s filter, for coprime m1 and m2: per
+    modulus m, the tuple (m, its two `_square_tables`, x mod m over one
+    period m1*m2)."""
+    x = np.arange(m1 * m2)
+    return [(m, *_square_tables(m), x % m) for m in (m1, m2)]
+
+
+def _repeated(row: np.ndarray, copies: int) -> np.ndarray:
+    """np.tile(row, copies) for a 1-d row, without np.tile's Python overhead."""
+    return row.reshape(1, -1).repeat(copies, 0).ravel()
+
+
+# the residue filter of `_scan`: four pairwise coprime moduli on two wheels
+_WHEELS = [_wheel(64, 63), _wheel(65, 11)]
 _SCAN_CHUNK = 1 << 16  # values of x per chunk in `_scan`
 # filter survivors of a chunk above which `_scan` tests squares in int64 first
 _SCAN_SQUARES_MIN = 16
@@ -330,40 +351,52 @@ REPS_SCAN_BUDGET = 1 << 30  # values of x a scan may walk: up to ~14 s on 2 core
 def _scan(form: QuadForm, n: int):
     """Every (x, y) with x >= 0 and form(x, y) = n, in ascending x, then y.
 
-    The one search behind `representations` and `find_rep`: positive
-    definiteness bounds x^2 <= 4cn/|d|, and each x's y are the roots of
-    c*y^2 + b*x*y + (a*x^2 - n) = 0, whose discriminant d*x^2 + 4cn must be
-    a square.  A residue filter drops most x first: for each modulus m of
-    `_FILTER`, a boolean mask over x mod m marks where d*x^2 + 4cn is a
-    square mod m.  x is walked in chunks of `_SCAN_CHUNK`, so memory stays
-    one chunk; each chunk ANDs the masks from its start, and only the x that
-    survive pay the exact `isqrt` and root recovery, in Python ints.  A
-    chunk with more than `_SCAN_SQUARES_MIN` survivors first keeps only the
-    x where d*x^2 + 4cn is a square, in one int64 pass, when 4cn and -d are
-    below 2^62; past that, and for fewer survivors, nothing needs to fit
-    int64.  A chunk that would start at x >= REPS_SCAN_BUDGET raises
-    ResourceLimitError instead; `representations` checks the whole length
-    first, so only `find_rep` meets it.
+    The search behind `representations` and `find_rep` for every n that
+    `_prime_reps` leaves to it: positive definiteness bounds x^2 <= 4cn/|d|,
+    and each x's y are the roots of c*y^2 + b*x*y + (a*x^2 - n) = 0, whose
+    discriminant d*x^2 + 4cn must be a square.  A residue filter drops most
+    x first: for each modulus m (64, 63, 65 and 11), d*x^2 + 4cn must be a
+    square mod m.  The moduli are paired on two wheels of periods 4032 and
+    715, and each wheel's mask marks the x of one period (or of the whole
+    scan, when that is shorter) where both of its moduli pass; a scan longer
+    than the period repeats it over one chunk plus one period.  x is walked
+    in chunks of `_SCAN_CHUNK`, so memory stays one chunk; each chunk ANDs
+    the two masks from its start, and only the x that survive pay the exact
+    `isqrt` and root recovery, in Python ints.  A chunk with more than
+    `_SCAN_SQUARES_MIN` survivors first keeps only the x where d*x^2 + 4cn
+    is a square, in one int64 pass, when 4cn and -d are below 2^62; past
+    that, and for fewer survivors, nothing needs to fit int64.  A chunk that
+    would start at x >= REPS_SCAN_BUDGET raises ResourceLimitError instead;
+    `representations` checks the whole length first, so only `find_rep`
+    meets it.
     """
     b, c = form.b, form.c
     d, k = form.discriminant(), 4 * c * n
     x_end = isqrt(k // -d) + 1
-    # each mask repeated over one chunk plus one period, sliced per chunk
-    span = min(x_end, _SCAN_CHUNK)
     # d*x^2 + 4cn lies in [0, 4cn] for every x scanned, so with 4cn and -d
     # below 2^62 it and each product on the way are exact in int64
     fits = k < 1 << 62 and -d < 1 << 62
-    masks = []
-    for m, scaled, is_square_plus in _FILTER:
-        mask = is_square_plus[k % m][scaled[d % m]]
-        masks.append((m, mask.reshape(1, m).repeat(span // m + 2, 0).ravel()))
+    wheels = []
+    for (m1, scaled1, square1, x_mod1), (m2, scaled2, square2, x_mod2) in _WHEELS:
+        period = m1 * m2
+        # whether d*x^2 + 4cn is a square mod m, over the residues x mod m
+        row1, row2 = square1[k % m1][scaled1[d % m1]], square2[k % m2][scaled2[d % m2]]
+        if x_end <= period:  # each x of the scan looked up by x mod m
+            mask = row1[x_mod1[:x_end]]
+            mask &= row2[x_mod2[:x_end]]
+        else:  # one period, each row repeated; a chunk reads period - 1 + _SCAN_CHUNK values
+            mask = _repeated(row1, m2)
+            mask &= _repeated(row2, m1)
+            mask = _repeated(mask, -(-min(x_end, period - 1 + _SCAN_CHUNK) // period))
+        wheels.append((period, mask))
+    (p1, mask1), (p2, mask2) = wheels
     for lo in range(0, x_end, _SCAN_CHUNK):
         # x = lo is the (lo + 1)-th value walked
         check_budget(
             lo + 1, REPS_SCAN_BUDGET, "scan for {} by {} reached x = {} of {}", n, form, lo, x_end
         )
         length = min(_SCAN_CHUNK, x_end - lo)
-        keep = np.logical_and.reduce([mask[lo % m : lo % m + length] for m, mask in masks])
+        keep = mask1[lo % p1 : lo % p1 + length] & mask2[lo % p2 : lo % p2 + length]
         offs = keep.nonzero()[0]
         if fits and len(offs) > _SCAN_SQUARES_MIN:
             xs = offs + lo
@@ -380,21 +413,112 @@ def _scan(form: QuadForm, n: int):
                     yield x, num // (2 * c)
 
 
+def _sqrt_mod(q: int, p: int) -> int | None:
+    """Some r with r^2 = q (mod p), for an odd prime p and q prime to p, or
+    None when q is no square mod p (Tonelli-Shanks).
+
+    With p - 1 = s*2^e for odd s, r = q^((s+1)/2) has r^2 = q*t for
+    t = q^s, whose order divides 2^(e-1) exactly when q is a square.  Each
+    step finds the order 2^i of t; i = e means q is no square, and
+    otherwise r times b = c^(2^(e-i-1)) leaves t an order below 2^i, where
+    c is z^s for a non-square z (of order 2^e) and then each step's b^2.
+    """
+    s, e = p - 1, 0
+    while s % 2 == 0:
+        s, e = s // 2, e + 1
+    r = pow(q, (s + 1) // 2, p)
+    if r * r % p == q:  # t = 1, as always for a square when p = 3 (mod 4)
+        return r
+    if e == 1:
+        return None
+    t = pow(q, s, p)
+    z = 2
+    while kronecker(z, p) != -1:
+        z += 1
+    c = pow(z, s, p)
+    while t != 1:
+        i, u = 0, t
+        while u != 1:
+            u, i = u * u % p, i + 1
+        if i == e:
+            return None
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c = i, b * b % p
+        r, t = r * b % p, t * c % p
+    return r
+
+
+def _prime_solution(a: int, c: int, p: int) -> tuple[int, int] | None:
+    """The (x, y) with x, y >= 0 and a*x^2 + c*y^2 = p, or None, for a prime
+    p prime to 2ac: Cornacchia's algorithm (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.5.2), with a*r^2 in its stopping rule.
+
+    A solution has y prime to p, and x/y mod p is a root r of
+    r^2 = -c/a (mod p).  Euclid's algorithm on (p, r), stopped at the first
+    remainder with a*r^2 < p, gives x, and y follows from the rest.
+    """
+    r = _sqrt_mod(-c * pow(a, -1, p) % p, p)
+    if r is None:
+        return None
+    u = p
+    while a * r * r >= p:
+        u, r = r, u % r
+    y2, rest = divmod(p - a * r * r, c)
+    y = isqrt(y2)
+    return (r, y) if rest == 0 and y * y == y2 else None
+
+
+# is_prime is exact below this bound, and past it raises for a probable prime
+_PRIME_ROUTE_BOUND = _MR_BASES[-1][0]
+
+
+def _prime_reps(form: QuadForm, n: int) -> list[tuple[int, int]] | None:
+    """Every (x, y) with form(x, y) = n, sorted, when n is a prime that
+    Cornacchia's algorithm answers for the form; None when `_scan` must run.
+
+    That takes a diagonal form [a, 0, c] with gcd(a, c) = 1 and an odd prime
+    n prime to ac, below is_prime's last proven bound.  The primitive forms
+    of discriminant D = -4ac then represent n w*(1 + (D|n)) times in all,
+    for w units (Dirichlet), and only the class of one form that represents
+    n and its inverse class do.  [a, 0, c] is its own inverse, so when it
+    represents n it holds all 2w of them: the four sign variants of
+    `_prime_solution`'s (x, y), and for x^2 + y^2 (w = 4) the four of (y, x)
+    too.
+    """
+    a, b, c = form
+    if b or n % 2 == 0 or gcd(a, c) != 1 or gcd(n, a * c) != 1 or n >= _PRIME_ROUTE_BOUND:
+        return None
+    if not is_prime(n):
+        return None
+    solution = _prime_solution(a, c, n)
+    if solution is None:
+        return []
+    x, y = solution
+    pairs = [(x, y), (x, -y), (-x, y), (-x, -y)]
+    if a == c:
+        pairs += [(v, u) for u, v in pairs]
+    return sorted(pairs)
+
+
 def representations(form: QuadForm, n: int) -> RepSet:
     """Every integer pair (x, y) with form(x, y) = n.
 
-    `_scan` walks the first variable up to sqrt(4cn/|d|) for [a, b, c], so
-    when a < c it scans [c, b, a] instead, over y up to sqrt(4an/|d|), and
-    swaps each pair back.  The solutions with the scanned variable >= 0
-    come from the scan; the rest are the mirrors (-x, -y) of those where
-    it is > 0.  A scan longer than REPS_SCAN_BUDGET values raises
-    ResourceLimitError before it starts.
+    A prime n that `_prime_reps` answers takes Cornacchia's algorithm.
+    Otherwise `_scan` walks the first variable up to sqrt(4cn/|d|) for
+    [a, b, c], so when a < c it scans [c, b, a] instead, over y up to
+    sqrt(4an/|d|), and swaps each pair back.  The solutions with the
+    scanned variable >= 0 come from the scan; the rest are the mirrors
+    (-x, -y) of those where it is > 0.  A scan longer than REPS_SCAN_BUDGET
+    values raises ResourceLimitError before it starts.
     """
     # Python ints, so that 4cn and the pairs never wrap as numpy integers would
     form, n = _int_form(form), index(n)
     _require_positive_definite(form)
     if n < 1:
         raise ValueError(f"representations needs n >= 1, got {n}")
+    pairs = _prime_reps(form, n)
+    if pairs is not None:
+        return RepSet(form, n, tuple(pairs))
     swap = form.a < form.c
     length = isqrt(4 * min(form.a, form.c) * n // -form.discriminant()) + 1
     what = "representations of {} by {} scan {need} values"
@@ -420,13 +544,18 @@ def find_rep(a: int, b: int, m: int) -> tuple[int, int] | None:
     """Some nonnegative (x, y) with m = a*x^2 + b*y^2, or None.
 
     Deterministic: the solution with the smallest x (y is then fixed).  A
-    scan that reaches x = REPS_SCAN_BUDGET without one raises
-    ResourceLimitError.
+    prime m that `_prime_reps` answers takes Cornacchia's algorithm;
+    otherwise a scan that reaches x = REPS_SCAN_BUDGET without a solution
+    raises ResourceLimitError.
     """
     a, b, m = index(a), index(b), index(m)
     if a < 1 or b < 1 or m < 1:
         raise ValueError(f"find_rep needs positive arguments, got ({a}, {b}, {m})")
-    return next(((x, y) for x, y in _scan(QuadForm(a, 0, b), m) if y >= 0), None)
+    form = QuadForm(a, 0, b)
+    pairs = _prime_reps(form, m)
+    if pairs is not None:
+        return next(((x, y) for x, y in pairs if x >= 0 and y >= 0), None)
+    return next(((x, y) for x, y in _scan(form, m) if y >= 0), None)
 
 
 _LATTICE_CELLS = 1 << 15  # points per chunk of consecutive rows in lattice_points

@@ -459,18 +459,21 @@ def test_find_rep_stops_at_first_solution():
 def test_find_rep_stops_at_the_scan_budget(monkeypatch):
     monkeypatch.setattr(quadform, "_SCAN_CHUNK", 64)
     monkeypatch.setattr(quadform, "REPS_SCAN_BUDGET", 256)
-    # 10^6 + 3 = 3 (mod 4) is no sum of two squares: the scan would walk x to 1000
-    want = r"^scan for 1000003 by \[1, 0, 1\] reached x = 256 of 1001, budget is 256$"
+    # 999999 = 3^3 * 7 * 11 * 13 * 37 is no sum of two squares: the scan would walk x to 999
+    want = r"^scan for 999999 by \[1, 0, 1\] reached x = 256 of 1000, budget is 256$"
     with pytest.raises(ResourceLimitError, match=want):
-        find_rep(1, 1, 10**6 + 3)
-    # the bound is on x: 186701 = 301^2 + 310^2 has its first solution past it
+        find_rep(1, 1, 999999)
+    # the bound is on x: 186741 = 279^2 + 330^2 has its first solution past it
     with pytest.raises(ResourceLimitError, match=r"reached x = 256 of 433,"):
-        find_rep(1, 1, 186701)
+        find_rep(1, 1, 186741)
     # a solution below the budget returns, from the first chunk or a later one
     assert find_rep(1, 1, 10**40 + 1) == (1, 10**20)
-    assert find_rep(1, 1, 82837) == (201, 206)
-    monkeypatch.setattr(quadform, "REPS_SCAN_BUDGET", 1001)
+    assert find_rep(1, 1, 82053) == (198, 207)
+    # a prime target takes Cornacchia's algorithm, which scans nothing
     assert find_rep(1, 1, 10**6 + 3) is None
+    assert find_rep(1, 1, 186701) == (301, 310)
+    monkeypatch.setattr(quadform, "REPS_SCAN_BUDGET", 1000)
+    assert find_rep(1, 1, 999999) is None
 
 
 def test_representations_validation():
@@ -506,6 +509,50 @@ def test_find_rep_examples():
     assert find_rep(1, 1, 3) is None
     with pytest.raises(ValueError):
         find_rep(0, 1, 5)
+
+
+def _next_prime(n):
+    while n < 2 or any(n % d == 0 for d in range(2, isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+_COEFF = st.one_of(st.just(1), st.integers(1, 60))  # often 1, so that x^2 + y^2 comes up
+
+
+@given(st.one_of(st.integers(2, 60), st.integers(61, 10**7)).map(_next_prime), _COEFF, _COEFF)
+@settings(max_examples=300, deadline=None)
+def test_prime_targets_equal_the_scan(p, a, c):
+    # odd primes prime to ac take Cornacchia's algorithm when gcd(a, c) = 1; p = 2,
+    # p | ac and non-primitive forms take the scan; every answer is the scan's
+    want = oracle_scan(a, 0, c, p)
+    assert representations(QuadForm(a, 0, c), p).pairs == _with_mirrors(want)
+    assert normalized_reps(QuadForm(a, 0, c), p) == [
+        (x, y) for x, y in _with_mirrors(want) if x % 4 == 1 and y % 4 == 1
+    ]
+    assert find_rep(a, c, p) == next(((x, y) for x, y in want if y >= 0), None)
+
+
+@pytest.mark.parametrize("p", [17, 41, 73, 97, 193, 257, 65537, 7340033])
+def test_sqrt_mod_at_primes_one_mod_8(p):
+    # p = 1 (mod 8) leaves 2^e | p - 1 with e >= 3, so Tonelli-Shanks runs its
+    # order-halving steps (65537 = 2^16 + 1 and 7340033 = 7 * 2^20 + 1 run the most)
+    assert p % 8 == 1
+    for q in range(1, min(p, 3000)):
+        r = quadform._sqrt_mod(q, p)
+        if pow(q, (p - 1) // 2, p) == 1:
+            assert r is not None and r * r % p == q, q
+        else:
+            assert r is None, q
+
+
+def test_probable_prime_past_the_proven_bound_takes_the_scan():
+    # is_prime cannot prove 10^40 + 121 = (10^20)^2 + 11^2 prime, so the search
+    # takes the scan: representations meets its budget, find_rep its solution at x = 11
+    p = 10**40 + 121
+    with pytest.raises(ResourceLimitError, match=rf"^representations of {p} by \[1, 0, 1\] scan"):
+        representations(QuadForm(1, 0, 1), p)
+    assert find_rep(1, 1, p) == (11, 10**20)
 
 
 def test_find_rep_finds_iff_representable():

@@ -134,3 +134,18 @@ def test_prime_representations_match_cornacchia(a, b):
             theirs |= {(y, x) for x, y in theirs}
         assert ours == theirs, p
         assert find_rep(a, b, p) == min(ours, default=None), p
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (1, 7), (3, 5), (1, 15)])
+def test_large_prime_representations_match_cornacchia(a, b):
+    # far past any scan: the first primes past 10^20, 10^22 and 10^24 and the
+    # last below 3*10^24, under is_prime's last proven bound 3.3e24
+    for p in (nextprime(10**20), nextprime(10**22), nextprime(10**24), prevprime(3 * 10**24)):
+        pairs = representations(QuadForm(a, 0, b), p).pairs
+        ours = {(x, y) for x, y in pairs if x >= 0 and y >= 0}
+        theirs = cornacchia(a, b, p)
+        if a == b:  # sympy lists one of (x, y) and (y, x)
+            theirs |= {(y, x) for x, y in theirs}
+        assert ours == theirs, p
+        assert len(pairs) == 4 * len(theirs)  # the sign variants of each
+        assert find_rep(a, b, p) == min(ours, default=None), p

@@ -950,6 +950,27 @@ def test_thm53_reads_before_its_representation_search(monkeypatch):
         verify_thm53(p)
 
 
+@pytest.mark.parametrize(
+    "case,in_class,verify",
+    [
+        (("E1.6",), lambda p: p % 7 in (1, 2, 4), verify_construction),
+        (("C3.1",), lambda p: p % 4 == 1, verify_construction),
+        (("T4.1", 1, 2), lambda p: p % 8 == 3, verify_product),
+    ],
+    ids=["E1.6", "C3.1", "T4.1(1,2)"],
+)
+def test_one_prime_verdicts_past_the_ceiling_raise_without_a_scan(case, in_class, verify, monkeypatch):
+    from etaquad import quadform
+
+    # the first prime above 10^18 in the case's class has a representation, found
+    # by Cornacchia's algorithm, so the read past lambda_at's 2^52 ceiling raises
+    # at once; an O(sqrt p) scan before it would take about a second
+    p = next(p for p in range(10**18 + 1, 10**18 + 10**4, 2) if in_class(p) and is_prime(p))
+    monkeypatch.setattr(quadform, "_scan", lambda *args: pytest.fail(f"_scan{args} ran"))
+    with pytest.raises(ResourceLimitError, match="^lambda_at at index .* ceiling 2\\^52"):
+        verify(make_case(*case), p)
+
+
 # ---------------------------------------------------------------------------
 # the columnar range path against the one-prime loop of _evaluate
 
