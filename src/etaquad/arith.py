@@ -78,6 +78,8 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _MR_BASES = (
     (25_326_001, _SMALL_PRIMES[:3]),
     (3_215_031_751, _SMALL_PRIMES[:4]),
+    (2_152_302_898_747, _SMALL_PRIMES[:5]),
+    (3_474_749_660_383, _SMALL_PRIMES[:6]),
     (341_550_071_728_321, _SMALL_PRIMES[:7]),
     (3_825_123_056_546_413_051, _SMALL_PRIMES[:9]),
     (318_665_857_834_031_151_167_461, _SMALL_PRIMES[:12]),

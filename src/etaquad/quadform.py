@@ -4,19 +4,21 @@ Reduction to the canonical representative, enumeration of the reduced
 primitive classes of a negative discriminant, Dirichlet composition and
 class inverses, and the representations of integers by a form.
 
-One integer's representations come from one of two searches.  A prime n
-prime to 2ac, below ``is_prime``'s last proven bound, with a diagonal form
-[a, 0, c] and gcd(a, c) = 1, takes Cornacchia's algorithm (``_prime_reps``):
-a modular square root and one run of Euclid's algorithm give the one
-solution with x, y >= 0 in polylog time, and its sign variants (and swaps,
-for x^2 + y^2) are all the others.  Every other n takes a single scan over
-x >= 0 (``_scan``): a numpy residue filter on two wheels of two small moduli
-each drops most x in chunks, and only the survivors pay the exact
-``isqrt`` in Python ints, lazily and in ascending x.  ``representations``
-scans whichever variable has the shorter range and adds the mirror
-(-x, -y) of each solution where that variable is > 0, ``normalized_reps``
-keeps the mod-4-normalized solutions that drive the product-series
-identities, and ``find_rep`` takes the first solution with y >= 0.
+One integer's representations come from one of two searches, which give
+the same thing: every (x, y) with x >= 0 and form(x, y) = n, in ascending
+x and then y.  A prime n prime to 2ac, below ``is_prime``'s last proven
+bound, with a diagonal form [a, 0, c] and gcd(a, c) = 1, takes Cornacchia's
+algorithm (``_prime_reps``): a modular square root and one run of Euclid's
+algorithm give the one solution with x, y > 0 in polylog time, and its
+sign variants (and swaps, for x^2 + y^2) are all the others.  Every other
+n takes a single scan over x >= 0 (``_scan``): a numpy residue filter on
+two wheels of two small moduli each drops most x in chunks, and only the
+survivors pay the exact ``isqrt`` in Python ints, lazily and in ascending
+x.  ``representations`` searches over whichever variable has the shorter
+range and adds the mirror (-x, -y) of each solution where that variable is
+positive, ``normalized_reps`` keeps the mod-4-normalized solutions that
+drive the product-series identities, and ``find_rep`` takes the first
+solution with y >= 0.
 ``lattice_points`` is one numpy sweep over the lattice points of a
 diagonal form, in chunks of consecutive rows, that lists the
 representations of many integers at once; it can keep one parity class of
@@ -352,8 +354,9 @@ def _scan(form: QuadForm, n: int):
     """Every (x, y) with x >= 0 and form(x, y) = n, in ascending x, then y.
 
     The search behind `representations` and `find_rep` for every n that
-    `_prime_reps` leaves to it: positive definiteness bounds x^2 <= 4cn/|d|,
-    and each x's y are the roots of c*y^2 + b*x*y + (a*x^2 - n) = 0, whose
+    `_prime_reps` leaves to it (for the n it answers, `_prime_reps` returns
+    this same list): positive definiteness bounds x^2 <= 4cn/|d|, and each
+    x's y are the roots of c*y^2 + b*x*y + (a*x^2 - n) = 0, whose
     discriminant d*x^2 + 4cn must be a square.  A residue filter drops most
     x first: for each modulus m (64, 63, 65 and 11), d*x^2 + 4cn must be a
     square mod m.  The moduli are paired on two wheels of periods 4032 and
@@ -448,82 +451,70 @@ def _sqrt_mod(q: int, p: int) -> int | None:
     return r
 
 
-def _prime_solution(a: int, c: int, p: int) -> tuple[int, int] | None:
-    """The (x, y) with x, y >= 0 and a*x^2 + c*y^2 = p, or None, for a prime
-    p prime to 2ac: Cornacchia's algorithm (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 1.5.2), with a*r^2 in its stopping rule.
-
-    A solution has y prime to p, and x/y mod p is a root r of
-    r^2 = -c/a (mod p).  Euclid's algorithm on (p, r), stopped at the first
-    remainder with a*r^2 < p, gives x, and y follows from the rest.
-    """
-    r = _sqrt_mod(-c * pow(a, -1, p) % p, p)
-    if r is None:
-        return None
-    u = p
-    while a * r * r >= p:
-        u, r = r, u % r
-    y2, rest = divmod(p - a * r * r, c)
-    y = isqrt(y2)
-    return (r, y) if rest == 0 and y * y == y2 else None
-
-
 # is_prime is exact below this bound, and past it raises for a probable prime
 _PRIME_ROUTE_BOUND = _MR_BASES[-1][0]
 
 
 def _prime_reps(form: QuadForm, n: int) -> list[tuple[int, int]] | None:
-    """Every (x, y) with form(x, y) = n, sorted, when n is a prime that
+    """What `_scan(form, n)` yields, as a list, when n is a prime that
     Cornacchia's algorithm answers for the form; None when `_scan` must run.
 
     That takes a diagonal form [a, 0, c] with gcd(a, c) = 1 and an odd prime
-    n prime to ac, below is_prime's last proven bound.  The primitive forms
-    of discriminant D = -4ac then represent n w*(1 + (D|n)) times in all,
-    for w units (Dirichlet), and only the class of one form that represents
-    n and its inverse class do.  [a, 0, c] is its own inverse, so when it
-    represents n it holds all 2w of them: the four sign variants of
-    `_prime_solution`'s (x, y), and for x^2 + y^2 (w = 4) the four of (y, x)
-    too.
+    n prime to ac, below is_prime's last proven bound.  A solution has y
+    prime to n, and x/y mod n is a root r of r^2 = -c/a (mod n): Euclid's
+    algorithm on (n, r), stopped at the first remainder with a*r^2 < n,
+    gives x, and y follows from the rest (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 1.5.2, with a*r^2 in its stopping rule).
+    The primitive forms of discriminant D = -4ac represent n w*(1 + (D|n))
+    times in all, for w units (Dirichlet), and only the class of one form
+    that represents n and its inverse class do.  [a, 0, c] is its own
+    inverse, so when it represents n it holds all 2w of them: the sign
+    variants of the one (x, y) with x, y > 0, and for x^2 + y^2 (w = 4)
+    those of (y, x) too.  Of these the scan yields (x, -y) and (x, y), and
+    (y, -x) and (y, x) for x^2 + y^2, in ascending x and then y.
     """
     a, b, c = form
     if b or n % 2 == 0 or gcd(a, c) != 1 or gcd(n, a * c) != 1 or n >= _PRIME_ROUTE_BOUND:
         return None
     if not is_prime(n):
         return None
-    solution = _prime_solution(a, c, n)
-    if solution is None:
+    u, r = n, _sqrt_mod(-c * pow(a, -1, n) % n, n)
+    if r is None:
         return []
-    x, y = solution
-    pairs = [(x, y), (x, -y), (-x, y), (-x, -y)]
-    if a == c:
-        pairs += [(v, u) for u, v in pairs]
-    return sorted(pairs)
+    while a * r * r >= n:
+        u, r = r, u % r
+    y2, rest = divmod(n - a * r * r, c)
+    y = isqrt(y2)
+    if rest or y * y != y2:
+        return []
+    solutions = [(r, y), (y, r)] if a == c else [(r, y)]
+    return sorted((s, t) for s, v in solutions for t in (-v, v))
 
 
 def representations(form: QuadForm, n: int) -> RepSet:
     """Every integer pair (x, y) with form(x, y) = n.
 
-    A prime n that `_prime_reps` answers takes Cornacchia's algorithm.
-    Otherwise `_scan` walks the first variable up to sqrt(4cn/|d|) for
-    [a, b, c], so when a < c it scans [c, b, a] instead, over y up to
-    sqrt(4an/|d|), and swaps each pair back.  The solutions with the
-    scanned variable >= 0 come from the scan; the rest are the mirrors
-    (-x, -y) of those where it is > 0.  A scan longer than REPS_SCAN_BUDGET
-    values raises ResourceLimitError before it starts.
+    `_scan` walks the first variable up to sqrt(4cn/|d|) for [a, b, c], so
+    when a < c the search runs on [c, b, a] instead, over y up to
+    sqrt(4an/|d|), and swaps each pair back.  A prime n that `_prime_reps`
+    answers for that form takes Cornacchia's algorithm; otherwise a scan
+    longer than REPS_SCAN_BUDGET values raises ResourceLimitError before it
+    starts.  The solutions with the searched variable >= 0 come from the
+    search; the rest are the mirrors (-x, -y) of those where it is > 0.
     """
     # Python ints, so that 4cn and the pairs never wrap as numpy integers would
     form, n = _int_form(form), index(n)
     _require_positive_definite(form)
     if n < 1:
         raise ValueError(f"representations needs n >= 1, got {n}")
-    pairs = _prime_reps(form, n)
-    if pairs is not None:
-        return RepSet(form, n, tuple(pairs))
     swap = form.a < form.c
-    length = isqrt(4 * min(form.a, form.c) * n // -form.discriminant()) + 1
-    what = "representations of {} by {} scan {need} values"
-    check_budget(length, REPS_SCAN_BUDGET, what, n, form)
-    half = list(_scan(QuadForm(form.c, form.b, form.a) if swap else form, n))
+    searched = QuadForm(form.c, form.b, form.a) if swap else form
+    half = _prime_reps(searched, n)
+    if half is None:
+        length = isqrt(4 * searched.c * n // -form.discriminant()) + 1
+        what = "representations of {} by {} scan {need} values"
+        check_budget(length, REPS_SCAN_BUDGET, what, n, form)
+        half = list(_scan(searched, n))
     half += [(-u, -v) for u, v in half if u > 0]
     pairs = [(v, u) for u, v in half] if swap else half
     return RepSet(form, n, tuple(sorted(pairs)))
@@ -543,19 +534,18 @@ def normalized_reps(form: QuadForm, n: int) -> list[tuple[int, int]]:
 def find_rep(a: int, b: int, m: int) -> tuple[int, int] | None:
     """Some nonnegative (x, y) with m = a*x^2 + b*y^2, or None.
 
-    Deterministic: the solution with the smallest x (y is then fixed).  A
-    prime m that `_prime_reps` answers takes Cornacchia's algorithm;
-    otherwise a scan that reaches x = REPS_SCAN_BUDGET without a solution
-    raises ResourceLimitError.
+    Deterministic: the solution with the smallest x (y is then fixed), the
+    first with y >= 0 that `_prime_reps` or `_scan` gives.  A prime m that
+    `_prime_reps` answers takes Cornacchia's algorithm; otherwise a scan
+    that reaches x = REPS_SCAN_BUDGET without a solution raises
+    ResourceLimitError.
     """
     a, b, m = index(a), index(b), index(m)
     if a < 1 or b < 1 or m < 1:
         raise ValueError(f"find_rep needs positive arguments, got ({a}, {b}, {m})")
     form = QuadForm(a, 0, b)
     pairs = _prime_reps(form, m)
-    if pairs is not None:
-        return next(((x, y) for x, y in pairs if x >= 0 and y >= 0), None)
-    return next(((x, y) for x, y in _scan(form, m) if y >= 0), None)
+    return next(((x, y) for x, y in (_scan(form, m) if pairs is None else pairs) if y >= 0), None)
 
 
 _LATTICE_CELLS = 1 << 15  # points per chunk of consecutive rows in lattice_points

@@ -36,12 +36,15 @@ side.  Table sizes for a range follow from the reads at p_max, so adding
 a case means adding one record.
 
 Two paths evaluate a rule.  The single-prime path (``verify_*``) runs the
-rule's scalar runner, which finds the representations of one prime by an
-O(sqrt p) scan and builds its ``Verdict``.  ``range_report`` sieves once
-and takes the columnar path for one instance at a time: one
-``lattice_points`` sweep of the rule's form over each parity class of
-(x, y) that an odd prime allows, the hypotheses as boolean masks, and
-each table read once as an array, so a range costs about O(P) array work
+rule's scalar runner, which finds the representations of one prime p
+(of m*p, for a product rule) and builds its ``Verdict``.  ``quadform``
+finds those of a prime target by Cornacchia's algorithm in polylog time
+when the form's coefficients are coprime and prime to p, and by an
+O(sqrt p) scan otherwise.  ``range_report`` sieves once and takes the
+columnar path for one instance at a time: one ``lattice_points`` sweep
+of the rule's form over each parity class of (x, y) that an odd prime
+allows, the hypotheses as boolean masks, and each table read once as an
+array, so a range costs about O(P) array work
 instead of O(P^1.5 / log P) Python steps.  The columns are keyed by the
 prime, not by its position among the primes: one byte of state per odd
 integer to p_max marks where the hypotheses hold, the sweep keeps the
@@ -539,7 +542,7 @@ _CASES: dict[str, _CaseSpec] = {
     ),
     "E3.1": _CaseSpec(
         "p = 1 (mod 8) = x^2 + 2y^2; signed value at (3p+5)/8 in the (1,2) table",
-        lambda: _t32ii(1, 2, _ONE_MOD_8),
+        lambda: _t32ii(1, 2),
     ),
     "E3.2": _CaseSpec(
         "p = 1 (mod 24) = x^2 + 6y^2; signed value at (7p+1)/8 in the (1,6) table",

@@ -198,6 +198,14 @@ def test_presized_limit_examples():
     assert presized("T4.3", (5, 7), 11).builds == [(5, 7, 5)]
 
 
+def test_no_rule_lists_a_hypothesis_twice():
+    # a repeated hypothesis is checked twice per prime, and the mutation test's
+    # mutant that drops it by name would drop one copy and change nothing
+    for case_id, params in instances():
+        reasons = [why for _, why in make_case(case_id, *params)._rule.hypotheses]
+        assert len(reasons) == len(set(reasons)), (label(case_id, params), reasons)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     cli = cli_outputs()

@@ -16,7 +16,7 @@ from conftest import (
     oracle_scan,
     outcome_of,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etaquad import (
@@ -531,6 +531,19 @@ def test_prime_targets_equal_the_scan(p, a, c):
         (x, y) for x, y in _with_mirrors(want) if x % 4 == 1 and y % 4 == 1
     ]
     assert find_rep(a, c, p) == next(((x, y) for x, y in want if y >= 0), None)
+
+
+@given(st.integers(2, 999_983).map(_next_prime), _COEFF, _COEFF)
+@example(5, 1, 1)  # x^2 + y^2: the swaps too
+@example(11, 1, 7)
+@settings(max_examples=300, deadline=None)
+def test_prime_route_yields_what_the_scan_yields(p, a, c):
+    # where Cornacchia's route answers, it returns _scan's list: the pairs with
+    # x >= 0 in ascending x and then y, so its callers assemble both alike
+    form = QuadForm(a, 0, c)
+    pairs = quadform._prime_reps(form, p)
+    if pairs is not None:
+        assert pairs == list(_scan(form, p))
 
 
 @pytest.mark.parametrize("p", [17, 41, 73, 97, 193, 257, 65537, 7340033])

@@ -52,11 +52,13 @@ def test_is_prime_matches_sympy():
 @pytest.mark.parametrize(
     "n",
     [
-        # strong pseudoprimes to the first 2, 3, 4, 7, 9 and 12 prime bases;
+        # strong pseudoprimes to the first 2, 3, 4, 5, 6, 7, 9 and 12 prime bases;
         # each is at or past a bound, so more bases must expose it
         1373653,
         25326001,
         3215031751,
+        2152302898747,
+        3474749660383,
         341550071728321,
         3825123056546413051,
         318665857834031151167461,

@@ -942,7 +942,8 @@ def test_thm53_reads_before_its_representation_search(monkeypatch):
     import etaquad.theorems as th
 
     # 10^20 + 547 = 17 (mod 30) is prime; its read at 5p is past lambda_at's
-    # 2^52 ceiling, which must raise before an O(sqrt p) find_rep starts
+    # 2^52 ceiling, which must raise before find_rep starts: the scalar runner
+    # reads first, as the columnar one does (find_rep at this prime is polylog)
     p = 10**20 + 547
     assert is_prime(p) and p % 30 == 17
     monkeypatch.setattr(th, "find_rep", lambda *args: pytest.fail(f"find_rep{args} ran"))
