@@ -44,7 +44,6 @@ from .theorems import (
     Verdict,
     case_arity,
     case_ids,
-    case_summary,
     make_case,
     range_report,
     verify_construction,
@@ -76,7 +75,6 @@ __all__ = [
     "Verdict",
     "case_arity",
     "case_ids",
-    "case_summary",
     "class_group",
     "closed_form",
     "compose",

@@ -26,7 +26,7 @@ each instance of a range, given no cache makes its own, so its tables are
 released when it is done and nothing reads what an earlier call or
 instance left behind.
 
-Each case is one ``_CASES`` record (summary, rule builder, parameter
+Each case is one ``_CASES`` record (rule builder and parameter
 conditions; its arity is the builder's parameter count) whose builder
 gives the identity at concrete parameters as a ``_Rule``: the ``form``
 p = fa*x^2 + fb*y^2, the ``reads`` (ta, tb, m), each the (ta, tb)
@@ -473,7 +473,6 @@ def _evaluate(case: ConstructionCase, p: int, cache: TableCache) -> Verdict:
 
 @dataclass(frozen=True)
 class _CaseSpec:
-    summary: str
     rule: object  # the case's parameters -> its _Rule
     conditions: tuple[tuple[object, str], ...] = ()  # (fails(a, b), message), in order
 
@@ -489,88 +488,34 @@ _COPRIME = ((lambda a, b: gcd(a, b) != 1, "requires coprime a and b"),)
 _ODD_EVEN = _ODD_A + ((lambda a, b: b % 2 or b % 8 == 0, "requires even b not divisible by 8"),)
 
 _CASES: dict[str, _CaseSpec] = {
-    "T3.1": _CaseSpec(
-        "odd a,b; p = a*x^2 + b*y^2; signed 4a*x^2 - 2p at ((ab+1)p-a-b)/8 + 1",
-        _t31,
-        _ODD_PAIR,
-    ),
-    "C3.1": _CaseSpec(
-        "p = 1 (mod 4) = x^2 + y^2, odd x; 4x^2 - 2p at (p+3)/4",
-        lambda: replace(_t31(1, 1, _residue(4, (1,), "1 (mod 4)")), odd_x=True),
-    ),
-    "C3.2": _CaseSpec(
-        "p = 1,9 (mod 20) = x^2 + 5y^2; signed 4x^2 - 2p at (3p+1)/4",
-        lambda: _t31(1, 5, _residue(20, (1, 9), "1 or 9 (mod 20)")),
-    ),
+    "T3.1": _CaseSpec(_t31, _ODD_PAIR),
+    "C3.1": _CaseSpec(lambda: replace(_t31(1, 1, _residue(4, (1,), "1 (mod 4)")), odd_x=True)),
+    "C3.2": _CaseSpec(lambda: _t31(1, 5, _residue(20, (1, 9), "1 or 9 (mod 20)"))),
     "T3.2i": _CaseSpec(
-        "odd coprime a,b; p = x^2 + ab*y^2; signed 4x^2 - 2p at (a+b)(p-1)/8 + 1",
         lambda a, b: _over_ab(a, b, lambda x, y: (a * b + 1) // 2 * y),
         _ODD_PAIR + _COPRIME,
     ),
-    "T3.2ii": _CaseSpec(
-        "odd a, even b (8 exc.), coprime; p = 1 (mod 8) = x^2 + ab*y^2",
-        _t32ii,
-        _ODD_EVEN + _COPRIME,
-    ),
-    "C3.3": _CaseSpec(
-        "coefficient equality between the (a,b) and (1,ab) tables, odd coprime a,b",
-        _c33,
-        _ODD_PAIR + _COPRIME,
-    ),
+    "T3.2ii": _CaseSpec(_t32ii, _ODD_EVEN + _COPRIME),
+    "C3.3": _CaseSpec(_c33, _ODD_PAIR + _COPRIME),
     "C3.4": _CaseSpec(
-        "odd a; p = x^2 + 16a*y^2; (-1)^y (4x^2 - 2p) at ((a+4)p - a + 4)/8",
         lambda a: _Rule(form=(1, 16 * a), reads=((a, 4, a + 4),), sign=lambda x, y: y),
         _ODD_A,
     ),
-    "C3.5": _CaseSpec(
-        "table equality as C3.3 for odd a, even b (8 exc.), coprime, p = 1 (mod 8)",
-        lambda a, b: _c33(a, b, _ONE_MOD_8),
-        _ODD_EVEN + _COPRIME,
-    ),
-    "T3.3": _CaseSpec(
-        "odd a, even b (8 exc.); p = a (mod 8) = a*x^2 + b*y^2; signed 4a*x^2 - 2p",
-        _t33,
-        _ODD_EVEN,
-    ),
-    "E1.6": _CaseSpec(
-        "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p",
-        lambda: _t31(1, 7, _residue(7, (1, 2, 4), "1, 2 or 4 (mod 7)")),
-    ),
-    "E1.8": _CaseSpec(
-        "p = 1 (mod 3) = x^2 + 3y^2; 4x^2 - 2p at (p+1)/2 in the (1,3) table",
-        lambda: _t31(1, 3, _residue(3, (1,), "1 (mod 3)")),
-    ),
-    "E3.1": _CaseSpec(
-        "p = 1 (mod 8) = x^2 + 2y^2; signed value at (3p+5)/8 in the (1,2) table",
-        lambda: _t32ii(1, 2),
-    ),
-    "E3.2": _CaseSpec(
-        "p = 1 (mod 24) = x^2 + 6y^2; signed value at (7p+1)/8 in the (1,6) table",
-        lambda: _t32ii(1, 6, _residue(24, (1,), "1 (mod 24)")),
-    ),
-    "E3.3": _CaseSpec(
-        "p = 1,9 (mod 40) = x^2 + 10y^2; signed value at (11p-3)/8 in the (1,10) table",
-        lambda: _t32ii(1, 10, _residue(40, (1, 9), "1 or 9 (mod 40)")),
-    ),
-    "E3.4": _CaseSpec(
-        "p = 1 (mod 24) = x^2 + 12y^2; signed value at (13p-5)/8 in the (1,12) table",
-        lambda: _t32ii(1, 12, _residue(24, (1,), "1 (mod 24)")),
-    ),
-    "E3.5": _CaseSpec(
-        "p = 11 (mod 24) = 3x^2 + 2y^2; signed value at (7p+3)/8 in the (2,3) table",
-        lambda: _t33(3, 2, _residue(24, (11,), "11 (mod 24)")),
-    ),
-    "E3.6": _CaseSpec(
-        "p = 13,37 (mod 40) = 5x^2 + 2y^2; signed value at (11p+1)/8 in the (2,5) table",
-        lambda: _t33(5, 2, _residue(40, (13, 37), "13 or 37 (mod 40)")),
-    ),
+    "C3.5": _CaseSpec(lambda a, b: _c33(a, b, _ONE_MOD_8), _ODD_EVEN + _COPRIME),
+    "T3.3": _CaseSpec(_t33, _ODD_EVEN),
+    "E1.6": _CaseSpec(lambda: _t31(1, 7, _residue(7, (1, 2, 4), "1, 2 or 4 (mod 7)"))),
+    "E1.8": _CaseSpec(lambda: _t31(1, 3, _residue(3, (1,), "1 (mod 3)"))),
+    "E3.1": _CaseSpec(lambda: _t32ii(1, 2)),
+    "E3.2": _CaseSpec(lambda: _t32ii(1, 6, _residue(24, (1,), "1 (mod 24)"))),
+    "E3.3": _CaseSpec(lambda: _t32ii(1, 10, _residue(40, (1, 9), "1 or 9 (mod 40)"))),
+    "E3.4": _CaseSpec(lambda: _t32ii(1, 12, _residue(24, (1,), "1 (mod 24)"))),
+    "E3.5": _CaseSpec(lambda: _t33(3, 2, _residue(24, (11,), "11 (mod 24)"))),
+    "E3.6": _CaseSpec(lambda: _t33(5, 2, _residue(40, (13, 37), "13 or 37 (mod 40)"))),
     "T4.1": _CaseSpec(
-        "p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
         lambda a, b: _product(a, b, 1, _congruent(1, a, b)),
         ((lambda a, b: a % 8 == 0 or b % 8 == 0, "requires a and b not divisible by 8"),),
     ),
     "T4.2": _CaseSpec(
-        "2p = 8n+a+b = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at n+1 plus square recovery",
         lambda a, b: _product(a, b, 2, _congruent(2, a, b)),
         (
             *_COPRIME,
@@ -582,7 +527,6 @@ _CASES: dict[str, _CaseSpec] = {
         ),
     ),
     "T4.3": _CaseSpec(
-        "4p = a*x^2 + b*y^2, x = y = 1 (mod 4); x*y at (4p-a-b)/8 + 1 plus square recovery",
         lambda a, b: _product(a, b, 4, _divides(a * b, "a*b")),
         (
             *_ODD_PAIR,
@@ -591,7 +535,6 @@ _CASES: dict[str, _CaseSpec] = {
         ),
     ),
     "T5.3": _CaseSpec(
-        "(3,5) table values at p, 2p, 3p, 5p against the residue-class case split",
         lambda: _Rule(
             form=(3, 5),
             reads=((3, 5, 8), (3, 5, 16), (3, 5, 24), (3, 5, 40)),  # indices p, 2p, 3p, 5p
@@ -601,9 +544,7 @@ _CASES: dict[str, _CaseSpec] = {
         ),
     ),
 }
-_CASES["E1.7"] = replace(
-    _CASES["C3.1"], summary="alias of C3.1: 4x^2 - 2p at (p+3)/4 in the (1,1) table"
-)
+_CASES["E1.7"] = _CASES["C3.1"]  # Example 1.7 is the identity of Corollary 3.1
 
 
 @lru_cache(maxsize=1024)
@@ -622,10 +563,6 @@ def _spec(case_id: str) -> _CaseSpec:
     if spec is None:
         raise ValueError(f"unknown case {case_id!r}; known: {', '.join(case_ids())}")
     return spec
-
-
-def case_summary(case_id: str) -> str:
-    return _spec(case_id).summary
 
 
 def case_arity(case_id: str) -> int:

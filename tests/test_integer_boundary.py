@@ -206,7 +206,7 @@ EXEMPT = {
         ("InternalInconsistencyError", "PartitionCapError", "ResourceLimitError"),
         "an exception, built from a message",
     ),
-    **dict.fromkeys(("case_arity", "case_ids", "case_summary"), "takes no integer"),
+    **dict.fromkeys(("case_arity", "case_ids"), "takes no integer"),
 }
 
 

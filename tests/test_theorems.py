@@ -22,7 +22,6 @@ from etaquad import (
     TableCache,
     case_arity,
     case_ids,
-    case_summary,
     closed_form,
     find_rep,
     is_prime,
@@ -102,25 +101,32 @@ def test_case_arity():
 
 
 def test_unknown_case_id_is_a_value_error():
-    for lookup in (case_summary, case_arity, make_case):
+    for lookup in (case_arity, make_case):
         with pytest.raises(ValueError, match=r"^unknown case 'X9'; known: C3\.1, "):
             lookup("X9")
 
 
 @pytest.mark.parametrize(
-    "case_id, pair, checked, skipped",
+    "case_id, theorem, pair, checked, skipped",
     [
-        ("C3.1", (1, 1), 4783, 4808),
-        ("E1.6", (1, 7), 4777, 4814),
-        ("E1.8", (1, 3), 4784, 4807),
-        ("C3.2", (1, 5), 2371, 7220),
+        ("C3.1", "T3.1", (1, 1), 4783, 4808),
+        ("E1.6", "T3.1", (1, 7), 4777, 4814),
+        ("E1.8", "T3.1", (1, 3), 4784, 4807),
+        ("C3.2", "T3.1", (1, 5), 2371, 7220),
+        ("E3.1", "T3.2ii", (1, 2), 2384, 7207),
+        ("E3.2", "T3.2ii", (1, 6), 1181, 8410),
+        ("E3.3", "T3.2ii", (1, 10), 1173, 8418),
+        ("E3.4", "T3.2ii", (1, 12), 1181, 8410),
+        ("E3.5", "T3.3", (3, 2), 1203, 8388),
+        ("E3.6", "T3.3", (5, 2), 1200, 8391),
     ],
 )
-def test_fixed_square_case_checks_its_t31_primes(case_id, pair, checked, skipped):
-    # each fixed square case is T3.1 at one pair, restricted to a residue class
-    # that holds exactly the primes T3.1 checks there
+def test_fixed_case_checks_its_theorems_primes(case_id, theorem, pair, checked, skipped):
+    # each fixed square case is its theorem at one pair, restricted to a
+    # residue class (none for E3.1) that holds exactly the primes the theorem
+    # checks there
     fixed = range_report(case_id, 10**5)
-    general = range_report("T3.1", 10**5, grid=[pair])
+    general = range_report(theorem, 10**5, grid=[pair])
     assert (fixed.checked, fixed.skipped, fixed.falsified) == (checked, skipped, ())
     assert (general.checked, general.skipped, general.falsified) == (checked, skipped, ())
 
@@ -355,7 +361,6 @@ def test_public_members():
     assert str(make_case("E1.6")) == "E1.6"
     assert verify_construction(make_case("E1.6"), 11).holds
     assert not verify_construction(make_case("E1.6"), 5).holds
-    assert case_summary("E1.6") == "p = 1,2,4 (mod 7) = x^2 + 7y^2; 4x^2 - 2p at index p"
 
 
 def test_verify_product_examples():
