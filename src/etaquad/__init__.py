@@ -21,17 +21,12 @@ from .etaseries import (
 )
 from .quadform import (
     ClassGroup,
-    Discriminant,
     QuadForm,
     RepSet,
     class_group,
-    compose,
-    discriminant_info,
     find_rep,
-    inverse,
     lattice_points,
     normalized_reps,
-    reduce,
     representations,
 )
 from .theorems import (
@@ -59,7 +54,6 @@ __all__ = [
     "CoeffTable",
     "ConstructionCase",
     "DEFAULT_PARTITION_CAP",
-    "Discriminant",
     "FALSIFIED",
     "HOLDS",
     "InternalInconsistencyError",
@@ -77,11 +71,8 @@ __all__ = [
     "case_ids",
     "class_group",
     "closed_form",
-    "compose",
-    "discriminant_info",
     "divisor_sums",
     "find_rep",
-    "inverse",
     "is_prime",
     "kronecker",
     "lambda_at",
@@ -93,7 +84,6 @@ __all__ = [
     "normalized_reps",
     "partition_terms",
     "range_report",
-    "reduce",
     "representations",
     "sieve_primes",
     "verify_construction",

@@ -34,6 +34,7 @@ class InternalInconsistencyError(RuntimeError):
     """An invariant that is provably true was observed to fail.
 
     Raised e.g. when the power-series recurrence produces an inexact
-    division, when an exact-rational sum that must be an integer is not,
-    or when a representation that theory guarantees unique is duplicated.
+    division, when the partition sum (n! times each term, summed in
+    integers) is not divisible by n!, or when a representation that
+    theory guarantees unique is duplicated.
     """

@@ -17,8 +17,9 @@ Four independent routes to the same table, the METHODS of lambda_table:
                   cube by cube, as whole-array steps by 1 - q^s; the
                   simplest possible ground truth, O(N^2 (1/a + 1/b)) in
                   int64 until its values near 2^59, then in Python ints.
-* ``multinomial`` -- the partition formula on the same weights, exact
-                  rationals over all partitions of n; a verification
+* ``multinomial`` -- the partition formula on the same weights, summed
+                  over all partitions of n as n! times each term in
+                  integers and divided by n! once; a verification
                   target, not a production path, capped at
                   DEFAULT_PARTITION_CAP + 1 entries.
 

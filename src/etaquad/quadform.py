@@ -1,8 +1,7 @@
 """Positive-definite integral binary quadratic forms.
 
-Reduction to the canonical representative, enumeration of the reduced
-primitive classes of a negative discriminant, Dirichlet composition and
-class inverses, and the representations of integers by a form.
+Enumeration of the reduced primitive classes of a negative discriminant,
+and the representations of integers by a form.
 
 One integer's representations come from one of two searches, which give
 the same thing: every (x, y) with x >= 0 and form(x, y) = n, in ascending
@@ -25,7 +24,8 @@ representations of many integers at once; it can keep one parity class of
 x or of y, and then steps by 2 along it.
 ``class_group`` tests the c-window of each a for 4ac + d a square, in
 numpy chunks with one float square test per cell, after a parity rule on
-a and c has dropped the cells that cannot hit when d is odd.
+a and c has dropped the cells that cannot hit when d is odd, and then
+keeps the hits with gcd(a, b, c) = 1 in one ``np.gcd`` pass.
 ``representations`` and ``class_group`` check a work budget (scan length,
 cell count) before they start and raise ResourceLimitError past it;
 ``find_rep``, which stops at its first solution, raises once its scan
@@ -68,17 +68,6 @@ class QuadForm(NamedTuple):
     def is_positive_definite(self) -> bool:
         return self.a > 0 and self.discriminant() < 0
 
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
-
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
     def evaluate(self, x: int, y: int) -> int:
         return self.a * x * x + self.b * x * y + self.c * y * y
 
@@ -91,19 +80,9 @@ _form_from_tuple = partial(tuple.__new__, QuadForm)
 
 
 @dataclass(frozen=True)
-class Discriminant:
-    """A negative discriminant with its conductor and unit weight."""
-
-    d: int
-    conductor: int
-    unit_weight: int
-
-
-@dataclass(frozen=True)
 class ClassGroup:
     """All reduced primitive forms of one negative discriminant."""
 
-    disc: Discriminant
     classes: tuple[QuadForm, ...]
 
     def __len__(self) -> int:
@@ -111,11 +90,6 @@ class ClassGroup:
 
     def __iter__(self):
         return iter(self.classes)
-
-    def principal(self) -> QuadForm:
-        d = self.disc.d
-        k = d % 2
-        return QuadForm(1, k, (k * k - d) // 4)
 
 
 @dataclass(frozen=True)
@@ -151,66 +125,6 @@ def _require_discriminant(d: int) -> None:
         raise ValueError(f"{d} is not a negative discriminant")
 
 
-def discriminant_info(d: int) -> Discriminant:
-    """Validate d and attach its conductor and unit weight.
-
-    The conductor is the largest f with d/f^2 still a discriminant.  With
-    F^2 the largest square dividing d, d/F^2 is squarefree, so it is F
-    when d/F^2 = 1 (mod 4) and F/2 otherwise (d/F^2 = 2 or 3 (mod 4)
-    forces F even).  F comes from trial division by each p with p^3 at
-    most the cofactor left; what is then left has at most two prime
-    factors, so one square test finds its square part.  The unit weight
-    is 6 for d = -3, 4 for d = -4, else 2.
-    """
-    d = index(d)  # a Python int, as the record's field
-    _require_discriminant(d)
-    rest, root, p = -d, 1, 2
-    while p * p * p <= rest:
-        while rest % (p * p) == 0:
-            rest //= p * p
-            root *= p
-        if rest % p == 0:
-            rest //= p
-        p += 1 if p == 2 else 2
-    s = isqrt(rest)
-    root *= s if s * s == rest else 1
-    conductor = root if d // (root * root) % 4 < 2 else root // 2
-    return Discriminant(d, conductor, {-3: 6, -4: 4}.get(d, 2))
-
-
-def reduce(form: QuadForm) -> QuadForm:
-    """The unique reduced form equivalent to the input.
-
-    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c;
-    obtained by alternating translations (normalize b into (-a, a]) and
-    the swap step until the conditions hold.
-    """
-    form = _int_form(form)
-    _require_positive_definite(form)
-    a, b, c = form.a, form.b, form.c
-    while True:
-        if not -a < b <= a:
-            r = (a - b) // (2 * a)
-            b, c = b + 2 * r * a, a * r * r + b * r + c
-        if a > c or (a == c and b < 0):
-            s = (c + b) // (2 * c)
-            a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
-        else:
-            break
-    out = QuadForm(a, b, c)
-    assert out.is_reduced() and out.discriminant() == form.discriminant()
-    return out
-
-
-def inverse(form: QuadForm) -> QuadForm:
-    """Reduced representative of the inverse class, i.e. of [a, -b, c]."""
-    form = _int_form(form)
-    _require_positive_definite(form)
-    if not form.is_primitive():
-        raise ValueError(f"form {form} is not primitive")
-    return reduce(QuadForm(form.a, -form.b, form.c))
-
-
 def class_group(d: int) -> ClassGroup:
     """Enumerate the reduced primitive forms of discriminant d.
 
@@ -234,16 +148,15 @@ def class_group(d: int) -> ClassGroup:
     every term) far below 2^52.  There a perfect square has an exact root,
     and any other integer a root more than half an ulp from every integer,
     so v is a square exactly when sqrt(v) is integral.  Each hit gives a and
-    b, and c = (b^2 - d)/4a follows once the chunks are done.  The hits with
-    gcd 1 are the forms with b >= 0 (every hit has gcd 1 when the conductor
-    is 1, as g^2 divides d), and (a, -b, c) joins each with 0 < b < a < c.
+    b, and c = (b^2 - d)/4a follows once the chunks are done.  One np.gcd
+    pass over every hit keeps those with gcd(a, b, c) = 1, the forms with
+    b >= 0, and (a, -b, c) joins each with 0 < b < a < c.
     """
     d = index(d)  # a Python int, so -d cannot wrap at -2^63
     _require_discriminant(d)
     a_top = isqrt(-d // 3)
     cells = a_top * (a_top + 1) // 8 + a_top  # the sum of the windows' a/4 + 1
     check_budget(cells, CLASS_GROUP_CELL_BUDGET, "class group of {} may search {need} cells", d)
-    info = discriminant_info(d)
     ac_odd = d % 2 * ((1 - d) // 4 % 2)  # d = 5 (mod 8): only odd a, with odd c
     a = np.arange(1, a_top + 1, 1 + ac_odd, dtype=np.int64)
     step = 1 + d % 2 * (a & 1)  # an odd a with odd d takes every other c
@@ -267,59 +180,15 @@ def class_group(d: int) -> ClassGroup:
         found.append((a[lo + row], root[hit].astype(np.int64)))
     a, b = (np.concatenate(column) for column in zip(*found))
     c = (b * b - d) // (4 * a)
-    if info.conductor > 1:
-        keep = np.gcd(np.gcd(a, b), c) == 1
-        a, b, c = a[keep], b[keep], c[keep]
+    keep = np.gcd(np.gcd(a, b), c) == 1
+    a, b, c = a[keep], b[keep], c[keep]
     # the hits come by a and then by b; the mirrors, reversed, come by
     # descending a and then ascending -b < 0, so a stable sort on a orders all by (a, b)
     mirror = np.flatnonzero((0 < b) & (b < a) & (a < c))[::-1]
     a, b, c = (np.concatenate(pair) for pair in ((a[mirror], a), (-b[mirror], b), (c[mirror], c)))
     order = np.argsort(a, kind="stable")
     forms = map(_form_from_tuple, zip(a[order].tolist(), b[order].tolist(), c[order].tolist()))
-    return ClassGroup(info, tuple(forms))
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), for b > 0 (then g > 0)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
-def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
-    """Reduced representative of the product class (Dirichlet composition).
-
-    Direct composition of primitive forms (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 5.4.7): two extended gcds
-    give the united form [a1*a2/d1^2, B, C] with B = b2 (mod 2*a2/d1),
-    which is then reduced.
-    """
-    f1, f2 = _int_form(f1), _int_form(f2)
-    _require_positive_definite(f1)
-    _require_positive_definite(f2)
-    if f1.discriminant() != f2.discriminant():
-        raise ValueError(
-            f"cannot compose forms of discriminants {f1.discriminant()} and {f2.discriminant()}"
-        )
-    if not (f1.is_primitive() and f2.is_primitive()):
-        raise ValueError("composition needs primitive forms")
-    a1, b1 = f1.a, f1.b
-    a2, b2, c2 = f2.a, f2.b, f2.c
-    s = (b1 + b2) // 2  # b1, b2 share the parity of the discriminant
-    d, y1, _ = _xgcd(a2, a1)
-    d1, x2, y2 = _xgcd(s, d)
-    v1, v2 = a1 // d1, a2 // d1
-    r = (-y1 * y2 * (b2 - s) - x2 * c2) % v1
-    big_a, big_b = v1 * v2, b2 + 2 * v2 * r
-    num = big_b * big_b - f1.discriminant()
-    assert num % (4 * big_a) == 0
-    return reduce(QuadForm(big_a, big_b, num // (4 * big_a)))
+    return ClassGroup(tuple(forms))
 
 
 def _square_tables(m: int) -> tuple[np.ndarray, np.ndarray]:

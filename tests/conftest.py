@@ -6,6 +6,12 @@ as ground truth for the paths they check.  The one exception is the two
 classical constructions of C3.1's x, which take their primality test and
 Legendre symbol from the package's `is_prime` and `kronecker`, each checked
 on its own in test_arith.
+
+The class-group arithmetic (`reduce`, `inverse`, `compose` and the form
+predicates beside them) is classical reduction and Dirichlet composition
+rather than enumeration.  It lives here because no engine path runs it:
+the tests use it to state the representation-count rules.  It builds the
+package's `QuadForm` record and calls nothing else of the package.
 """
 
 import os
@@ -16,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etaquad import is_prime, kronecker
+from etaquad import QuadForm, is_prime, kronecker
 
 # tests that start `python -m etaquad` or `python -c` children need the
 # source tree on their path too when the package is not installed
@@ -222,16 +228,116 @@ def oracle_conductor(d: int) -> int:
     return conductor
 
 
-def oracle_conductor_pass(d: int) -> int:
-    """The same conductor from one numpy pass over every f <= sqrt(|d|), in
-    blocks of 2^14 values: the search `discriminant_info` made before it
-    found the square part of d by trial division."""
-    cells, conductor, f_top = 1 << 14, 1, isqrt(-d)
-    for lo in range(1, f_top + 1, cells):
-        f2 = np.arange(lo, min(lo + cells, f_top + 1), dtype=np.int64) ** 2
-        fits = np.flatnonzero((d % f2 == 0) & (d // f2 % 4 < 2))
-        conductor = lo + int(fits[-1]) if len(fits) else conductor
-    return conductor
+def unit_weight(d: int) -> int:
+    """The number of automorphs of a form of discriminant d < 0: 6 for d = -3,
+    4 for d = -4, else 2."""
+    return {-3: 6, -4: 4}.get(d, 2)
+
+
+def principal(d: int) -> QuadForm:
+    """The principal form of discriminant d: [1, d mod 2, (d mod 2 - d)/4]."""
+    k = d % 2
+    return QuadForm(1, k, (k * k - d) // 4)
+
+
+def is_primitive(form: QuadForm) -> bool:
+    return gcd(gcd(form.a, form.b), form.c) == 1
+
+
+def is_reduced(form: QuadForm) -> bool:
+    a, b, c = form.a, form.b, form.c
+    if not (abs(b) <= a <= c):
+        return False
+    if (abs(b) == a or a == c) and b < 0:
+        return False
+    return True
+
+
+def _int_form(form: QuadForm) -> QuadForm:
+    """The form with Python-int fields, so that no product of them wraps as a
+    numpy integer's would."""
+    return QuadForm(index(form.a), index(form.b), index(form.c))
+
+
+def _require_positive_definite(form: QuadForm) -> None:
+    if not form.is_positive_definite():
+        raise ValueError(f"form {form} is not positive definite")
+
+
+def reduce(form: QuadForm) -> QuadForm:
+    """The unique reduced form equivalent to the input.
+
+    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c;
+    obtained by alternating translations (normalize b into (-a, a]) and
+    the swap step until the conditions hold.
+    """
+    form = _int_form(form)
+    _require_positive_definite(form)
+    a, b, c = form.a, form.b, form.c
+    while True:
+        if not -a < b <= a:
+            r = (a - b) // (2 * a)
+            b, c = b + 2 * r * a, a * r * r + b * r + c
+        if a > c or (a == c and b < 0):
+            s = (c + b) // (2 * c)
+            a, b, c = c, -b + 2 * s * c, c * s * s - b * s + a
+        else:
+            break
+    out = QuadForm(a, b, c)
+    assert is_reduced(out) and out.discriminant() == form.discriminant()
+    return out
+
+
+def inverse(form: QuadForm) -> QuadForm:
+    """Reduced representative of the inverse class, i.e. of [a, -b, c]."""
+    form = _int_form(form)
+    _require_positive_definite(form)
+    if not is_primitive(form):
+        raise ValueError(f"form {form} is not primitive")
+    return reduce(QuadForm(form.a, -form.b, form.c))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for b > 0 (then g > 0)."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    return old_r, old_s, old_t
+
+
+def compose(f1: QuadForm, f2: QuadForm) -> QuadForm:
+    """Reduced representative of the product class (Dirichlet composition).
+
+    Direct composition of primitive forms (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 5.4.7): two extended gcds
+    give the united form [a1*a2/d1^2, B, C] with B = b2 (mod 2*a2/d1),
+    which is then reduced.
+    """
+    f1, f2 = _int_form(f1), _int_form(f2)
+    _require_positive_definite(f1)
+    _require_positive_definite(f2)
+    if f1.discriminant() != f2.discriminant():
+        raise ValueError(
+            f"cannot compose forms of discriminants {f1.discriminant()} and {f2.discriminant()}"
+        )
+    if not (is_primitive(f1) and is_primitive(f2)):
+        raise ValueError("composition needs primitive forms")
+    a1, b1 = f1.a, f1.b
+    a2, b2, c2 = f2.a, f2.b, f2.c
+    s = (b1 + b2) // 2  # b1, b2 share the parity of the discriminant
+    d, y1, _ = _xgcd(a2, a1)
+    d1, x2, y2 = _xgcd(s, d)
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * y2 * (b2 - s) - x2 * c2) % v1
+    big_a, big_b = v1 * v2, b2 + 2 * v2 * r
+    num = big_b * big_b - f1.discriminant()
+    assert num % (4 * big_a) == 0
+    return reduce(QuadForm(big_a, big_b, num // (4 * big_a)))
 
 
 def corrupting(monkeypatch, method, at):

@@ -12,7 +12,7 @@ import time
 from math import gcd
 
 import pytest
-from conftest import gauss_doubling, jacobsthal, oracle_primes
+from conftest import compose, gauss_doubling, jacobsthal, oracle_primes, unit_weight
 
 from etaquad import (
     LambdaParams,
@@ -20,8 +20,6 @@ from etaquad import (
     TableCache,
     class_group,
     closed_form,
-    compose,
-    discriminant_info,
     find_rep,
     lambda_from_reps,
     lambda_multinomial,
@@ -189,7 +187,6 @@ def test_criterion_08_form_ground_truth():
     # coprime convolution rule over the seven listed discriminants
     bound = 60
     for d in [-12, -20, -24, -40, -52, -60, -84]:
-        info = discriminant_info(d)
         group = list(class_group(d))
         small = {
             K: [0] + [representations(K, n).count for n in range(1, bound + 1)] for K in group
@@ -210,7 +207,7 @@ def test_criterion_08_form_ground_truth():
                         for K2 in group
                         if mult[(K1, K2)] == K
                     )
-                    ok = ok and info.unit_weight * products[m][K] == conv
+                    ok = ok and unit_weight(d) * products[m][K] == conv
     _finish(8, "printed class groups, printed counts, convolution rule", ok)
 
 

@@ -1,5 +1,7 @@
 """CLI contract: output shapes, exit codes, determinism, JSON schema."""
 
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -568,3 +570,20 @@ def test_readme_command_line_examples(capsys):
             for key in ("case", "params", "p_max", "checked", "skipped", "falsified"):
                 assert doc[key] == example[key], key
     assert json_runs == 1
+
+
+def test_perfbench_tracer_patches_resolve():
+    # perfbench's tracer wraps module attributes by name; each one it patches
+    # must still exist once the CLI is imported, or --trace breaks
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    importlib.import_module("etaquad.cli")
+    assert tracing._PATCHES
+    missing = [
+        (module, attr)
+        for module, attr, _ in tracing._PATCHES
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert missing == []

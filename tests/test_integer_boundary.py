@@ -3,12 +3,12 @@ as `np.int64` gives exactly what the same Python int gives.
 
 Every callable in `etaquad.__all__` is either probed here or exempt with a
 reason, so a new export fails `test_every_public_callable_is_probed_or_exempt`
-until it is classified.  The divisor-sum and construction oracles of conftest
-are probed too, since tests feed them integers read off numpy arrays.  A probe
-draws its integers within int64, calls once with Python ints and once with the
-same values as `np.int64`, and requires equal outcomes: equal results with
-equal types in every field (no numpy integer leaks out), or the same exception
-type and message.
+until it is classified.  The divisor-sum, construction and class-group
+oracles of conftest are probed too, since tests feed them integers read off
+numpy arrays.  A probe draws its integers within int64, calls once with Python
+ints and once with the same values as `np.int64`, and requires equal outcomes:
+equal results with equal types in every field (no numpy integer leaks out), or
+the same exception type and message.
 """
 
 from dataclasses import fields, is_dataclass
@@ -16,7 +16,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import gauss_doubling, jacobsthal, outcome_of, sigma, sigma_scaled, weighted_sigma
+from conftest import (
+    compose,
+    gauss_doubling,
+    inverse,
+    jacobsthal,
+    outcome_of,
+    reduce,
+    sigma,
+    sigma_scaled,
+    weighted_sigma,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,11 +42,8 @@ from etaquad import (
     case_ids,
     class_group,
     closed_form,
-    compose,
-    discriminant_info,
     divisor_sums,
     find_rep,
-    inverse,
     is_prime,
     kronecker,
     lambda_at,
@@ -48,7 +55,6 @@ from etaquad import (
     normalized_reps,
     partition_terms,
     range_report,
-    reduce,
     representations,
     sieve_primes,
     verify_construction,
@@ -126,11 +132,8 @@ PROBES = {
         ),
         closed_form,
     ),
-    "compose": (st.tuples(FORM, FORM), lambda f, g: compose(QuadForm(*f), QuadForm(*g))),
-    "discriminant_info": (st.tuples(small(-5000, 5)), discriminant_info),
     "divisor_sums": (st.tuples(st.integers(-2, 3000)), divisor_sums),
     "find_rep": (st.tuples(small(-1, 30), small(-1, 30), small(-2, 5000)), find_rep),
-    "inverse": (st.tuples(FORM), lambda f: inverse(QuadForm(*f))),
     "is_prime": (st.tuples(INT64), is_prime),
     "kronecker": (st.tuples(INT64, INT64), kronecker),
     "lambda_at": (
@@ -168,7 +171,6 @@ PROBES = {
         st.tuples(CASES, small(-2, 300), st.integers(1, 12), st.integers(1, 12)),
         _range,
     ),
-    "reduce": (st.tuples(FORM), lambda f: reduce(QuadForm(*f))),
     "representations": (
         st.tuples(FORM, small(-2, 5000)),
         lambda f, n: representations(QuadForm(*f), n),
@@ -187,8 +189,11 @@ PROBES = {
 
 # the test oracles, probed like the public callables
 ORACLE_PROBES = {
+    "compose": (st.tuples(FORM, FORM), lambda f, g: compose(QuadForm(*f), QuadForm(*g))),
     "gauss_doubling": (st.tuples(st.integers(-2, 3000)), gauss_doubling),
+    "inverse": (st.tuples(FORM), lambda f: inverse(QuadForm(*f))),
     "jacobsthal": (st.tuples(st.integers(-2, 3000)), jacobsthal),
+    "reduce": (st.tuples(FORM), lambda f: reduce(QuadForm(*f))),
     "sigma": (st.tuples(st.integers(-2, 10**6)), sigma),
     "sigma_scaled": (_SIGMA_SCALED, sigma_scaled),
     "weighted_sigma": (_WEIGHTED, weighted_sigma),
@@ -199,7 +204,7 @@ ALL_PROBES = PROBES | ORACLE_PROBES
 EXEMPT = {
     "QuadForm": "a plain record; the functions that take forms convert them with _int_form",
     **dict.fromkeys(
-        ("ClassGroup", "Discriminant", "RepSet", "RangeReport", "Verdict"),
+        ("ClassGroup", "RepSet", "RangeReport", "Verdict"),
         "a plain result record, built by the library from converted integers",
     ),
     **dict.fromkeys(
