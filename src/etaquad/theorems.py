@@ -43,19 +43,23 @@ when the form's coefficients are coprime and prime to p, and by an
 O(sqrt p) scan otherwise.  ``range_report`` sieves once and takes the
 columnar path for one instance at a time: one ``lattice_points`` sweep
 of the rule's form over each parity class of (x, y) that an odd prime
-allows, the hypotheses as boolean masks, and each table read once as an
-array, so a range costs about O(P) array work
-instead of O(P^1.5 / log P) Python steps.  The columns are keyed by the
-prime, not by its position among the primes: one byte of state per odd
-integer to p_max marks where the hypotheses hold, the sweep keeps the
-points whose prime it marks, and each point's reads are taken at its
-prime.  Each scalar runner has one columnar counterpart that reads
-the same ``_Rule`` fields and compares every lattice point with the
-coefficients read at that point's prime (the square identities try each
-sign of x and y).  Every prime the
-columns cannot settle as holding or not applicable (some point disagrees
-with its read, an expected representation is missing) goes through the
-scalar runner, so the scalar path stays the oracle and every falsified
+allows, the hypotheses as boolean masks, and each coefficient read once
+per lattice point that checks it, in one array per read, so a range costs
+about O(P) array work instead of O(P^1.5 / log P) Python steps.  The
+columns are keyed by the prime, not by its position among the primes:
+one byte of state per odd integer to p_max marks where the hypotheses
+hold, the sweep keeps the points whose prime it marks, and each point's
+reads are taken at its prime.  Each scalar runner has one columnar
+counterpart that reads the same ``_Rule`` fields and compares every
+lattice point with the coefficients read at that point's prime (the
+square identities try each sign of x and y).  T5.3's column checks each
+prime in one pass: a prime off its residue classes has each read
+compared with 0, and a class member with the class's multiple of
+4*fa*x^2 - 2p at its point, so each of its four reads is taken once per
+prime.  Every prime the columns cannot settle as holding or not
+applicable (some point disagrees with its read, an expected
+representation is missing) goes through the scalar runner, so the
+scalar path stays the oracle and every falsified
 ``Verdict`` is the one it gives.  A fault raises at the first (instance,
 prime) that has one, as an instance-major loop of the scalar runner does.
 """
@@ -615,7 +619,10 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 # position is ever looked up.  It compares each lattice point with the
 # coefficients read at its prime and marks the prime suspect wherever any
 # point disagrees; it folds no points into per-prime values, so a check
-# touches only the points it is given.  An internal fault that the columns
+# touches only the points it is given.  T5.3's runner groups its primes
+# (those off its classes, then each class's members at their points), reads
+# each group once per read and makes one `marks` call, where a member with
+# no point is not live and so is suspect.  An internal fault that the columns
 # show raises at once, at its smallest prime, through the check the scalar
 # runner makes (`_index`, `_require_even_y`, `_require_unique`).
 
@@ -713,20 +720,22 @@ def _cols_product(case, rule, rng):
 
 
 def _cols_thm53(case, rule, rng):
+    # groups of (primes, 4*fa*x^2 - 2p, multipliers k per read); every k is 0 off
+    # the classes, and the classes are disjoint, so each held prime is in one group
     held = rng.held
-    # off the classes every read is 0; each class replaces that test on its members
-    suspect = np.logical_or.reduce([got != 0 for got in _reads(rule, rng, held)])
-    residue = held % 30
+    off = ~np.logical_or.reduce([in_class[held % 30] for in_class, *_ in _THM53_CLASSES])
+    groups = [(held[off], 0, (0, 0, 0, 0))]
     for in_class, (fa, fb), _, mults in _THM53_CLASSES:
-        member = in_class[residue]
         p, x, _ = rng.sweep((fa, fb))
-        inside = in_class[p % 30]
-        p, x = p[inside], x[inside]
-        lhs = _square_lhs(fa, x, p)
-        bad = np.logical_or.reduce([k * lhs != got for k, got in zip(mults, _reads(rule, rng, p))])
-        has, wrong = rng.marks(p, p[bad])
-        suspect = (suspect & ~member) | (member & ~has) | wrong
-    return np.ones(len(held), dtype=bool), suspect
+        inside = in_class[p % 30]  # the points of the class's own members
+        groups.append((p[inside], _square_lhs(fa, x[inside], p[inside]), mults))
+    bad = [
+        p[np.logical_or.reduce([k * lhs != got for k, got in zip(mults, _reads(rule, rng, p))])]
+        for p, lhs, mults in groups
+    ]
+    # a member with no point is not live: its expected representation is missing
+    has, wrong = rng.marks(np.concatenate([p for p, _, _ in groups]), np.concatenate(bad))
+    return np.ones_like(has), wrong | ~has
 
 
 def _table_limits(rule, p_max):

@@ -14,6 +14,7 @@ from etaquad import (
     FALSIFIED,
     HOLDS,
     NOT_APPLICABLE,
+    CoeffTable,
     InternalInconsistencyError,
     LambdaParams,
     ResourceLimitError,
@@ -1289,6 +1290,58 @@ def test_thm53_range_class_prime_missing_from_sweep(monkeypatch):
         "expected representation x^2 + 15y^2 missing",
         "expected representation 3x^2 + 5y^2 missing",
     }
+
+
+def test_thm53_range_reads_each_coefficient_once(monkeypatch):
+    import etaquad.theorems as th
+
+    taken, marks = [], []
+    real_take, real_marks = CoeffTable.take, th._Range.marks
+    monkeypatch.setattr(CoeffTable, "take", lambda self, i: taken.append(i) or real_take(self, i))
+    monkeypatch.setattr(th._Range, "marks", lambda *args: marks.append(1) or real_marks(*args))
+    report = range_report("T5.3", 10_007)
+    held = np.array([p for p in oracle_primes(10_007) if p > 5])
+    # the index of m*p in the (3, 5) table, p for m = 8 up to 5p for m = 40; no two
+    # reads share an index, so the sorted indices show each (prime, read) pair
+    want = np.sort(np.concatenate([(m * held - 8) // 8 + 1 for m in (8, 16, 24, 40)]))
+    assert len(np.unique(want)) == len(want) == 4 * report.checked == 4908
+    assert np.array_equal(np.sort(np.concatenate(taken)), want)
+    assert len(marks) == 1
+
+
+def test_thm53_range_equals_instance_major_loop_on_mutated_classes(monkeypatch):
+    import etaquad.theorems as th
+
+    ((one, *rule_one), (two, *rule_two)) = classes = th._THM53_CLASSES
+    # the one-pass columns put each held prime in one group, so no residue is in two classes
+    assert not np.any(one & two)
+    one_form, one_label, one_mults = rule_one
+    two_form, two_label, two_mults = rule_two
+    residues = lambda *rs: np.isin(np.arange(30), rs)
+    mutants = {
+        "a multiplier's sign": (classes[0], (two, two_form, two_label, (0, 1, 3, -5))),
+        "19 off its class": ((residues(1), *rule_one), classes[1]),
+        "29 in the (17, 23) class": (classes[0], (residues(17, 23, 29), *rule_two)),
+        "forms swapped": (
+            (one, two_form, two_label, one_mults),
+            (two, one_form, one_label, two_mults),
+        ),
+        "residue sets swapped": ((two, *rule_one), (one, *rule_two)),
+        "(17, 23) class dropped": classes[:1],
+    }
+    real = {p_max: _scalar_report("T5.3", p_max) for p_max in (400, 3001)}
+    differ = []
+    for name, mutant in mutants.items():
+        monkeypatch.setattr(th, "_THM53_CLASSES", mutant)
+        for p_max in (400, 3001):
+            report = _outcome(lambda: range_report("T5.3", p_max))
+            if isinstance(report, RangeReport):
+                report = (report.checked, report.skipped, report.falsified)
+            want = _outcome(lambda: _scalar_report("T5.3", p_max))
+            # every mutant is a fault the scalar runner sees
+            if report != want or want == real[p_max]:
+                differ.append((name, p_max, report, want))
+    assert differ == []
 
 
 # ---------------------------------------------------------------------------
