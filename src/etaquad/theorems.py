@@ -234,12 +234,6 @@ def _square_lhs(fa, x, p):
     return 4 * fa * x * x - 2 * p
 
 
-def _product_checks(a, b, x, y, t, lam):
-    """Whether x*y = L and whether (2a*x^2 - t)^2 = t^2 - 4ab*L^2 recovers the
-    square, for ints or int64 arrays."""
-    return x * y == lam, (2 * a * x * x - t) ** 2 == t * t - 4 * a * b * lam * lam
-
-
 def _na(case, p, reason) -> Verdict:
     return Verdict(NOT_APPLICABLE, case, p, reason=reason)
 
@@ -315,7 +309,7 @@ def _run_product(case, p, cache, rule):
     _require_unique(norm, t, a, b)
     x, y = norm[0]
     lam = cache.values(ta, tb, [index]).item()
-    lhs_ok, quad_ok = _product_checks(a, b, x, y, t, lam)
+    lhs_ok, quad_ok = x * y == lam, (2 * a * x * x - t) ** 2 == t * t - 4 * a * b * lam * lam
     status = HOLDS if lhs_ok and quad_ok else FALSIFIED
     reason = "square recovery identity failed" if lhs_ok and not quad_ok else None
     return Verdict(status, case, p, witness=(x, y), index=index, lhs=x * y, rhs=lam, reason=reason)
@@ -611,20 +605,11 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # range aggregation: one instance over every prime of the range at once.  A
-# columnar runner reads the same _Rule fields as its scalar runner and returns
-# two boolean arrays over the primes where the hypotheses hold: `live` where
-# the verdict is not not_applicable, and `suspect` where the scalar runner
-# must decide it.  Its columns are keyed by the prime: each lattice point
-# carries its prime p = t/m, and the reads are taken at p, so no prime's
-# position is ever looked up.  It compares each lattice point with the
-# coefficients read at its prime and marks the prime suspect wherever any
-# point disagrees; it folds no points into per-prime values, so a check
-# touches only the points it is given.  T5.3's runner groups its primes
-# (those off its classes, then each class's members at their points), reads
-# each group once per read and makes one `marks` call, where a member with
-# no point is not live and so is suspect.  An internal fault that the columns
-# show raises at once, at its smallest prime, through the check the scalar
-# runner makes (`_index`, `_require_even_y`, `_require_unique`).
+# columnar runner returns two boolean arrays over the primes where the
+# hypotheses hold: `live` where the verdict is not not_applicable, and
+# `suspect` where the scalar runner must decide it.  It makes exactly one
+# `_Range.marks` call, after its sweeps, and range_report clears the state
+# before the next instance sweeps it.
 
 # the levels of _Range.state at one odd integer: not a held prime, held, live, live and suspect
 _HELD, _LIVE, _SUSPECT = 1, 2, 3
@@ -663,12 +648,12 @@ class _Range(NamedTuple):
     def marks(self, live, suspect):
         """Masks over `held`: the primes of `live`, and of `suspect`, two
         arrays of held primes in any order and with repeats; every suspect
-        prime is live too."""
+        prime is live too.  It leaves its marks in the state, so a runner
+        calls it once, after its sweeps, and range_report clears them."""
         state, live, suspect = self.state, live >> 1, suspect >> 1
         state[live] = _LIVE
         state[suspect] = _SUSPECT
         got = state[self.held >> 1]
-        state[live] = _HELD
         return got >= _LIVE, got == _SUSPECT
 
 
@@ -715,8 +700,10 @@ def _cols_product(case, rule, rng):
     for q in ps[1:][ps[1:] == ps[:-1]][:1].tolist():
         _require_unique(sorted(_points_of(q, p, x, y)), m * q, a, b)
     (lam,) = _reads(rule, rng, p)
-    lhs_ok, quad_ok = _product_checks(a, b, x, y, m * p, lam)
-    return rng.marks(p, p[~(lhs_ok & quad_ok)])
+    # t = a*x^2 + b*y^2 is exact here, so (2a*x^2 - t)^2 - (t^2 - 4ab*L^2) =
+    # 4ab*(L^2 - x^2*y^2): the square recovery holds wherever x*y = L does, and
+    # a prime where x*y != L goes to the scalar runner, which tests both
+    return rng.marks(p, p[x * y != lam])
 
 
 def _cols_thm53(case, rule, rng):
@@ -794,7 +781,7 @@ def range_report(
     # one byte per odd integer to p_max, as many as the sieve's budgeted flags,
     # keys the columns by the prime, for every instance
     state = np.zeros((p_max + 1) // 2, dtype=np.uint8)
-    checked = skipped = 0
+    checked = 0
     falsified = []  # (prime, instance position, verdict)
     for k, inst in enumerate(instances):
         rule = inst._rule
@@ -810,11 +797,9 @@ def range_report(
         live, suspect = _COLUMNAR[rule.run](inst, rule, rng)
         state[held >> 1] = 0
         checked += int(np.count_nonzero(live & ~suspect))
-        skipped += len(primes) - len(held) + int(np.count_nonzero(~live & ~suspect))
         for p in held[suspect].tolist():  # the scalar runner decides the rest
             verdict = _evaluate(inst, p, run_cache)
             checked += verdict.status != NOT_APPLICABLE
-            skipped += verdict.status == NOT_APPLICABLE
             if verdict.status == FALSIFIED:
                 falsified.append((p, k, verdict))
     return RangeReport(
@@ -822,6 +807,7 @@ def range_report(
         params=params,
         p_max=p_max,
         checked=checked,
-        skipped=skipped,
+        # every odd prime of every instance is checked or skipped
+        skipped=len(instances) * len(primes) - checked,
         falsified=tuple(verdict for _, _, verdict in sorted(falsified)),
     )

@@ -1120,20 +1120,41 @@ def test_fixed_cases_equal_scalar_loop_up_to_the_last_integer(p_max):
             assert got == _scalar_report(case_id, p_max), case_id
 
 
+class _NegatedCache(TableCache):
+    """Reads every coefficient negated: a product read gives L = -x*y, where
+    the square recovery still holds and only x*y = L fails."""
+
+    def values(self, a, b, indices):
+        return -super().values(a, b, indices)
+
+
 @pytest.mark.parametrize(
-    "case_id,grid,shifted",
+    "case_id,grid,cache",
     [
-        ("E1.6", None, None),
-        ("T4.1", [(1, 2)], None),
+        ("E1.6", None, _HighCache),
+        ("T4.1", [(1, 2)], _HighCache),
         # with both tables one high C3.3's two sides move together and agree
-        ("C3.3", [(3, 5)], {(1, 15)}),
-        ("T5.3", None, None),
+        ("C3.3", [(3, 5)], lambda: _HighCache({(1, 15)})),
+        ("T5.3", None, _HighCache),
+        ("T4.1", [(1, 2)], _NegatedCache),
+        ("T4.2", [(1, 5)], _NegatedCache),
+        ("T4.3", [(1, 11)], _NegatedCache),
+    ],
+    ids=[
+        "E1.6-high",
+        "T4.1-high",
+        "C3.3-high-1-15",
+        "T5.3-high",
+        "T4.1-negated",
+        "T4.2-negated",
+        "T4.3-negated",
     ],
 )
-def test_range_report_falsified_under_high_cache(case_id, grid, shifted):
-    report = range_report(case_id, 3000, grid, cache=_HighCache(shifted))
+def test_range_report_falsified_under_high_cache(case_id, grid, cache):
+    report = range_report(case_id, 3000, grid, cache=cache())
     assert report.checked > 0 and len(report.falsified) == report.checked
-    want = _scalar_report(case_id, 3000, grid, cache=_HighCache(shifted))
+    assert all(v.reason != "square recovery identity failed" for v in report.falsified)
+    want = _scalar_report(case_id, 3000, grid, cache=cache())
     assert (report.checked, report.skipped, report.falsified) == want
 
 
@@ -1306,6 +1327,20 @@ def test_thm53_range_reads_each_coefficient_once(monkeypatch):
     want = np.sort(np.concatenate([(m * held - 8) // 8 + 1 for m in (8, 16, 24, 40)]))
     assert len(np.unique(want)) == len(want) == 4 * report.checked == 4908
     assert np.array_equal(np.sort(np.concatenate(taken)), want)
+    assert len(marks) == 1
+
+
+@pytest.mark.parametrize("case_id", case_ids())
+def test_every_column_marks_once(monkeypatch, case_id):
+    import etaquad.theorems as th
+
+    # marks leaves its levels in the state until range_report clears it after the
+    # instance, so a sweep or a second marks call after the first would read them
+    marks = []
+    real_marks = th._Range.marks
+    monkeypatch.setattr(th._Range, "marks", lambda *args: marks.append(1) or real_marks(*args))
+    grid = _ADMISSIBLE[case_id][:1] if case_arity(case_id) else None
+    range_report(case_id, 3001, grid)
     assert len(marks) == 1
 
 
