@@ -1,4 +1,4 @@
-"""Shared brute-force oracles for the test suite, and two test helpers.
+"""Shared brute-force oracles for the test suite, and its test helpers.
 
 The oracles are deliberately independent of the package implementations:
 straight-line enumeration only, no shared helpers, so they stay valid
@@ -12,9 +12,14 @@ predicates beside them) is classical reduction and Dirichlet composition
 rather than enumeration.  It lives here because no engine path runs it:
 the tests use it to state the representation-count rules.  It builds the
 package's `QuadForm` record and calls nothing else of the package.
+
+The fault helpers (`HighCache`, `NegatedCache`, `sign_mutants`) feed wrong
+reads or wrong sign rules to the verdict runners; the theorem tests and the
+golden falsified verdicts share them.
 """
 
 import os
+from dataclasses import replace
 from math import gcd, isqrt
 from operator import index
 from pathlib import Path
@@ -22,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from etaquad import QuadForm, is_prime, kronecker
+from etaquad import QuadForm, TableCache, is_prime, kronecker
 
 # tests that start `python -m etaquad` or `python -c` children need the
 # source tree on their path too when the package is not installed
@@ -360,6 +365,40 @@ def outcome_of(call):
         return call()
     except Exception as exc:  # the exception is the outcome
         return type(exc), str(exc)
+
+
+class HighCache(TableCache):
+    """Reads every coefficient, or only those of the (a, b) tables named, one
+    too high.  The range and single-prime runners both read through values().
+    """
+
+    def __init__(self, shifted=None):
+        super().__init__()
+        self._shifted = shifted
+
+    def values(self, a, b, indices):
+        got = super().values(a, b, indices)
+        return got + 1 if self._shifted is None or (a, b) in self._shifted else got
+
+
+class NegatedCache(TableCache):
+    """Reads every coefficient negated: a product read gives L = -x*y, where
+    the square recovery still holds and only x*y = L fails."""
+
+    def values(self, a, b, indices):
+        return -super().values(a, b, indices)
+
+
+def sign_mutants(rule):
+    """The two faults in a signed rule's sign, as (name, mutated rule); none
+    for a rule with no sign."""
+    if rule.sign is None:
+        return []
+    sign = rule.sign
+    return [
+        ("sign + 1", replace(rule, sign=lambda x, y: sign(x, y) + 1)),
+        ("sign x < 0", replace(rule, sign=lambda x, y: x < 0)),  # not even in x
+    ]
 
 
 def coprime_pairs(limit: int):

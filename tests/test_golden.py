@@ -1,12 +1,15 @@
 """Golden outputs: every case, byte for byte, frozen from trusted code.
 
-Two fixtures under ``tests/golden/``:
+Four fixtures under ``tests/golden/``:
 
 * ``cli_verify.json`` -- stdout and exit code of ``verify`` (TSV and
   ``--json``) for every case over ``GRID`` at ``CLI_P_MAX``;
 * ``verdicts.json``   -- the full verdict tuple (status, witness, index,
   lhs, rhs, reason, details) of every case and grid entry at every odd
   prime below ``VERDICT_P_MAX``;
+* ``falsified.json``  -- the same tuple of every falsified verdict, and the
+  type and message of every raised fault, that each fault of ``FAULTS``
+  gives at those instances and primes;
 * ``table_limits.json`` -- the coefficient tables ``range_report`` sizes
   up front for every case and grid entry at each of ``TABLE_P_MAXES``.
 
@@ -20,9 +23,12 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from conftest import oracle_primes
+import pytest
+from conftest import HighCache, NegatedCache, oracle_primes, outcome_of, sign_mutants
 
+import etaquad.theorems as th
 from etaquad import (
+    FALSIFIED,
     TableCache,
     case_arity,
     case_ids,
@@ -84,25 +90,84 @@ def cli_outputs() -> dict:
     return out
 
 
+def verdict(case, p, cache):
+    """The case's verdict at the odd prime p, through its verify_* entry."""
+    if case.case_id == "T5.3":
+        return verify_thm53(p, cache)
+    if case.case_id in PRODUCT_CASES:
+        return verify_product(case, p, cache)
+    return verify_construction(case, p, cache)
+
+
+def verdict_primes(case_id):
+    """The odd primes below VERDICT_P_MAX where the case takes a verdict."""
+    return [p for p in oracle_primes(VERDICT_P_MAX) if p > (5 if case_id == "T5.3" else 2)]
+
+
+def verdict_fields(v) -> list:
+    return [v.status, v.witness, v.index, v.lhs, v.rhs, v.reason, v.details]
+
+
 def verdict_rows() -> dict:
     cache = TableCache()
-    primes = [p for p in oracle_primes(VERDICT_P_MAX) if p > 2]
     out = {}
     for case_id, params in instances():
         case = make_case(case_id, *params)
-        rows = []
-        for p in primes:
-            if case_id == "T5.3":
-                if p <= 5:
-                    continue
-                v = verify_thm53(p, cache)
-            elif case_id in PRODUCT_CASES:
-                v = verify_product(case, p, cache)
-            else:
-                v = verify_construction(case, p, cache)
-            rows.append([p, v.status, v.witness, v.index, v.lhs, v.rhs, v.reason, v.details])
+        rows = [[p, *verdict_fields(verdict(case, p, cache))] for p in verdict_primes(case_id)]
         # through JSON so tuples compare equal to the stored lists
         out[label(case_id, params)] = json.loads(json.dumps(rows))
+    return out
+
+
+def _signed(name):
+    def install(mp):
+        real = th._built_rule
+        mp.setattr(th, "_built_rule", lambda cid, ps: dict(sign_mutants(real(cid, ps)))[name])
+
+    return install
+
+
+# each fault: (name, the test of the instances it applies to, the cache it
+# reads through, and what it patches into etaquad.theorems)
+FAULTS = (
+    ("high", lambda case: True, HighCache, lambda mp: None),
+    ("negated", lambda case: True, NegatedCache, lambda mp: None),
+    ("sign + 1", lambda case: case._rule.sign is not None, TableCache, _signed("sign + 1")),
+    ("sign x < 0", lambda case: case._rule.sign is not None, TableCache, _signed("sign x < 0")),
+    (
+        "normalized_reps (1, -3)",
+        lambda case: case.case_id in PRODUCT_CASES,
+        TableCache,
+        lambda mp: mp.setattr(th, "normalized_reps", lambda form, t: [(1, -3)]),
+    ),
+    (
+        "find_rep None",
+        lambda case: case.case_id == "T5.3",
+        TableCache,
+        lambda mp: mp.setattr(th, "find_rep", lambda a, b, m: None),
+    ),
+)
+
+
+def falsified_rows() -> dict:
+    """Fault and instance -> [p, *fields] of each falsified verdict and
+    [p, "raised", type, message] of each raised fault, primes ascending."""
+    out = {}
+    for name, applies, cache_type, install in FAULTS:
+        cases = [make_case(case_id, *params) for case_id, params in instances()]
+        cases = [case for case in cases if applies(case)]
+        cache = cache_type()
+        with pytest.MonkeyPatch.context() as mp:
+            install(mp)
+            for case in cases:
+                rows = []
+                for p in verdict_primes(case.case_id):
+                    got = outcome_of(lambda: verdict(case, p, cache))
+                    if isinstance(got, tuple):  # a raised fault's type and message
+                        rows.append([p, "raised", got[0].__name__, got[1]])
+                    elif got.status == FALSIFIED:
+                        rows.append([p, *verdict_fields(got)])
+                out[f"{name} {label(case.case_id, case.params())}"] = json.loads(json.dumps(rows))
     return out
 
 
@@ -160,6 +225,17 @@ def test_golden_verdicts():
         assert got[key] == want[key], key
 
 
+def test_golden_falsified():
+    # every fault's falsified verdicts and raised faults, field by field; at
+    # the fixture's commit each fault falsified at least one verdict
+    want = load("falsified.json")
+    got = falsified_rows()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+    assert {key.rsplit(" ", 1)[0] for key, rows in want.items() if rows} == {f[0] for f in FAULTS}
+
+
 def test_tables_presized_once():
     # every table is built once, before the verdict loop, at the limit
     # the index rule gives at p_max; the loop never asks for more
@@ -206,13 +282,16 @@ def test_no_rule_lists_a_hypothesis_twice():
         assert len(reasons) == len(set(reasons)), (label(case_id, params), reasons)
 
 
+def write_rows(name, rows):
+    """One line per key, keys sorted."""
+    lines = [f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in sorted(rows.items())]
+    (GOLDEN / name).write_text("{\n" + ",\n".join(lines) + "\n}\n")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     cli = cli_outputs()
     (GOLDEN / "cli_verify.json").write_text(json.dumps(cli, indent=1, sort_keys=True) + "\n")
-    rows = verdict_rows()
-    lines = [f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in sorted(rows.items())]
-    (GOLDEN / "verdicts.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
-    limits = table_limits()
-    lines = [f"{json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in sorted(limits.items())]
-    (GOLDEN / "table_limits.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    write_rows("verdicts.json", verdict_rows())
+    write_rows("falsified.json", falsified_rows())
+    write_rows("table_limits.json", table_limits())

@@ -6,7 +6,15 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import gauss_doubling, jacobsthal, oracle_primes, outcome_of
+from conftest import (
+    HighCache,
+    NegatedCache,
+    gauss_doubling,
+    jacobsthal,
+    oracle_primes,
+    outcome_of,
+    sign_mutants,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -305,30 +313,16 @@ def test_every_representation_is_checked():
         assert v.status == HOLDS
 
 
-class _HighCache(TableCache):
-    """Reads every coefficient, or only those of the (a, b) tables named, one
-    too high.  The range and single-prime runners both read through values().
-    """
-
-    def __init__(self, shifted=None):
-        super().__init__()
-        self._shifted = shifted
-
-    def values(self, a, b, indices):
-        got = super().values(a, b, indices)
-        return got + 1 if self._shifted is None or (a, b) in self._shifted else got
-
-
 def test_falsification_is_reported_not_raised():
-    v = verify_construction(make_case("E1.6"), 11, cache=_HighCache())
+    v = verify_construction(make_case("E1.6"), 11, cache=HighCache())
     assert v.status == FALSIFIED
     assert v.lhs == -6 and v.rhs == -5
 
-    v = verify_product(make_case("T4.1", 1, 2), 11, cache=_HighCache())
+    v = verify_product(make_case("T4.1", 1, 2), 11, cache=HighCache())
     assert v.status == FALSIFIED and not v.holds
     assert (v.witness, v.lhs, v.rhs, v.reason) == ((-3, 1), -3, -2, None)
 
-    report = range_report("E1.6", 30, cache=_HighCache())
+    report = range_report("E1.6", 30, cache=HighCache())
     assert len(report.falsified) == report.checked > 0
     assert not report.ok
 
@@ -484,10 +478,10 @@ def test_thm53_examples():
 
 
 def test_thm53_falsified_when_table_is_off():
-    v = verify_thm53(17, cache=_HighCache())
+    v = verify_thm53(17, cache=HighCache())
     assert v.status == FALSIFIED and v.witness == (2, 1) and v.index == 17
     assert v.details == ((17, 0, 1), (34, -14, -13), (51, 42, 43), (85, -70, -69))
-    v = verify_thm53(19, cache=_HighCache())
+    v = verify_thm53(19, cache=HighCache())
     assert v.status == FALSIFIED and v.witness == (2, 1)
     assert v.details == ((19, -22, -21), (38, 0, 1), (57, 0, 1), (95, 0, 1))
 
@@ -1120,25 +1114,17 @@ def test_fixed_cases_equal_scalar_loop_up_to_the_last_integer(p_max):
             assert got == _scalar_report(case_id, p_max), case_id
 
 
-class _NegatedCache(TableCache):
-    """Reads every coefficient negated: a product read gives L = -x*y, where
-    the square recovery still holds and only x*y = L fails."""
-
-    def values(self, a, b, indices):
-        return -super().values(a, b, indices)
-
-
 @pytest.mark.parametrize(
     "case_id,grid,cache",
     [
-        ("E1.6", None, _HighCache),
-        ("T4.1", [(1, 2)], _HighCache),
+        ("E1.6", None, HighCache),
+        ("T4.1", [(1, 2)], HighCache),
         # with both tables one high C3.3's two sides move together and agree
-        ("C3.3", [(3, 5)], lambda: _HighCache({(1, 15)})),
-        ("T5.3", None, _HighCache),
-        ("T4.1", [(1, 2)], _NegatedCache),
-        ("T4.2", [(1, 5)], _NegatedCache),
-        ("T4.3", [(1, 11)], _NegatedCache),
+        ("C3.3", [(3, 5)], lambda: HighCache({(1, 15)})),
+        ("T5.3", None, HighCache),
+        ("T4.1", [(1, 2)], NegatedCache),
+        ("T4.2", [(1, 5)], NegatedCache),
+        ("T4.3", [(1, 11)], NegatedCache),
     ],
     ids=[
         "E1.6-high",
@@ -1399,11 +1385,7 @@ def _mutations(rule):
     ]
     for i, (_, why) in enumerate(hyps):
         out.append((f"no {why!r}", replace(rule, hypotheses=hyps[:i] + hyps[i + 1 :])))
-    if rule.sign is not None:
-        sign = rule.sign
-        out.append(("sign + 1", replace(rule, sign=lambda x, y: sign(x, y) + 1)))
-        out.append(("sign x < 0", replace(rule, sign=lambda x, y: x < 0)))  # not even in x
-    return out
+    return out + sign_mutants(rule)
 
 
 def _outcome(run):
