@@ -7,6 +7,11 @@ prime and returns a structured three-way verdict:
 * ``not_applicable``  -- a hypothesis fails (the violated one is named);
 * ``falsified``       -- hypotheses hold but the sides differ.
 
+One rule (``_verdict``) gives every holds-or-falsified verdict: ``holds``
+exactly when no failure reason is given, the left side equals the right
+and every (index, expected, value) read in ``details`` agrees, and
+``falsified`` otherwise; ``_na`` gives every not-applicable one.
+
 Hypothesis failure is never success and never an error; divisibility
 facts that are provable from the hypotheses are asserted and raise
 ``InternalInconsistencyError`` when violated, since that can only mean
@@ -238,22 +243,12 @@ def _na(case, p, reason) -> Verdict:
     return Verdict(NOT_APPLICABLE, case, p, reason=reason)
 
 
-def _decide(case, p, reps, index, lhs_values: set[int], rhs: int) -> Verdict:
-    witness = min(reps, key=lambda r: (abs(r[0]), abs(r[1]), r[0] < 0, r[1] < 0))
-    if len(lhs_values) > 1:
-        return Verdict(
-            FALSIFIED,
-            case,
-            p,
-            witness=witness,
-            index=index,
-            lhs=min(lhs_values),
-            rhs=rhs,
-            reason=f"left side depends on the representation: {sorted(lhs_values)}",
-        )
-    lhs = next(iter(lhs_values))
-    status = HOLDS if lhs == rhs else FALSIFIED
-    return Verdict(status, case, p, witness=witness, index=index, lhs=lhs, rhs=rhs)
+def _verdict(case, p, witness, index, reason=None, lhs=None, rhs=None, details=()) -> Verdict:
+    """The one holds-or-falsified rule: `holds` exactly when no reason is
+    given, lhs equals rhs and every (index, expected, value) of details
+    agrees."""
+    ok = reason is None and lhs == rhs and all(want == got for _, want, got in details)
+    return Verdict(HOLDS if ok else FALSIFIED, case, p, witness, index, lhs, rhs, reason, details)
 
 
 def _require_unique(norm, t, a, b) -> None:
@@ -287,14 +282,16 @@ def _run_square(case, p, cache, rule):
         shown = f"{fa}*x^2" if rule.show_a else "x^2"
         suffix = " with odd x" if rule.odd_x else ""
         return _na(case, p, f"p has no representation p = {shown} + {fb}*y^2{suffix}")
+    witness = min(reps, key=lambda r: (abs(r[0]), abs(r[1]), r[0] < 0, r[1] < 0))
     indices = [_index(read, p) for read in rule.reads]
     values = [cache.values(ta, tb, [i]).item() for (ta, tb, _), i in zip(rule.reads, indices)]
     if len(values) == 2:
-        return _decide(case, p, reps, indices[0], {values[0]}, values[1])
+        return _verdict(case, p, witness, indices[0], lhs=values[0], rhs=values[1])
     if rule.even_y:
         _require_even_y(reps, case, p)
-    lhs_values = {(-1) ** (rule.sign(x, y) % 2) * _square_lhs(fa, x, p) for x, y in reps}
-    return _decide(case, p, reps, indices[0], lhs_values, values[0])
+    lhs = {(-1) ** (rule.sign(x, y) % 2) * _square_lhs(fa, x, p) for x, y in reps}
+    reason = f"left side depends on the representation: {sorted(lhs)}" if len(lhs) > 1 else None
+    return _verdict(case, p, witness, indices[0], reason, min(lhs), values[0])
 
 
 def _run_product(case, p, cache, rule):
@@ -309,10 +306,12 @@ def _run_product(case, p, cache, rule):
     _require_unique(norm, t, a, b)
     x, y = norm[0]
     lam = cache.values(ta, tb, [index]).item()
-    lhs_ok, quad_ok = x * y == lam, (2 * a * x * x - t) ** 2 == t * t - 4 * a * b * lam * lam
-    status = HOLDS if lhs_ok and quad_ok else FALSIFIED
-    reason = "square recovery identity failed" if lhs_ok and not quad_ok else None
-    return Verdict(status, case, p, witness=(x, y), index=index, lhs=x * y, rhs=lam, reason=reason)
+    # with t = a*x^2 + b*y^2 exact, (2a*x^2 - t)^2 - (t^2 - 4ab*L^2) = 4ab*(L^2 - x^2*y^2):
+    # the square recovery can fail while x*y = L only when the representation
+    # search returns a pair off the form
+    quad_ok = (2 * a * x * x - t) ** 2 == t * t - 4 * a * b * lam * lam
+    reason = None if quad_ok or x * y != lam else "square recovery identity failed"
+    return _verdict(case, p, (x, y), index, reason, x * y, lam)
 
 
 # T5.3's residue classes of p mod 30, each as a lookup table over the residues
@@ -340,12 +339,9 @@ def _run_thm53(case, p, cache, rule):
         if member[p % 30]:
             witness = find_rep(fa, fb, p)
             if witness is None:
-                reason = f"expected representation {label} missing"
-                return Verdict(FALSIFIED, case, p, index=p, reason=reason)
+                return _verdict(case, p, None, p, f"expected representation {label} missing")
             expected = tuple(k * _square_lhs(fa, witness[0], p) for k in mults)
-    details = tuple(zip(indices, expected, values))
-    status = HOLDS if all(want == have for _, want, have in details) else FALSIFIED
-    return Verdict(status, case, p, witness=witness, index=p, details=details)
+    return _verdict(case, p, witness, p, details=tuple(zip(indices, expected, values)))
 
 
 @dataclass(frozen=True)
