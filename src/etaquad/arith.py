@@ -1,11 +1,13 @@
 """Divisor sums, primes and quadratic residue symbols.
 
 Everything here is exact integer arithmetic.  All objects are immutable
-after construction and safe to share between threads.
+after construction and safe to share between threads; ``is_prime`` holds
+its last few answers (``functools.lru_cache`` is thread-safe).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 from operator import index
 
@@ -145,8 +147,19 @@ def is_prime(n: int) -> bool:
     known pseudoprime): n that fails either test is composite, and n that
     passes both raises ResourceLimitError, since a proof would need trial
     division to sqrt(n) > 1.8e12 or a primality certificate.
+
+    The last _PROOFS_HELD answers are held, so a caller that checks n and
+    then searches n's representations (a one-prime verdict) proves n once.
     """
-    n = index(n)  # a Python int, so the modular steps never wrap
+    return _is_prime(index(n))  # a Python int, so the modular steps never wrap
+
+
+# answers is_prime holds: a one-prime verdict proves p, then its search asks for p again
+_PROOFS_HELD = 8
+
+
+@lru_cache(maxsize=_PROOFS_HELD)
+def _is_prime(n: int) -> bool:
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p

@@ -456,8 +456,14 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
     sums = [0] * len(wanted)
     for lo in range(1, u_top + 1, width):
         u = np.arange(lo, min(lo + width, u_top + 1), 2, dtype=np.float64)
-        q = (t - big * (u * u)) / small
-        v = np.floor(np.sqrt(np.abs(q)))
+        # q = (t - big*u^2) / small and v = floor(sqrt(|q|)), each pass in place
+        q = u * u
+        q *= big
+        q = t - q
+        q /= small
+        v = np.abs(q)
+        np.sqrt(v, out=v)
+        np.floor(v, out=v)
         rows, cols = np.divmod(np.flatnonzero(v * v == q), len(u))
         # the few terms are summed in Python ints, so no partial sum can wrap
         for i, x, y in zip(rows.tolist(), u[cols].tolist(), v[rows, cols].tolist()):

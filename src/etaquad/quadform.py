@@ -40,14 +40,14 @@ tuple cost, and equals the plain tuple of its coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from math import gcd, isqrt
+from functools import lru_cache, partial
+from math import gcd, isqrt, prod
 from operator import index
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import _MR_BASES, is_prime, kronecker
+from .arith import _MR_BASES, is_prime, kronecker, sieve_primes
 from .errors import check_budget
 
 
@@ -213,6 +213,7 @@ def _repeated(row: np.ndarray, copies: int) -> np.ndarray:
 
 # the residue filter of `_scan`: four pairwise coprime moduli on two wheels
 _WHEELS = [_wheel(64, 63), _wheel(65, 11)]
+_WHEEL_PERIOD = 64 * 63  # the longer wheel's period
 _SCAN_CHUNK = 1 << 16  # values of x per chunk in `_scan`
 # filter survivors of a chunk above which `_scan` tests squares in int64 first
 _SCAN_SQUARES_MIN = 16
@@ -360,6 +361,46 @@ def _prime_reps(form: QuadForm, n: int) -> list[tuple[int, int]] | None:
     return sorted((s, t) for s, v in solutions for t in (-v, v))
 
 
+# the odd primes below _INERT_BOUND, and the product of every prime below it
+_INERT_BOUND = 1000
+_SMALL_ODD_PRIMES = tuple(sieve_primes(_INERT_BOUND)[1:].tolist())
+_SMALL_PRIMORIAL = 2 * prod(_SMALL_ODD_PRIMES)
+
+
+@lru_cache(maxsize=256)
+def _inert_product(d: int) -> int:
+    """The product of the odd primes q < _INERT_BOUND with (d|q) = -1, by
+    Euler's criterion."""
+    return prod(q for q in _SMALL_ODD_PRIMES if pow(d % q, q >> 1, q) == q - 1)
+
+
+def _inert_obstruction(d: int, n: int) -> bool:
+    """Whether an odd prime q with (d|q) = -1 divides n to an odd power, so
+    that no form of discriminant d represents n, for the q below
+    _INERT_BOUND and for the rest of n when it is a prime below
+    _PRIME_ROUTE_BOUND.
+
+    With 4a*f(x, y) = (2ax + by)^2 - d*y^2, and q prime to a (else d = b^2
+    is a square mod q), q | f(x, y) forces q | y and then q | x, so
+    f(x/q, y/q) = n/q^2; after (e - 1)/2 such steps q divides the value
+    once, which no (x, y) gives (Cox, Primes of the Form x^2 + ny^2, §2).
+
+    The small primes come off n in rounds: round k divides n by the
+    product g of those that divide it at least k times, and those of g that
+    no longer divide n divided it exactly k times.
+    """
+    inert = _inert_product(d)
+    g, k = gcd(n, _SMALL_PRIMORIAL), 1
+    while g > 1:
+        n //= g
+        h = gcd(n, g)
+        if k % 2 and gcd(g // h, inert) > 1:
+            return True
+        g, k = h, k + 1
+    # n is left with no prime below _INERT_BOUND, so a prime n is one such q
+    return 1 < n < _PRIME_ROUTE_BOUND and kronecker(d, n) == -1 and is_prime(n)
+
+
 def representations(form: QuadForm, n: int) -> RepSet:
     """Every integer pair (x, y) with form(x, y) = n.
 
@@ -368,8 +409,10 @@ def representations(form: QuadForm, n: int) -> RepSet:
     sqrt(4an/|d|), and swaps each pair back.  A prime n that `_prime_reps`
     answers for that form takes Cornacchia's algorithm; otherwise a scan
     longer than REPS_SCAN_BUDGET values raises ResourceLimitError before it
-    starts.  The solutions with the searched variable >= 0 come from the
-    search; the rest are the mirrors (-x, -y) of those where it is > 0.
+    starts, and a scan longer than one wheel period does not start where
+    `_inert_obstruction` shows that n has no representation.  The
+    solutions with the searched variable >= 0 come from the search; the
+    rest are the mirrors (-x, -y) of those where it is > 0.
     """
     # Python ints, so that 4cn and the pairs never wrap as numpy integers would
     form, n = _int_form(form), index(n)
@@ -380,10 +423,13 @@ def representations(form: QuadForm, n: int) -> RepSet:
     searched = QuadForm(form.c, form.b, form.a) if swap else form
     half = _prime_reps(searched, n)
     if half is None:
-        length = isqrt(4 * searched.c * n // -form.discriminant()) + 1
+        d = form.discriminant()
+        length = isqrt(4 * searched.c * n // -d) + 1
         what = "representations of {} by {} scan {need} values"
         check_budget(length, REPS_SCAN_BUDGET, what, n, form)
-        half = list(_scan(searched, n))
+        # a shorter scan costs less than the test
+        obstructed = length > _WHEEL_PERIOD and _inert_obstruction(d, n)
+        half = [] if obstructed else list(_scan(searched, n))
     half += [(-u, -v) for u, v in half if u > 0]
     pairs = [(v, u) for u, v in half] if swap else half
     return RepSet(form, n, tuple(sorted(pairs)))

@@ -115,12 +115,13 @@ class TableCache:
     1..limit), and hands every read `take` refuses with IndexError to the
     lattice kernel `lambda_at`, whose first read per (a, b) is audited
     against the sums over representations.  So an index error comes only
-    from `lambda_at` (ValueError).
+    from `lambda_at` (ValueError).  The kernel's parameters are built once
+    per (a, b), at that audited read, and held.
     """
 
     def __init__(self):
         self._tables: dict[tuple[int, int], object] = {}
-        self._kernel_audited: set[tuple[int, int]] = set()
+        self._kernel_params: dict[tuple[int, int], LambdaParams] = {}  # audited keys only
 
     def get(self, a: int, b: int, min_limit: int):
         key = _table_key(a, b)
@@ -139,15 +140,17 @@ class TableCache:
         if table is not None:
             with suppress(IndexError):  # the table does not cover the read
                 return table.take(indices)
+        params = self._kernel_params.get(key)
+        if params is not None:
+            return lambda_at(params, indices)
         params = LambdaParams(*key)
         got = lambda_at(params, indices)
-        if key not in self._kernel_audited:
-            for n, value in zip(indices, got.tolist()):
-                if value != lambda_from_reps(params, int(n) - 1):
-                    raise InternalInconsistencyError(
-                        f"lattice-sum/representation mismatch at index {n} for {params}"
-                    )
-            self._kernel_audited.add(key)
+        for n, value in zip(indices, got.tolist()):
+            if value != lambda_from_reps(params, int(n) - 1):
+                raise InternalInconsistencyError(
+                    f"lattice-sum/representation mismatch at index {n} for {params}"
+                )
+        self._kernel_params[key] = params
         return got
 
 
@@ -569,6 +572,7 @@ def make_case(case_id: str, a: int | None = None, b: int | None = None) -> Const
 
 
 def _verify_kind(run, kind: str, case: ConstructionCase, p: int, cache: TableCache | None):
+    # is_prime holds its answer, so the search for p's representations proves nothing again
     if case._rule.run is not run:
         raise ValueError(f"case {case.case_id} is not a {kind} case")
     p = operator.index(p)  # a Python int, so that m*p cannot wrap as a numpy integer would
@@ -587,6 +591,9 @@ def verify_product(case: ConstructionCase, p: int, cache: TableCache | None = No
     return _verify_kind(_run_product, "product", case, p, cache)
 
 
+_THM53 = ConstructionCase("T5.3")  # validated once: the case has no parameters
+
+
 def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
     """Check the four (3,5)-table values at p, 2p, 3p and 5p at once.
 
@@ -596,7 +603,7 @@ def verify_thm53(p: int, cache: TableCache | None = None) -> Verdict:
     p = operator.index(p)  # a Python int, so that m*p cannot wrap as a numpy integer would
     if p <= 5 or not is_prime(p):
         raise ValueError(f"need a prime p > 5, got {p}")
-    return _evaluate(ConstructionCase("T5.3"), p, cache or TableCache())
+    return _evaluate(_THM53, p, cache or TableCache())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import (
     oracle_class_group,
     oracle_conductor,
     oracle_lattice_points,
+    oracle_primes,
     oracle_reps,
     oracle_scan,
     outcome_of,
@@ -523,6 +524,76 @@ def test_probable_prime_past_the_proven_bound_takes_the_scan():
     with pytest.raises(ResourceLimitError, match=rf"^representations of {p} by \[1, 0, 1\] scan"):
         representations(QuadForm(1, 0, 1), p)
     assert find_rep(1, 1, p) == (11, 10**20)
+
+
+# the inert-prime exit's gate is one wheel period, 4032 values, where the box
+# oracle would take seconds per target; the property moves the gate to
+# _SHORT_GATE values, and its targets' scans fall on both sides of it
+_SHORT_GATE = 12
+_FACTORED_MAX = 20_000
+_SMALL_PRIMES = oracle_primes(60)[1:]
+_REST_PRIMES = [q for q in oracle_primes(1100) if q > 1000]  # past quadform._INERT_BOUND
+
+
+@st.composite
+def _form_and_factored_target(draw):
+    """A form, diagonal, non-diagonal or k times one (imprimitive for k > 1),
+    and n <= _FACTORED_MAX built from k, odd primes inert or split for its
+    discriminant d ((d|q) = -1 or 1), each to a power 1-3, and sometimes a
+    prime past quadform._INERT_BOUND as the rest of n."""
+    a, c = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    b = draw(st.one_of(st.just(0), st.integers(-min(a, c), min(a, c))))  # b^2 <= ac < 4ac
+    k = draw(st.sampled_from((1, 1, 2, 3)))
+    form = QuadForm(k * a, k * b, k * c)
+    d = form.discriminant()
+    n = draw(st.sampled_from((1, k)))
+    if draw(st.booleans()):
+        n *= draw(st.sampled_from(_REST_PRIMES))
+    by_symbol = {s: [q for q in _SMALL_PRIMES if kronecker(d, q) == s] for s in (-1, 1)}
+    for _ in range(draw(st.integers(1, 4))):
+        q = draw(st.sampled_from(by_symbol[draw(st.sampled_from((-1, 1)))]))
+        e = draw(st.integers(1, 3))
+        if n * q**e <= _FACTORED_MAX:
+            n *= q**e
+    return form, n
+
+
+@given(_form_and_factored_target())
+@example((QuadForm(1, 0, 1), 3 * 7**2 * 11))  # 3 and 11 inert, to odd powers; 7 to an even one
+@example((QuadForm(2, 2, 6), 2 * 1019))  # the rest of n, 1019, inert for d = -44
+@settings(max_examples=150, deadline=None)
+def test_inert_exit_equals_the_box_scan(case):
+    form, n = case
+    want = oracle_reps(*form, n)
+    if quadform._inert_obstruction(form.discriminant(), n):
+        assert want == []
+    with mock.patch.object(quadform, "_WHEEL_PERIOD", _SHORT_GATE):
+        assert list(representations(form, n).pairs) == want
+
+
+def test_obstructed_long_targets_take_no_scan():
+    # each n has an inert prime q ((d|q) = -1) to an odd power, and a scan past
+    # one wheel period: 3 * 10^17 by x^2 + y^2 would walk 5.5 * 10^8 values
+    targets = [
+        (QuadForm(1, 0, 1), 3 * 10**17),  # 3^1
+        (QuadForm(1, 0, 1), 7**3 * 5**4 * 2**8),  # 7^3, with the split 5 to an even power
+        (QuadForm(1, 0, 1), 25 * 1000003),  # the rest of n, 1000003 = 3 (mod 4), is prime
+        (QuadForm(2, 1, 3), 5**9 * 2**8),  # d = -23, non-diagonal: 5^9
+        (QuadForm(2, 0, 2), 2 * 3 * 5**10),  # d = -16, imprimitive: 3^1
+    ]
+
+    def no_scan(form, n):
+        raise AssertionError(f"scan for {n} by {form}")
+
+    with mock.patch.object(quadform, "_scan", no_scan):
+        for form, n in targets:
+            assert representations(form, n).pairs == ()
+        assert normalized_reps(QuadForm(1, 0, 1), 3 * 10**17) == []
+    for form, n in targets:
+        searched = min(form.a, form.c)
+        assert isqrt(4 * searched * n // -form.discriminant()) + 1 > quadform._WHEEL_PERIOD
+    for form, n in targets[1:]:  # what the scan gives, where it is short enough to run
+        assert representations(form, n).pairs == _with_mirrors(list(_scan(form, n)))
 
 
 def test_find_rep_finds_iff_representable():

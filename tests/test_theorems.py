@@ -771,6 +771,53 @@ def test_kernel_reads_audited_once_per_pair(monkeypatch):
     assert cache.values(7, 1, [11]).tolist() == [-5]
 
 
+def test_kernel_params_built_once_per_pair(monkeypatch):
+    import etaquad.theorems as th
+
+    built = []
+
+    class Counted(LambdaParams):
+        def __post_init__(self):
+            built.append((self.a, self.b))
+            super().__post_init__()
+
+    monkeypatch.setattr(th, "LambdaParams", Counted)
+    cache = TableCache()
+    for indices in ([11], [12, 13], np.array([14])):
+        cache.values(1, 7, indices)
+        cache.values(7, 1, indices)
+    assert built == [(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "verdict",
+    [
+        lambda: verify_construction(make_case("E1.6"), 2000083),  # 1 (mod 7)
+        lambda: verify_product(make_case("T4.1", 1, 2), 2000003),  # 3 (mod 8)
+        lambda: verify_thm53(2000147),  # 17 (mod 30): find_rep runs
+    ],
+    ids=["E1.6", "T4.1", "T5.3"],
+)
+def test_one_prime_verdict_proves_p_prime_once(verdict, monkeypatch):
+    import etaquad.arith as arith
+
+    # each proof of p > 53^2 starts with the strong-probable-prime test to base 2;
+    # the verdict checks p, and its representation search asks for p again
+    proofs = []
+    test = arith._strong_probable_prime
+
+    def counted(n, base):
+        proofs.append((n, base))
+        return test(n, base)
+
+    monkeypatch.setattr(arith, "_strong_probable_prime", counted)
+    for n in range(64):  # is_prime holds a few recent answers; these push out any held for p
+        is_prime(n)
+    v = verdict()
+    assert v.holds and v.witness is not None
+    assert proofs.count((v.p, 2)) == 1
+
+
 def _no_kernel(params, indices):
     raise AssertionError(f"lattice kernel read {params} at {indices}")
 
