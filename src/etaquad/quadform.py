@@ -361,13 +361,17 @@ def _prime_reps(form: QuadForm, n: int) -> list[tuple[int, int]] | None:
     return sorted((s, t) for s, v in solutions for t in (-v, v))
 
 
-# the odd primes below _INERT_BOUND, and the product of every prime below it
+# the odd primes below _INERT_BOUND, and the product of every prime below it.
+# Of the 500 point-queries `reps` targets of seeds 1-10 (416 with no
+# representation), these and a prime rest rule out 333 at 4.7 us a target and
+# 0.11 ms a new discriminant; a bound of 100 rules out 256 (4.1 us, 0.035 ms)
+# and 10,000 rules out 370 (15 us, 1.6 ms), on a 2-core VM
 _INERT_BOUND = 1000
 _SMALL_ODD_PRIMES = tuple(sieve_primes(_INERT_BOUND)[1:].tolist())
 _SMALL_PRIMORIAL = 2 * prod(_SMALL_ODD_PRIMES)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256)  # discriminants held; point-queries asks for 5
 def _inert_product(d: int) -> int:
     """The product of the odd primes q < _INERT_BOUND with (d|q) = -1, by
     Euler's criterion."""
@@ -427,7 +431,8 @@ def representations(form: QuadForm, n: int) -> RepSet:
         length = isqrt(4 * searched.c * n // -d) + 1
         what = "representations of {} by {} scan {need} values"
         check_budget(length, REPS_SCAN_BUDGET, what, n, form)
-        # a shorter scan costs less than the test
+        # scans of at most one period (0.02-0.04 ms) cost less than the first test
+        # of a discriminant (0.11 ms), so they run as they did
         obstructed = length > _WHEEL_PERIOD and _inert_obstruction(d, n)
         half = [] if obstructed else list(_scan(searched, n))
     half += [(-u, -v) for u, v in half if u > 0]

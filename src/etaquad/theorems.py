@@ -572,10 +572,10 @@ def make_case(case_id: str, a: int | None = None, b: int | None = None) -> Const
 
 
 def _verify_kind(run, kind: str, case: ConstructionCase, p: int, cache: TableCache | None):
-    # is_prime holds its answer, so the search for p's representations proves nothing again
     if case._rule.run is not run:
         raise ValueError(f"case {case.case_id} is not a {kind} case")
     p = operator.index(p)  # a Python int, so that m*p cannot wrap as a numpy integer would
+    # is_prime holds its answer, so the search of p's representations proves p no second time
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     return _evaluate(case, p, cache or TableCache())
