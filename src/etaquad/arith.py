@@ -154,9 +154,9 @@ def is_prime(n: int) -> bool:
     return _is_prime(index(n))  # a Python int, so the modular steps never wrap
 
 
-# answers is_prime holds.  A one-prime verdict asks for p up to three times
-# (its check, its search and, on a fresh cache, T4.1's kernel audit at t = p)
-# with no other proof between them, so 8 leaves room
+# answers is_prime holds.  A one-prime verdict asks for p several times (its
+# check, then its search, its reads' inert-prime tests and, on a fresh cache,
+# T4.1's kernel audit at t = p) with no other proof between them, so 8 leaves room
 _PROOFS_HELD = 8
 
 

@@ -25,8 +25,9 @@ Four independent routes to the same table, the METHODS of lambda_table:
 
 Single coefficients need no table: ``lambda_at`` reads them off the
 lattice points of a*x^2 + b*y^2 in O(sqrt(n)) numpy work per index, each
-point adding the product of two Jacobi terms, and ``lambda_from_reps`` is
-its one-index oracle through the representation search.
+point adding the product of two Jacobi terms, and gives 0 with no scan
+where an inert prime rules the target out; ``lambda_from_reps`` is its
+one-index oracle through the representation search.
 
 Every table is one read-only int64 array of exact integers; a value
 outside int64 raises OverflowError instead of wrapping.  Whatever its
@@ -54,7 +55,7 @@ import numpy as np
 
 from .arith import divisor_sums
 from .errors import InternalInconsistencyError, PartitionCapError, ResourceLimitError, check_budget
-from .quadform import QuadForm, normalized_reps
+from .quadform import QuadForm, _inert_obstruction, normalized_reps
 
 _INT64_SAFE = (1 << 62) - 1
 
@@ -429,7 +430,9 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
     integer lies at least 1/small from every integer, farther than its
     rounding error, so v = floor(sqrt(q)) and v*v == q find exactly the
     solutions.  u is walked in chunks of _KERNEL_CELLS cells, so memory
-    stays one chunk whatever t.
+    stays one chunk whatever t.  A t that `quadform._inert_obstruction`
+    rules out for the discriminant -4ab has no representation, so its sum
+    is 0 and the scan leaves it out.
     """
     a, b = params.a, params.b
     wanted = []  # Python ints; int() would truncate a non-integer index
@@ -449,11 +452,16 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
             f"lambda_at at index {max(wanted)} needs 8(n - 1) + a + b = {t_max}, "
             f"past the exact-float ceiling 2^52 = {EXACT_FLOAT_CEILING}"
         )
-    big, small = max(a, b), min(a, b)
-    t = np.array(targets, dtype=np.float64)[:, None]
-    u_top = isqrt((t_max - small) // big)  # v >= 1 leaves big*u^2 <= t - small
-    width = 2 * max(1, _KERNEL_CELLS // len(wanted))
     sums = [0] * len(wanted)
+    # the targets left to scan: the sum at one an inert prime rules out is 0
+    live = [i for i, t in enumerate(targets) if not _inert_obstruction(-4 * a * b, t)]
+    if not live:
+        return np.array(sums, dtype=np.int64)
+    big, small = max(a, b), min(a, b)
+    t = np.array([targets[i] for i in live], dtype=np.float64)[:, None]
+    # v >= 1 leaves big*u^2 <= t - small
+    u_top = isqrt((max(targets[i] for i in live) - small) // big)
+    width = 2 * max(1, _KERNEL_CELLS // len(live))
     for lo in range(1, u_top + 1, width):
         u = np.arange(lo, min(lo + width, u_top + 1), 2, dtype=np.float64)
         # q = (t - big*u^2) / small and v = floor(sqrt(|q|)), each pass in place
@@ -469,7 +477,7 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
         for i, x, y in zip(rows.tolist(), u[cols].tolist(), v[rows, cols].tolist()):
             x, y = int(x), int(y)
             if y % 2:
-                sums[i] += _jacobi(x) * _jacobi(y)
+                sums[live[i]] += _jacobi(x) * _jacobi(y)
     return np.array(sums, dtype=np.int64)  # numpy raises OverflowError outside int64
 
 

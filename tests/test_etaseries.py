@@ -638,6 +638,26 @@ def test_lambda_at_examples():
         lambda_at(LambdaParams(1, 7), [3, 0])
 
 
+def test_lambda_at_scans_no_target_an_inert_prime_rules_out(monkeypatch):
+    import etaquad.etaseries as es
+
+    # T5.3's reads at 8p, 16p, 24p and 40p for p = 1000117 (7 mod 30), which is
+    # inert for d = -60; and E1.6's read at 8q for q = 1000037 (3 mod 7), inert for -28
+    p, q = 1000117, 1000037
+    want = [lambda_from_reps(LambdaParams(3, 5), m * p - 1) for m in (1, 2, 3, 5)]
+    assert want == [0, 0, 0, 0] and lambda_from_reps(LambdaParams(1, 7), q - 1) == 0
+
+    def no_scan(n):
+        raise AssertionError(f"scan bound taken for {n}")
+
+    with mock.patch.object(es, "isqrt", no_scan):  # the scan's first step is its bound
+        assert lambda_at(LambdaParams(3, 5), [p, 2 * p, 3 * p, 5 * p]).tolist() == want
+        assert lambda_at(LambdaParams(7, 1), [q]).tolist() == [0]
+    # a read that mixes it with a target left to scan: 8 * 2000083, with 2000083 split
+    split = lambda_from_reps(LambdaParams(1, 7), 2000082)
+    assert lambda_at(LambdaParams(1, 7), [q, 2000083, q]).tolist() == [0, split, 0]
+
+
 def test_lambda_at_ceiling(monkeypatch):
     import etaquad.etaseries as es
 
