@@ -453,8 +453,8 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
             f"past the exact-float ceiling 2^52 = {EXACT_FLOAT_CEILING}"
         )
     sums = [0] * len(wanted)
-    # the targets left to scan: the sum at one an inert prime rules out is 0
-    live = [i for i, t in enumerate(targets) if not _inert_obstruction(-4 * a * b, t)]
+    # the targets to scan: one that an inert prime rules out has no representation
+    live = [i for i, target in enumerate(targets) if not _inert_obstruction(-4 * a * b, target)]
     if not live:
         return np.array(sums, dtype=np.int64)
     big, small = max(a, b), min(a, b)
@@ -464,7 +464,7 @@ def lambda_at(params: LambdaParams, indices) -> np.ndarray:
     width = 2 * max(1, _KERNEL_CELLS // len(live))
     for lo in range(1, u_top + 1, width):
         u = np.arange(lo, min(lo + width, u_top + 1), 2, dtype=np.float64)
-        # q = (t - big*u^2) / small and v = floor(sqrt(|q|)), each pass in place
+        # q = (t - big*u^2) / small and v = floor(sqrt(|q|)), in place where the shapes allow
         q = u * u
         q *= big
         q = t - q

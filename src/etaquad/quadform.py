@@ -371,7 +371,7 @@ _SMALL_ODD_PRIMES = tuple(sieve_primes(_INERT_BOUND)[1:].tolist())
 _SMALL_PRIMORIAL = 2 * prod(_SMALL_ODD_PRIMES)
 
 
-@lru_cache(maxsize=256)  # discriminants held; point-queries asks for 5
+@lru_cache(maxsize=256)  # discriminants held; point-queries asks for 6
 def _inert_product(d: int) -> int:
     """The product of the odd primes q < _INERT_BOUND with (d|q) = -1, by
     Euler's criterion."""
