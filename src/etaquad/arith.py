@@ -149,14 +149,15 @@ def is_prime(n: int) -> bool:
     division to sqrt(n) > 1.8e12 or a primality certificate.
 
     The last _PROOFS_HELD answers are held, so a caller that checks n and
-    then searches n's representations (a one-prime verdict) proves n once.
+    then searches n's representations (a one-prime verdict) proves n once;
+    the inert-prime exit of that search and of its reads asks for none.
     """
     return _is_prime(index(n))  # a Python int, so the modular steps never wrap
 
 
-# answers is_prime holds.  A one-prime verdict asks for p several times (its
-# check, then its search, its reads' inert-prime tests and, on a fresh cache,
-# T4.1's kernel audit at t = p) with no other proof between them, so 8 leaves room
+# answers is_prime holds.  A one-prime verdict asks for p up to three times (its
+# check, then its search and, on a fresh cache, T4.1's kernel audit at t = p;
+# its reads' inert tests ask for no proof) with no other proof between them, so 8 leaves room
 _PROOFS_HELD = 8
 
 

@@ -13,7 +13,11 @@ sign variants (and swaps, for x^2 + y^2) are all the others.  Every other
 n takes a single scan over x >= 0 (``_scan``): a numpy residue filter on
 two wheels of two small moduli each drops most x in chunks, and only the
 survivors pay the exact ``isqrt`` in Python ints, lazily and in ascending
-x.  ``representations`` searches over whichever variable has the shorter
+x.  Before a scan longer than one wheel period, ``representations`` asks
+``_inert_obstruction``, which rules n out by the inert primes of the
+discriminant (those q with (d|q) = -1) below 1000 and the Kronecker symbol
+of the rest of n, and returns no pairs without a scan where it does.
+``representations`` searches over whichever variable has the shorter
 range and adds the mirror (-x, -y) of each solution where that variable is
 positive, ``normalized_reps`` keeps the mod-4-normalized solutions that
 drive the product-series identities, and ``find_rep`` takes the first
@@ -361,14 +365,13 @@ def _prime_reps(form: QuadForm, n: int) -> list[tuple[int, int]] | None:
     return sorted((s, t) for s, v in solutions for t in (-v, v))
 
 
-# the odd primes below _INERT_BOUND, and the product of every prime below it.
-# Of the 500 point-queries `reps` targets of seeds 1-10 (416 with no
-# representation), these and a prime rest rule out 333 at 4.7 us a target and
-# 0.11 ms a new discriminant; a bound of 100 rules out 256 (4.1 us, 0.035 ms)
-# and 10,000 rules out 370 (15 us, 1.6 ms), on a 2-core VM
+# the odd primes below _INERT_BOUND.  Of the 500 point-queries `reps` targets
+# of seeds 1-10 (416 with no representation), the exit rules out 376 at 1.6-2.9 us
+# a target and 0.10-0.17 ms a new discriminant; a bound of 100 rules out 347
+# (1.4-2.3 us, 0.009-0.015 ms) and 10,000 rules out 384 (6-8 us, 1.5-1.7 ms), on
+# a 2-core VM, three runs each
 _INERT_BOUND = 1000
 _SMALL_ODD_PRIMES = tuple(sieve_primes(_INERT_BOUND)[1:].tolist())
-_SMALL_PRIMORIAL = 2 * prod(_SMALL_ODD_PRIMES)
 
 
 @lru_cache(maxsize=256)  # discriminants held; point-queries asks for 6
@@ -379,30 +382,34 @@ def _inert_product(d: int) -> int:
 
 
 def _inert_obstruction(d: int, n: int) -> bool:
-    """Whether an odd prime q with (d|q) = -1 divides n to an odd power, so
-    that no form of discriminant d represents n, for the q below
-    _INERT_BOUND and for the rest of n when it is a prime below
-    _PRIME_ROUTE_BOUND.
+    """Whether the inert primes below _INERT_BOUND or the Kronecker symbol of
+    the rest of n show an odd prime q with (d|q) = -1 dividing n to an odd
+    power, so that no form of discriminant d represents n.
 
     With 4a*f(x, y) = (2ax + by)^2 - d*y^2, and q prime to a (else d = b^2
     is a square mod q), q | f(x, y) forces q | y and then q | x, so
     f(x/q, y/q) = n/q^2; after (e - 1)/2 such steps q divides the value
     once, which no (x, y) gives (Cox, Primes of the Form x^2 + ny^2, §2).
 
-    The small primes come off n in rounds: round k divides n by the
-    product g of those that divide it at least k times, and those of g that
-    no longer divide n divided it exactly k times.
+    The inert primes below _INERT_BOUND come off n in rounds: round k
+    divides n by the product g of those that divide it at least k times,
+    and those of g that no longer divide n divided it exactly k times.
+    With every prime of 2d divided out too, the rest m is odd and prime to
+    d, so (d|m), the product of (d|q)^e over its prime powers q^e with each
+    (d|q) = 1 or -1, is -1 only where some q with (d|q) = -1 divides m to
+    an odd power (Cox, §1).
     """
     inert = _inert_product(d)
-    g, k = gcd(n, _SMALL_PRIMORIAL), 1
+    g, k = gcd(n, inert), 1
     while g > 1:
         n //= g
         h = gcd(n, g)
-        if k % 2 and gcd(g // h, inert) > 1:
+        if k % 2 and h < g:
             return True
         g, k = h, k + 1
-    # n is left with no prime below _INERT_BOUND, so a prime n is one such q
-    return 1 < n < _PRIME_ROUTE_BOUND and kronecker(d, n) == -1 and is_prime(n)
+    while (g := gcd(n, 2 * d)) > 1:
+        n //= g
+    return kronecker(d, n) == -1
 
 
 def representations(form: QuadForm, n: int) -> RepSet:
@@ -414,7 +421,7 @@ def representations(form: QuadForm, n: int) -> RepSet:
     answers for that form takes Cornacchia's algorithm; otherwise a scan
     longer than REPS_SCAN_BUDGET values raises ResourceLimitError before it
     starts, and a scan longer than one wheel period does not start where
-    `_inert_obstruction` shows that n has no representation.  The
+    `_inert_obstruction` rules n out (its docstring holds the proof).  The
     solutions with the searched variable >= 0 come from the search; the
     rest are the mirrors (-x, -y) of those where it is > 0.
     """
@@ -431,8 +438,9 @@ def representations(form: QuadForm, n: int) -> RepSet:
         length = isqrt(4 * searched.c * n // -d) + 1
         what = "representations of {} by {} scan {need} values"
         check_budget(length, REPS_SCAN_BUDGET, what, n, form)
-        # scans of at most one period (0.02-0.04 ms) cost less than the first test
-        # of a discriminant (0.11 ms), so they run as they did
+        # scans of at most one period run even where the exit would rule n out, so
+        # the kernel audit's second route (`lambda_from_reps`) stays a scan at short
+        # targets; `lambda_at` has already paid the discriminant's first test there
         obstructed = length > _WHEEL_PERIOD and _inert_obstruction(d, n)
         half = [] if obstructed else list(_scan(searched, n))
     half += [(-u, -v) for u, v in half if u > 0]

@@ -575,7 +575,8 @@ def _verify_kind(run, kind: str, case: ConstructionCase, p: int, cache: TableCac
     if case._rule.run is not run:
         raise ValueError(f"case {case.case_id} is not a {kind} case")
     p = operator.index(p)  # a Python int, so that m*p cannot wrap as a numpy integer would
-    # is_prime holds its answer, so the search of p's representations proves p no second time
+    # is_prime holds its answer, so the search of p's representations proves p no second
+    # time, and the reads' inert-prime exit asks for no proof
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"need an odd prime, got {p}")
     return _evaluate(case, p, cache or TableCache())

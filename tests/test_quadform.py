@@ -30,6 +30,7 @@ from etaquad import (
     ResourceLimitError,
     class_group,
     find_rep,
+    is_prime,
     kronecker,
     lattice_points,
     normalized_reps,
@@ -533,6 +534,7 @@ _SHORT_GATE = 12
 _FACTORED_MAX = 20_000
 _SMALL_PRIMES = oracle_primes(60)[1:]
 _REST_PRIMES = [q for q in oracle_primes(1100) if q > 1000]  # past quadform._INERT_BOUND
+_COMPOSITE_PRIMES = [q for q in oracle_primes(5000) if q > 1000]
 
 
 @st.composite
@@ -540,7 +542,10 @@ def _form_and_factored_target(draw):
     """A form, diagonal, non-diagonal or k times one (imprimitive for k > 1),
     and n <= _FACTORED_MAX built from k, odd primes inert or split for its
     discriminant d ((d|q) = -1 or 1), each to a power 1-3, and sometimes a
-    prime past quadform._INERT_BOUND as the rest of n."""
+    prime past quadform._INERT_BOUND as the rest of n.  Otherwise n is
+    sometimes k times a composite rest instead, the product of two or three
+    primes between 1000 and 5000, each inert or split, which only the
+    exit's Kronecker symbol can rule out."""
     a, c = draw(st.integers(1, 9)), draw(st.integers(1, 9))
     b = draw(st.one_of(st.just(0), st.integers(-min(a, c), min(a, c))))  # b^2 <= ac < 4ac
     k = draw(st.sampled_from((1, 1, 2, 3)))
@@ -549,6 +554,11 @@ def _form_and_factored_target(draw):
     n = draw(st.sampled_from((1, k)))
     if draw(st.booleans()):
         n *= draw(st.sampled_from(_REST_PRIMES))
+    elif draw(st.booleans()):
+        rest = {s: [q for q in _COMPOSITE_PRIMES if kronecker(d, q) == s] for s in (-1, 1)}
+        for _ in range(draw(st.integers(2, 3))):
+            n *= draw(st.sampled_from(rest[draw(st.sampled_from((-1, 1)))]))
+        return form, n
     by_symbol = {s: [q for q in _SMALL_PRIMES if kronecker(d, q) == s] for s in (-1, 1)}
     for _ in range(draw(st.integers(1, 4))):
         q = draw(st.sampled_from(by_symbol[draw(st.sampled_from((-1, 1)))]))
@@ -561,10 +571,18 @@ def _form_and_factored_target(draw):
 @given(_form_and_factored_target())
 @example((QuadForm(1, 0, 1), 3 * 7**2 * 11))  # 3 and 11 inert, to odd powers; 7 to an even one
 @example((QuadForm(2, 2, 6), 2 * 1019))  # the rest of n, 1019, inert for d = -44
+@example((QuadForm(1, 0, 1), 1019 * 1031 * 1039))  # three inert primes: (-4|n) = -1
+@example((QuadForm(1, 0, 1), 1019 * 1013))  # one inert, one split: (-4|n) = -1
+@example((QuadForm(1, 0, 1), 1019 * 1031))  # two inert: (-4|n) = 1, left to the scan
 @settings(max_examples=150, deadline=None)
 def test_inert_exit_equals_the_box_scan(case):
     form, n = case
-    want = oracle_reps(*form, n)
+    # a composite rest puts n past 10^6, where the box would take seconds: the
+    # unfiltered per-x scan with its mirrors lists the same pairs
+    if n <= _FACTORED_MAX:
+        want = oracle_reps(*form, n)
+    else:
+        want = list(_with_mirrors(oracle_scan(*form, n)))
     if quadform._inert_obstruction(form.discriminant(), n):
         assert want == []
     with mock.patch.object(quadform, "_WHEEL_PERIOD", _SHORT_GATE):
@@ -581,19 +599,55 @@ def test_obstructed_long_targets_take_no_scan():
         (QuadForm(2, 1, 3), 5**9 * 2**8),  # d = -23, non-diagonal: 5^9
         (QuadForm(2, 0, 2), 2 * 3 * 5**10),  # d = -16, imprimitive: 3^1
     ]
+    # composites with no prime factor below 1000, ruled out by the Kronecker
+    # symbol of n alone: 300000149 is inert for d = -68 and 330000001 splits
+    # (both are 1 mod 4); 1047979, 1047971 and 1047923 are all 3 (mod 4)
+    composites = [
+        (QuadForm(1, 0, 17), 300000149 * 330000001),
+        (QuadForm(1, 0, 1), 1047979 * 1047971 * 1047923),
+    ]
+    assert composites[0][1] == 99000049470000149
+    assert [kronecker(-68, q) for q in (300000149, 330000001)] == [-1, 1]
+    assert all(is_prime(q) and q % 4 == 3 for q in (1047979, 1047971, 1047923))
 
     def no_scan(form, n):
         raise AssertionError(f"scan for {n} by {form}")
 
     with mock.patch.object(quadform, "_scan", no_scan):
-        for form, n in targets:
+        for form, n in targets + composites:
             assert representations(form, n).pairs == ()
         assert normalized_reps(QuadForm(1, 0, 1), 3 * 10**17) == []
-    for form, n in targets:
+    for form, n in targets + composites:
         searched = min(form.a, form.c)
         assert isqrt(4 * searched * n // -form.discriminant()) + 1 > quadform._WHEEL_PERIOD
+    # the second composite's scan of 1,072,792,204 values stays under the budget,
+    # so the exit, not the budget check, answers it
+    form, n = composites[1]
+    assert isqrt(n) + 1 == 1_072_792_204 <= quadform.REPS_SCAN_BUDGET
     for form, n in targets[1:]:  # what the scan gives, where it is short enough to run
         assert representations(form, n).pairs == _with_mirrors(list(_scan(form, n)))
+
+
+def test_inert_exit_proves_no_prime():
+    # the exit reads the Kronecker symbol of n's rest and never asks whether it is prime
+    cases = [
+        (-4, 25 * 1000003, True),  # the rest 1000003 is a prime, 3 (mod 4)
+        (-44, 2 * 1019, True),  # the rest 1019 is inert for -44
+        (-68, 300000149 * 330000001, True),  # an inert and a split prime
+        (-4, 1019 * 1031, False),  # two inert primes, each to an odd power: (-4|n) = 1
+        (-4, 5 * 1000033, False),  # 5 and 1000033 split
+        (-28, 11 * 1000037, True),  # 11 splits for -28, 1000037 is inert
+        (-28, 2 * 7 * 1000037 * 1000039, False),  # two inert primes past 1000, 7 | d
+        (-60, 8 * 2000147, False),  # T5.3's first read at a member of its classes
+        (-60, 40 * 1000117, True),  # T5.3's last read off its classes
+    ]
+
+    def no_proof(n):
+        raise AssertionError(f"is_prime({n})")
+
+    with mock.patch.object(quadform, "is_prime", no_proof):
+        got = [quadform._inert_obstruction(d, n) for d, n, _ in cases]
+    assert got == [want for _, _, want in cases]
 
 
 def test_find_rep_finds_iff_representable():

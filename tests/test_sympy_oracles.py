@@ -23,10 +23,11 @@ from etaquad.arith import (
     _strong_lucas_probable_prime,
     _strong_probable_prime,
 )
+from etaquad.quadform import _INERT_BOUND, _inert_obstruction
 
 pytest.importorskip("sympy")
 
-from sympy import isprime, nextprime, prevprime  # noqa: E402
+from sympy import factorint, isprime, nextprime, prevprime  # noqa: E402
 from sympy.functions.combinatorial.numbers import divisor_sigma, kronecker_symbol  # noqa: E402
 from sympy.ntheory.primetest import is_strong_lucas_prp  # noqa: E402
 from sympy.solvers.diophantine.diophantine import cornacchia  # noqa: E402
@@ -151,3 +152,57 @@ def test_large_prime_representations_match_cornacchia(a, b):
         assert ours == theirs, p
         assert len(pairs) == 4 * len(theirs)  # the sign variants of each
         assert find_rep(a, b, p) == min(ours, default=None), p
+
+
+def _exit_cases(seed: int, count: int):
+    """(d, n) pairs: a negative discriminant with |d| < 10^5, and n either a
+    random integer below 10^12 or built from primes below 3000 to powers 1-3
+    and zero to two primes past 10^5, each inert or split for d by chance."""
+    rng = random.Random(seed)
+    small = oracle_primes(3000)
+    large = [nextprime(rng.randrange(10**5, 10**7)) for _ in range(50)]
+    for _ in range(count):
+        d = -4 * rng.randrange(1, 25_000) - rng.choice((0, 3))  # 0 or 1 (mod 4)
+        if rng.random() < 0.25:
+            yield d, rng.randrange(1, 10**12)
+            continue
+        n = 1
+        for _ in range(rng.randint(0, 3)):
+            n *= rng.choice(small) ** rng.randint(1, 3)
+        for _ in range(rng.randint(0, 2)):
+            n *= rng.choice(large)
+        yield d, n
+
+
+def _inert_to_an_odd_power(d: int, factors: dict, below=None) -> bool:
+    return any(
+        q % 2 and e % 2 and kronecker_symbol(d, q) == -1
+        for q, e in factors.items()
+        if below is None or q < below
+    )
+
+
+def _small_prime_or_prime_rest(d: int, factors: dict) -> bool:
+    """The exit's earlier rule: an inert odd prime below _INERT_BOUND to an
+    odd power, or a rest of n, free of the primes below _INERT_BOUND, that
+    is one inert prime."""
+    if _inert_to_an_odd_power(d, factors, below=_INERT_BOUND):
+        return True
+    rest = [(q, e) for q, e in factors.items() if q >= _INERT_BOUND]
+    return len(rest) == 1 and rest[0][1] == 1 and kronecker_symbol(d, rest[0][0]) == -1
+
+
+def test_inert_exit_has_an_inert_prime_to_an_odd_power():
+    # every n the exit rules out has an odd q with (d|q) = -1 dividing it to an odd
+    # power, by sympy's factorization; and it rules out every n the earlier rule did
+    ruled_out = earlier = 0
+    for d, n in _exit_cases(49, 1000):
+        got = _inert_obstruction(d, n)
+        factors = factorint(n)
+        if got:
+            assert _inert_to_an_odd_power(d, factors), (d, n)
+        if _small_prime_or_prime_rest(d, factors):
+            assert got, (d, n)
+            earlier += 1
+        ruled_out += got
+    assert ruled_out > earlier > 200  # the rest's Kronecker symbol rules out more

@@ -818,6 +818,30 @@ def test_one_prime_verdict_proves_p_prime_once(verdict, monkeypatch):
     assert proofs.count((v.p, 2)) == 1
 
 
+def test_thm53_verdict_at_a_class_member_runs_the_exit_once(monkeypatch):
+    import etaquad.etaseries as es
+    import etaquad.quadform as qf
+
+    # T5.3's four reads at 8p, 16p, 24p and 40p share the rest p; at a member
+    # of its classes the first read is not ruled out, so the kernel scans all four
+    # after one test.  The cache has audited (3, 5), so no audit scan asks either
+    p = 2000147  # 17 (mod 30): find_rep answers by Cornacchia's algorithm
+    cache = TableCache()
+    verify_thm53(p, cache)
+    calls = []
+    exit_ = qf._inert_obstruction
+
+    def counted(d, n):
+        calls.append((d, n))
+        return exit_(d, n)
+
+    monkeypatch.setattr(es, "_inert_obstruction", counted)
+    monkeypatch.setattr(qf, "_inert_obstruction", counted)
+    v = verify_thm53(p, cache)
+    assert v.holds and v.witness is not None
+    assert calls == [(-60, 8 * p)]
+
+
 def _no_kernel(params, indices):
     raise AssertionError(f"lattice kernel read {params} at {indices}")
 
